@@ -14,13 +14,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import REGISTRY, corpus
 from .errors import AlgebraError, BudgetExceededError, ParseError
 from .groebner import Budget, groebner_basis
-from .ideals import Ideal, RingMap
+from .ideals import _RADICAL_POWER_CAP, Ideal, RingMap
 from .orders import parse_order
 from .polynomials import Polynomial, format_poly, parse_poly
 from .rings import RingSpec
@@ -101,6 +102,13 @@ def _certificate_doc(cert) -> dict:
     }
 
 
+def _certificate_keys(cert) -> dict:
+    return {
+        "certificate": None if cert is None else cert.kind,
+        "certificates": [] if cert is None else [_certificate_doc(cert)],
+    }
+
+
 def _certificate_text(cert) -> str:
     if cert.kind == "monic":
         base = _paren(_texts(cert.base_gens))
@@ -119,14 +127,23 @@ def _certificate_text(cert) -> str:
 # -- verb handlers --------------------------------------------------------------
 
 
-def _cmd_gb(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    order = parse_order(args.order, ring)
-    gb = groebner_basis(ideal.generators, order, _budget(args))
+def _with_ideal(handler, args):
+    """The opening shared by the verbs that read one ideal.  ``handler`` gets
+    (args, ideal, budget) and returns only its own doc keys, which follow
+    "ring" and "generators"."""
+    ideal = _load_ideal(args, RingSpec.parse(args.ring))
+    code, doc, lines = handler(args, ideal, _budget(args))
+    return code, {**_ideal_doc(ideal), **doc}, lines
+
+
+def _ideal_doc(ideal: Ideal) -> dict:
+    return {"ring": ideal.ring.to_json(), "generators": _texts(ideal.generators)}
+
+
+def _cmd_gb(args, ideal, budget):
+    order = parse_order(args.order, ideal.ring)
+    gb = groebner_basis(ideal.generators, order, budget)
     doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
         "order": args.order,
         "basis": _texts(gb.elements),
         "reduced": gb.reduced,
@@ -135,27 +152,15 @@ def _cmd_gb(args):
     return 0, doc, [_paren(_texts(gb.elements))]
 
 
-def _cmd_contract(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    res = contract_power(ideal, args.power, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "power": args.power,
-        "contraction": list(res.base.texts()),
-    }
+def _cmd_contract(args, ideal, budget):
+    res = contract_power(ideal, args.power, budget)
+    doc = {"power": args.power, "contraction": list(res.base.texts())}
     return 0, doc, [_paren(res.base.texts())]
 
 
-def _cmd_check_stable(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    budget = _budget(args)
+def _cmd_check_stable(args, ideal, budget):
     report = check_power_stable(ideal, args.max_power, budget)
-    cert = None
-    if report.is_stable():
-        cert = certify_stable(ideal, budget)
+    cert = certify_stable(ideal, budget) if report.is_stable() else None
     records = [
         {
             "t": r.t,
@@ -166,14 +171,11 @@ def _cmd_check_stable(args):
         for r in report.records
     ]
     doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
         "bound": args.max_power,
         "verdict": {"kind": report.verdict.kind, "t": report.verdict.t},
         "records": records,
         "witness": _witness_text(report.witness),
-        "certificate": None if cert is None else cert.kind,
-        "certificates": [] if cert is None else [_certificate_doc(cert)],
+        **_certificate_keys(cert),
     }
     lines = []
     if not report.is_stable():
@@ -192,10 +194,8 @@ def _cmd_check_stable(args):
     return (0 if report.is_stable() else 1), doc, lines
 
 
-def _cmd_criterion(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    rep = graded_criterion(ideal, args.max_level, _budget(args))
+def _cmd_criterion(args, ideal, budget):
+    rep = graded_criterion(ideal, args.max_level, budget)
     records = [
         {
             "n": r.n,
@@ -206,8 +206,6 @@ def _cmd_criterion(args):
         for r in rep.records
     ]
     doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
         "bound": args.max_level,
         "holds": rep.holds,
         "failure_n": rep.failure_n,
@@ -228,82 +226,70 @@ def _cmd_criterion(args):
     return (0 if rep.holds else 1), doc, lines
 
 
-def _cmd_eliminate(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
+def _cmd_eliminate(args, ideal, budget):
     names = tuple(_split_items(args.vars))
-    out = ideal.eliminate(names, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "vars": list(names),
-        "result": _texts(out.generators),
-    }
+    out = ideal.eliminate(names, budget)
+    doc = {"vars": list(names), "result": _texts(out.generators)}
     return 0, doc, [_paren(_texts(out.generators))]
 
 
-def _cmd_quotient(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    f = parse_poly(args.by, ring)
-    out = ideal.quotient(f, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "by": format_poly(f),
-        "result": _texts(out.generators),
-    }
+def _cmd_colon(args, ideal, budget):
+    """quotient (I : f) and saturate (I : f^infinity)."""
+    f = parse_poly(args.by, ideal.ring)
+    colon = ideal.quotient if args.verb == "quotient" else ideal.saturate
+    out = colon(f, budget)
+    doc = {"by": format_poly(f), "result": _texts(out.generators)}
     return 0, doc, [_paren(_texts(out.generators))]
 
 
-def _cmd_saturate(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    f = parse_poly(args.by, ring)
-    out = ideal.saturate(f, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "by": format_poly(f),
-        "result": _texts(out.generators),
-    }
-    return 0, doc, [_paren(_texts(out.generators))]
-
-
-def _cmd_member(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    f = parse_poly(args.poly, ring)
-    val = ideal.contains(f, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "poly": format_poly(f),
-        "member": val,
-    }
+def _cmd_member(args, ideal, budget):
+    f = parse_poly(args.poly, ideal.ring)
+    val = ideal.contains(f, budget)
+    doc = {"poly": format_poly(f), "member": val}
     return (0 if val else 1), doc, ["true" if val else "false"]
 
 
-def _cmd_radical_member(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    f = parse_poly(args.poly, ring)
-    rm = ideal.radical_contains(f, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "poly": format_poly(f),
-        "member": rm.value,
-        "capped": rm.capped,
-        "power": rm.power,
-    }
+def _cmd_radical_member(args, ideal, budget):
+    f = parse_poly(args.poly, ideal.ring)
+    rm = ideal.radical_contains(f, budget)
+    doc = {"poly": format_poly(f), "member": rm.value, "capped": rm.capped, "power": rm.power}
     if rm.value:
         line = "true" if rm.power is None else f"true (power {rm.power})"
     elif rm.capped:
-        line = "false (bounded search, no power up to k=12)"
+        line = f"false (bounded search, no power up to k={_RADICAL_POWER_CAP})"
     else:
         line = "false"
     return (0 if rm.value else 1), doc, [line]
+
+
+def _cmd_certify(args, ideal, budget):
+    cert = certify_stable(ideal, budget)
+    doc = _certificate_keys(cert)
+    if cert is None:
+        return 1, doc, ["no certificate found (not a refutation)"]
+    return 0, doc, [_certificate_text(cert), "stable for all t"]
+
+
+def _cmd_obstruct(args, ideal, budget):
+    wits = None
+    if args.witnesses is not None:
+        wits = [parse_poly(t, ideal.ring) for t in _split_items(args.witnesses)]
+        if not wits:
+            raise ParseError("empty witness list")
+    cert = primary_obstruction(ideal, args.power, wits, budget)
+    doc = {
+        "power": args.power,
+        "found": cert is not None,
+        "witness": None if cert is None else format_poly(cert.witness),
+        "cofactor": None if cert is None else format_poly(cert.cofactor),
+    }
+    if cert is None:
+        return 0, doc, ["no obstruction found (not a primality proof)"]
+    lines = [
+        f"obstruction at t={args.power}: "
+        f"witness {format_poly(cert.witness)}, cofactor {format_poly(cert.cofactor)}"
+    ]
+    return 1, doc, lines
 
 
 def _cmd_kernel(args):
@@ -324,51 +310,6 @@ def _cmd_kernel(args):
         "kernel": _texts(out.generators),
     }
     return 0, doc, [_paren(_texts(out.generators))]
-
-
-def _cmd_certify(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    cert = certify_stable(ideal, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "certificate": None if cert is None else cert.kind,
-        "certificates": [] if cert is None else [_certificate_doc(cert)],
-    }
-    if cert is None:
-        return 1, doc, ["no certificate found (not a refutation)"]
-    return 0, doc, [_certificate_text(cert), "stable for all t"]
-
-
-def _cmd_obstruct(args):
-    ring = RingSpec.parse(args.ring)
-    ideal = _load_ideal(args, ring)
-    wits = None
-    if args.witnesses is not None:
-        wits = [parse_poly(t, ring) for t in _split_items(args.witnesses)]
-        if not wits:
-            raise ParseError("empty witness list")
-    cert = primary_obstruction(ideal, args.power, wits, _budget(args))
-    doc = {
-        "ring": ring.to_json(),
-        "generators": _texts(ideal.generators),
-        "power": args.power,
-        "found": cert is not None,
-        "witness": None if cert is None else format_poly(cert.witness),
-        "cofactor": None if cert is None else format_poly(cert.cofactor),
-    }
-    if cert is None:
-        return 0, doc, ["no obstruction found (not a primality proof)"]
-    lines = [
-        f"obstruction at t={args.power}: "
-        f"witness {format_poly(cert.witness)}, cofactor {format_poly(cert.cofactor)}"
-    ]
-    return 1, doc, lines
-
-
-def _ideal_doc(ideal: Ideal) -> dict:
-    return {"ring": ideal.ring.to_json(), "generators": _texts(ideal.generators)}
 
 
 def _cmd_corpus(args):
@@ -424,19 +365,22 @@ def _cmd_corpus(args):
     return 0, doc, lines
 
 
-_HANDLERS = {
+_IDEAL_VERBS = {
     "gb": _cmd_gb,
     "contract": _cmd_contract,
     "check-stable": _cmd_check_stable,
     "criterion": _cmd_criterion,
     "eliminate": _cmd_eliminate,
-    "quotient": _cmd_quotient,
-    "saturate": _cmd_saturate,
+    "quotient": _cmd_colon,
+    "saturate": _cmd_colon,
     "member": _cmd_member,
     "radical-member": _cmd_radical_member,
-    "kernel": _cmd_kernel,
     "certify": _cmd_certify,
     "obstruct": _cmd_obstruct,
+}
+_HANDLERS = {
+    **{verb: partial(_with_ideal, cmd) for verb, cmd in _IDEAL_VERBS.items()},
+    "kernel": _cmd_kernel,
     "corpus": _cmd_corpus,
 }
 
@@ -483,21 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--vars", required=True, help="comma-separated variables to eliminate")
 
-    sp = sub.add_parser("quotient", help="colon ideal (I : f)", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--by", required=True, help="the divisor polynomial f")
-
-    sp = sub.add_parser("saturate", help="saturation (I : f^infinity)", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--by", required=True, help="the divisor polynomial f")
-
-    sp = sub.add_parser("member", help="ideal membership test", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--poly", required=True)
-
-    sp = sub.add_parser("radical-member", help="radical membership test", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--poly", required=True)
+    for verb, verb_help, option, option_help in (
+        ("quotient", "colon ideal (I : f)", "--by", "the divisor polynomial f"),
+        ("saturate", "saturation (I : f^infinity)", "--by", "the divisor polynomial f"),
+        ("member", "ideal membership test", "--poly", None),
+        ("radical-member", "radical membership test", "--poly", None),
+    ):
+        sp = sub.add_parser(verb, help=verb_help, exit_on_error=False)
+        _add_common(sp)
+        sp.add_argument(option, required=True, help=option_help)
 
     sp = sub.add_parser("kernel", help="kernel of a variable-image ring map", exit_on_error=False)
     _add_common(sp, ring=False, gens=False)

@@ -398,31 +398,20 @@ def _minimalize(polys: list[Polynomial], keyf, ring: RingSpec) -> list[Polynomia
 def _tail_reduce(basis: list[Polynomial], keyf, ring: RingSpec, budget: Budget) -> list[Polynomial]:
     """Reduce every term below each leading term against the other elements.
 
-    Heads are left untouched, so the set of leading terms (and with it the
-    basis property) is preserved exactly.
+    ``basis`` is sorted ascending by leading monomial (see ``_minimalize``)
+    and only a smaller leading monomial can divide a tail term, so one
+    ascending pass against the already reduced prefix is final.  Heads are
+    untouched, so the leading terms (and the basis property) are preserved.
     """
-    out = list(basis)
-    for _ in range(1000):
-        changed = False
-        for idx, p in enumerate(out):
-            others = out[:idx] + out[idx + 1 :]
-            if not others:
-                continue
-            red = _Reducers(keyf)
-            for g in others:
-                red.append(g)
-            lm = max(p._terms, key=keyf)
-            tail = dict(p._terms)
-            head_c = tail.pop(lm)
-            new_tail = _nf_terms(tail, red, ring, budget)
-            new_tail[lm] = head_c
-            q = Polynomial._make(ring, new_tail)
-            if q != p:
-                out[idx] = q
-                changed = True
-        if not changed:
-            return out
-    raise BudgetExceededError("basis tail reduction did not stabilize")
+    red = _Reducers(keyf)
+    for p in basis:
+        lm = max(p._terms, key=keyf)
+        tail = dict(p._terms)
+        head_c = tail.pop(lm)
+        new_tail = _nf_terms(tail, red, ring, budget)
+        new_tail[lm] = head_c
+        red.append(Polynomial._make(ring, new_tail))
+    return red.polys
 
 
 def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:

@@ -19,13 +19,18 @@ from .orders import BlockElim, Grevlex, MonomialOrder
 from .polynomials import Polynomial, evaluate_map, exact_divide, format_poly, transport
 from .rings import RingSpec
 
+# Over ZZ, radical membership tries the powers f, f^2, ..., f^cap.
+_RADICAL_POWER_CAP = 12
+
 
 class Ideal:
     """An ideal of R[X] given by a finite generating set.
 
     Zero generators are discarded and duplicates collapse, so the empty
     list is the zero ideal.  Groebner bases and powers are cached on the
-    instance; all caches are per monomial order.
+    instance, bases per monomial order.  Elimination (and with it
+    intersection, saturation, kernels and contractions of powers) computes
+    its elimination-order basis through the same per-order cache.
     """
 
     __slots__ = ("ring", "generators", "_gb", "_powers")
@@ -132,8 +137,8 @@ class Ideal:
         one = Polynomial.one(ext)
         gens = [u * transport(g, ext) for g in self.generators]
         gens += [(one - u) * transport(g, ext) for g in other.generators]
-        front_free = _eliminate_front(gens, ext, (tag,), budget)
-        return Ideal(ring, [transport(g, ring) for g in front_free])
+        front_free = Ideal(ext, gens).eliminate((tag,), budget)
+        return Ideal(ring, [transport(g, ring) for g in front_free.generators])
 
     def quotient(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
         """The colon ideal (I : f) = {g : g*f in I}."""
@@ -163,13 +168,9 @@ class Ideal:
                     return current
                 current = nxt
             raise BudgetExceededError("saturation did not stabilize within 64 quotient steps")
-        tag = ring.fresh_aux("y")
-        ext = ring.extend_aux(tag)
-        y = Polynomial.variable(ext, tag)
-        gens = [transport(g, ext) for g in self.generators]
-        gens.append(Polynomial.one(ext) - y * transport(f, ext))
-        front_free = _eliminate_front(gens, ext, (tag,), budget)
-        return Ideal(ring, [transport(g, ring) for g in front_free])
+        trick, tag = self._trick(f)
+        front_free = trick.eliminate((tag,), budget)
+        return Ideal(ring, [transport(g, ring) for g in front_free.generators])
 
     def eliminate(self, front: Sequence[str], budget: Budget | None = None) -> "Ideal":
         """I ∩ R', where R' drops the listed variables: generators of the
@@ -177,19 +178,19 @@ class Ideal:
         front = tuple(front)
         for v in front:
             self.ring.index(v)
-        if not front:
+        if not front or self.is_zero_ideal():
             return self
-        if self.is_zero_ideal():
-            return self
-        kept = _eliminate_front(list(self.generators), self.ring, front, budget)
-        return Ideal(self.ring, kept)
+        # A (strong) Groebner basis under an elimination order restricts to
+        # a basis of the elimination ideal, over fields and over ZZ alike.
+        gb = self.groebner(BlockElim(front), budget)
+        return Ideal(self.ring, [g for g in gb.elements if g.free_of(front)])
 
     def radical_contains(self, f: Polynomial, budget: Budget | None = None) -> "RadicalMembership":
         """Is some power of f in I?
 
         Over a field coefficient ring the answer is exact: f is in the
         radical iff 1 lies in I + (1 - y*f).  Over ZZ powers f, f^2, ... are
-        tested up to a fixed cap; a negative answer is then marked capped.
+        tested up to _RADICAL_POWER_CAP; a negative answer is then marked capped.
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"radical candidate in {f.ring}, expected {self.ring}")
@@ -200,20 +201,22 @@ class Ideal:
         ring = self.ring
         if ring.is_int_mode:
             fk = f
-            for k in range(1, 13):
+            for k in range(1, _RADICAL_POWER_CAP + 1):
                 if self.contains(fk, budget):
                     return RadicalMembership(True, capped=False, power=k)
                 fk = fk * f
             return RadicalMembership(False, capped=True)
-        tag = ring.fresh_aux("y")
-        ext = ring.extend_aux(tag)
+        trick, _ = self._trick(f)
+        return RadicalMembership(trick.contains(Polynomial.one(trick.ring), budget), capped=False)
+
+    def _trick(self, f: Polynomial) -> tuple["Ideal", str]:
+        """I + (1 - y*f) in the ring extended by a fresh auxiliary y; returns y too."""
+        tag = self.ring.fresh_aux("y")
+        ext = self.ring.extend_aux(tag)
         y = Polynomial.variable(ext, tag)
         gens = [transport(g, ext) for g in self.generators]
         gens.append(Polynomial.one(ext) - y * transport(f, ext))
-        trick = Ideal(ext, gens)
-        if trick.contains(Polynomial.one(ext), budget):
-            return RadicalMembership(True, capped=False)
-        return RadicalMembership(False, capped=False)
+        return Ideal(ext, gens), tag
 
     def equals(self, other: "Ideal", budget: Budget | None = None) -> bool:
         self._peer(other)
@@ -240,21 +243,6 @@ def _product(polys: Sequence[Polynomial]) -> Polynomial:
     for p in polys[1:]:
         out = out * p
     return out
-
-
-def _eliminate_front(
-    gens: list[Polynomial],
-    ring: RingSpec,
-    front: tuple[str, ...],
-    budget: Budget | None,
-) -> list[Polynomial]:
-    """Elements of a block-order basis that avoid the front variables.
-
-    A (strong) Groebner basis under an elimination order restricts to a
-    basis of the elimination ideal, over fields and over ZZ alike.
-    """
-    gb = groebner_basis(gens, BlockElim(front), budget)
-    return [g for g in gb.elements if g.free_of(front)]
 
 
 # -- ring maps ----------------------------------------------------------------
@@ -290,13 +278,12 @@ class RingMap:
         """Kernel computed in the joint ring: eliminate the target variables
         from (v - image(v) : v a source variable)."""
         joint = self.source.extend_aux(*self.target.variables)
-        gens = []
-        for v in self.source.variables:
-            gens.append(
-                Polynomial.variable(joint, v) - transport(self.images[v], joint)
-            )
-        kept = _eliminate_front(gens, joint, self.target.variables, budget)
-        return Ideal(self.source, [transport(g, self.source) for g in kept])
+        gens = [
+            Polynomial.variable(joint, v) - transport(self.images[v], joint)
+            for v in self.source.variables
+        ]
+        kept = Ideal(joint, gens).eliminate(self.target.variables, budget)
+        return Ideal(self.source, [transport(g, self.source) for g in kept.generators])
 
 
 # -- functional aliases ----------------------------------------------------------

@@ -184,10 +184,11 @@ def check_power_stable(
     """
     if bound < 1:
         raise AlgebraError(f"stability bound must be >= 1, got {bound}")
-    base1 = contract_power(ideal, 1, budget).base
     records: list[StabilityRecord] = []
     for t in range(1, bound + 1):
         ct = contract_power(ideal, t, budget).base
+        if t == 1:
+            base1 = ct
         expected = base1.power(t, budget)
         eq = ct.equals(expected, budget)
         records.append(StabilityRecord(t, ct, expected, eq))
@@ -231,11 +232,13 @@ def graded_criterion(
     """
     if bound < 0:
         raise AlgebraError(f"graded bound must be >= 0, got {bound}")
-    J = contract_power(ideal, 1, budget).base
     records: list[GradedRecord] = []
     for n in range(bound + 1):
         c_next = contract_power(ideal, n + 1, budget).base
-        meet = c_next if n == 0 else J.power(n, budget).intersect(c_next, budget)
+        if n == 0:
+            J = meet = c_next
+        else:
+            meet = J.power(n, budget).intersect(c_next, budget)
         target = J.power(n + 1, budget)
         holds = meet.equals(target, budget)
         records.append(GradedRecord(n, meet, target, holds))

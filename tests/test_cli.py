@@ -2,6 +2,9 @@
 
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,36 @@ def test_fp_ring_json():
     assert doc["ring"]["coefficients"] == {"Fp": 7}
 
 
+# Every verb that reads one ideal opens its document with the ring and the
+# generators, then its own keys in a fixed order.
+IDEAL_VERB_KEYS = [
+    (("gb",), ["order", "basis", "reduced", "strong"]),
+    (("contract",), ["power", "contraction"]),
+    (
+        ("check-stable",),
+        ["bound", "verdict", "records", "witness", "certificate", "certificates"],
+    ),
+    (("criterion",), ["bound", "holds", "failure_n", "records", "witness"]),
+    (("eliminate", "--vars", "X"), ["vars", "result"]),
+    (("quotient", "--by", "X"), ["by", "result"]),
+    (("saturate", "--by", "X"), ["by", "result"]),
+    (("member", "--poly", "Y^2"), ["poly", "member"]),
+    (("radical-member", "--poly", "Y"), ["poly", "member", "capped", "power"]),
+    (("certify",), ["certificate", "certificates"]),
+    (("obstruct",), ["power", "found", "witness", "cofactor"]),
+]
+
+
+@pytest.mark.parametrize(
+    "verb_argv, keys", IDEAL_VERB_KEYS, ids=[argv[0] for argv, _ in IDEAL_VERB_KEYS]
+)
+def test_json_key_order_per_verb(verb_argv, keys):
+    argv = (verb_argv[0], "--ring", "QQ[Y][X]", "--gens", "X^2 - Y, Y*X", *verb_argv[1:])
+    code, body = run(*argv, "--format", "json")
+    assert code in (0, 1)
+    assert list(json.loads(body)) == ["ring", "generators", *keys]
+
+
 # -- generator sources -------------------------------------------------------------------
 
 
@@ -356,3 +389,27 @@ def test_main_prints_body_and_returns_code(capsys):
     code = main(["member", "--ring", "ZZ[X]", "--gens", "2", "--poly", "3"])
     assert code == 1
     assert capsys.readouterr().out == "false\n"
+
+
+# -- README ----------------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(argv, shown output) for each ``$ ps ...`` block of the README."""
+    out = []
+    for block in re.findall(r"```\n(\$ ps .*?)```", README.read_text(), re.S):
+        lines = block.splitlines()
+        command = lines.pop(0)
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        out.append((shlex.split(command)[2:], "\n".join(lines)))
+    return out
+
+
+def test_readme_examples_print_what_they_show():
+    examples = _readme_examples()
+    assert len(examples) == 5
+    for argv, shown in examples:
+        assert run(*argv)[1] == shown, argv

@@ -24,7 +24,8 @@ from powerstable import (
     parse_poly,
     s_polynomial,
 )
-from powerstable.orders import key_function
+from powerstable.coefficients import divmod_least
+from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
 from oracles import macaulay_member
@@ -98,6 +99,28 @@ def test_groebner_basis_is_idempotent():
             gb = groebner_basis(rand_gens(rng, ring, 2, 3))
             again = groebner_basis(list(gb.elements), gb.order)
             assert again.elements == gb.elements
+
+
+@pytest.mark.parametrize("ring", [QYZ, F7, ZX], ids=str)
+def test_no_tail_term_is_reducible_by_another_element(ring):
+    """Reducedness checked term by term, independently of the engine's own
+    interreduction: over a field no other leading monomial divides a tail
+    term; over ZZ a dividing one must leave a zero least-remainder quotient."""
+    rng = random.Random(f"tail:{ring}")
+    for spec in ("grevlex", "lex", f"elim:{ring.variables[0]}"):
+        order = parse_order(spec, ring)
+        for _ in range(6):
+            gb = groebner_basis(rand_gens(rng, ring, rng.randint(2, 3), 3), order)
+            heads = [p.leading_term(order) for p in gb]
+            for i, p in enumerate(gb):
+                for e, c in p.terms():
+                    if e == heads[i][0]:
+                        continue
+                    for j, (lm, lc) in enumerate(heads):
+                        if j == i or any(x > y for x, y in zip(lm, e)):
+                            continue
+                        assert ring.is_int_mode, (spec, format_poly(p))
+                        assert divmod_least(c, lc)[0] == 0, (spec, format_poly(p))
 
 
 # -- strong bases over ZZ ---------------------------------------------------------

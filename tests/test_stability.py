@@ -3,6 +3,7 @@ certificates (monic, regular image, primary obstruction)."""
 
 import pytest
 
+import powerstable.ideals
 from powerstable import (
     AlgebraError,
     BaseIdeal,
@@ -82,6 +83,35 @@ def test_contraction_containment_half_always_holds():
             ct = contract_power(I, t).base
             for g in c1.power(t).generators():
                 assert ct.contains(g), f"{name} at t={t}"
+
+
+@pytest.mark.parametrize(
+    "ring, texts",
+    [(QYX, ("X^2 - Y", "Y*X")), (ZX, ("X^2 - 2", "X^3"))],
+    ids=["QQ[Y][X]", "ZZ[X]"],
+)
+def test_contractions_come_from_the_ideal_caches(monkeypatch, ring, texts):
+    """I^t ∩ R is computed once per ideal and exponent.  The bases counted
+    are those in R[X]; contractions are compared in R, on fresh ideals (over
+    ZZ on plain integers, with no basis at all)."""
+    computed = []
+    real = powerstable.ideals.groebner_basis
+
+    def counting(gens, order=None, budget=None):
+        computed.append(gens[0].ring)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(powerstable.ideals, "groebner_basis", counting)
+    I = ideal(ring, *texts)
+    first = contract_power(I, 2).base.texts()
+    assert contract_power(I, 2).base.texts() == first
+    assert computed == [ring]
+
+    I = ideal(ring, *texts)
+    check_power_stable(I, 3)
+    before = len(computed)
+    graded_criterion(I, 2)
+    assert [r for r in computed[before:] if r == ring] == []
 
 
 # -- bounded verdicts -------------------------------------------------------------

@@ -3,7 +3,12 @@
 Field mode runs Buchberger's algorithm with the normal selection strategy
 (pairs chosen by minimal lcm under the active order, ties by input index)
 and returns the unique reduced basis: monic, mutually irreducible, sorted
-ascending by leading monomial.
+ascending by leading monomial.  Pairs are pruned by Buchberger's chain and
+product criteria in the installation of Gebauer and Moeller ("On an
+installation of Buchberger's algorithm", 1988): when an element joins, the
+queued pairs it makes redundant are dropped, and its new pairs are formed
+with the active elements only, one per minimal lcm, none with a coprime
+leading monomial.
 
 Over ZZ the engine computes a *strong* basis: Buchberger is extended with
 G-polynomials built from an extended gcd of the leading coefficients, and
@@ -11,10 +16,14 @@ reduction divides coefficients with the least non-negative remainder
 (5 reduced by 2 leaves 1).  A strong basis strong-reduces every ideal
 element to zero, which is exactly what membership, elimination, and
 contraction over ZZ rely on.  Leading coefficients are normalized positive;
-content is never removed.
+content is never removed.  ZZ mode applies no pair criterion: every S- and
+G-pair is reduced.
 
-Every computation is budgeted (pair count, total degree).  Exceeding a
-budget raises BudgetExceededError rather than returning a partial answer.
+Every computation is budgeted (pair count, total degree).  The pair count
+is the number of S- and G-pairs reduced; pairs a criterion discards are not
+counted.  Exceeding a budget raises BudgetExceededError rather than
+returning a partial answer.  ``is_groebner`` applies no criterion, so it
+checks a basis independently of how it was built.
 """
 
 from __future__ import annotations
@@ -77,6 +86,14 @@ def _divides(lm: Exponents, e: Exponents) -> bool:
         if x > y:
             return False
     return True
+
+
+def _lcm(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _coprime(a: Exponents, b: Exponents) -> bool:
+    return not any(x and y for x, y in zip(a, b))
 
 
 class _Reducers:
@@ -248,7 +265,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     keyf = key_function(order or Grevlex(), ring)
     lmf, lcf = _leading(f, keyf)
     lmg, lcg = _leading(g, keyf)
-    lcm_mono = tuple(max(x, y) for x, y in zip(lmf, lmg))
+    lcm_mono = _lcm(lmf, lmg)
     sf = tuple(x - y for x, y in zip(lcm_mono, lmf))
     sg = tuple(x - y for x, y in zip(lcm_mono, lmg))
     if ring.is_int_mode:
@@ -269,7 +286,7 @@ def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     keyf = key_function(order or Grevlex(), ring)
     lmf, lcf = _leading(f, keyf)
     lmg, lcg = _leading(g, keyf)
-    lcm_mono = tuple(max(x, y) for x, y in zip(lmf, lmg))
+    lcm_mono = _lcm(lmf, lmg)
     sf = tuple(x - y for x, y in zip(lcm_mono, lmf))
     sg = tuple(x - y for x, y in zip(lcm_mono, lmg))
     _, s, t = ext_gcd(lcf, lcg)
@@ -327,20 +344,43 @@ def groebner_basis(
 
     red = _Reducers(keyf)
     heap: list = []
+    # Field mode only: the live pairs, (i, j) -> lcm of their leading
+    # monomials, and the active elements, those whose leading monomial no
+    # later one divides.  A heap entry whose pair left ``live`` is stale.
+    live: dict[tuple[int, int], Exponents] = {}
+    active: list[int] = []
 
     def push_pairs(j: int) -> None:
         lmj = red.lms[j]
-        for i in range(j):
-            lmi = red.lms[i]
-            lcm_mono = tuple(max(x, y) for x, y in zip(lmi, lmj))
-            disjoint = all(x + y == z for x, y, z in zip(lmi, lmj, lcm_mono))
-            k = keyf(lcm_mono)
-            if int_mode:
-                # no product criterion over ZZ: leading coefficients interact
+        if int_mode:
+            # no criteria over ZZ: leading coefficients interact
+            for i in range(j):
+                k = keyf(_lcm(red.lms[i], lmj))
                 heapq.heappush(heap, (k, i, j, 0))
                 heapq.heappush(heap, (k, i, j, 1))
-            elif not disjoint:
-                heapq.heappush(heap, (k, i, j, 0))
+            return
+        # (B) an old pair (a, b) whose lcm lmj divides is redundant, because
+        # (a, j) and (b, j) cover it, unless one of their lcms equals it
+        lms = red.lms
+        for (a, b), m in list(live.items()):
+            if _divides(lmj, m) and _lcm(lms[a], lmj) != m and _lcm(lms[b], lmj) != m:
+                del live[(a, b)]
+        new = [(i, _lcm(lms[i], lmj), _coprime(lms[i], lmj)) for i in active]
+        # (M) drop a new pair whose lcm another new lcm properly divides;
+        # (F) keep the first pair of each equal lcm; the product criterion
+        # then drops every group that has a coprime member
+        groups: dict[Exponents, tuple[int, bool]] = {}
+        for i, m, coprime in new:
+            if any(m2 != m and _divides(m2, m) for _, m2, _ in new):
+                continue
+            first, any_coprime = groups.get(m, (i, False))
+            groups[m] = (first, any_coprime or coprime)
+        for m, (i, coprime) in groups.items():
+            if not coprime:
+                live[(i, j)] = m
+                heapq.heappush(heap, (keyf(m), i, j, 0))
+        active[:] = [i for i in active if not _divides(lmj, lms[i])]
+        active.append(j)
 
     def add(p: Polynomial) -> None:
         _degree_guard(p, budget)
@@ -355,6 +395,8 @@ def groebner_basis(
     pops = 0
     while heap:
         _, i, j, kind = heapq.heappop(heap)
+        if not int_mode and live.pop((i, j), None) is None:
+            continue
         pops += 1
         if pops > budget.max_pairs:
             raise BudgetExceededError(f"pair budget {budget.max_pairs} exhausted")

@@ -28,12 +28,13 @@ class Ideal:
 
     Zero generators are discarded and duplicates collapse, so the empty
     list is the zero ideal.  Groebner bases and powers are cached on the
-    instance, bases per monomial order.  Elimination (and with it
+    instance, bases per monomial order, and so is the field-mode
+    contraction to the coefficient ring.  Elimination (and with it
     intersection, saturation, kernels and contractions of powers) computes
     its elimination-order basis through the same per-order cache.
     """
 
-    __slots__ = ("ring", "generators", "_gb", "_powers")
+    __slots__ = ("ring", "generators", "_gb", "_powers", "_contraction")
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens: list[Polynomial] = []
@@ -47,6 +48,7 @@ class Ideal:
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._powers: dict[int, "Ideal"] = {}
+        self._contraction: "Ideal | None" = None
 
     # -- construction ------------------------------------------------------
 
@@ -184,6 +186,18 @@ class Ideal:
         # a basis of the elimination ideal, over fields and over ZZ alike.
         gb = self.groebner(BlockElim(front), budget)
         return Ideal(self.ring, [g for g in gb.elements if g.free_of(front)])
+
+    def _contract(self, budget: Budget | None = None) -> "Ideal":
+        """I ∩ R over a field coefficient ring R, as an ideal of R itself.
+
+        Computed once per instance, so a repeated contraction returns the
+        same ideal of R together with the bases cached on it.
+        """
+        if self._contraction is None:
+            base = self.ring.base_ring()
+            kept = self.eliminate((self.ring.require_main(),), budget)
+            self._contraction = Ideal(base, [transport(g, base) for g in kept.generators])
+        return self._contraction
 
     def radical_contains(self, f: Polynomial, budget: Budget | None = None) -> "RadicalMembership":
         """Is some power of f in I?

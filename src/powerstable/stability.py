@@ -24,7 +24,7 @@ from typing import Sequence
 from .errors import AlgebraError
 from .groebner import Budget
 from .ideals import Ideal
-from .polynomials import Polynomial, format_poly, transport
+from .polynomials import Polynomial, format_poly
 from .rings import RingSpec
 
 
@@ -102,10 +102,11 @@ def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> Contra
 
     Over ZZ the reduced strong basis pins the contraction down exactly: its
     constant element (if any) generates I^t ∩ ZZ.  In field mode the main
-    variable is eliminated and the X-free basis re-expressed over R.
+    variable is eliminated and the X-free basis re-expressed over R, once
+    per power ideal: a repeated (I, t) returns the same ideal of R.
     """
     ring = ideal.ring
-    main = ring.require_main()
+    ring.require_main()
     pw = ideal.power(t, budget)
     if ring.is_int_mode:
         if pw.is_zero_ideal():
@@ -116,12 +117,7 @@ def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> Contra
                 d = abs(int(g.constant_value()))
                 break
         return ContractionResult(t, BaseIdeal(ring, integer=d))
-    base = ring.base_ring()
-    if pw.is_zero_ideal():
-        return ContractionResult(t, BaseIdeal(ring, ideal=Ideal(base, [])))
-    kept = pw.eliminate((main,), budget)
-    gens = [transport(g, base) for g in kept.generators]
-    return ContractionResult(t, BaseIdeal(ring, ideal=Ideal(base, gens)))
+    return ContractionResult(t, BaseIdeal(ring, ideal=pw._contract(budget)))
 
 
 # -- bounded stability check -------------------------------------------------------

@@ -5,7 +5,10 @@ textbook algorithms, sharing no code paths with the library it checks:
 ideal membership goes through dense linear algebra (fraction Gaussian
 elimination over a field, a Hermite style column reduction over the
 integers), polynomial identities are confirmed by evaluation on conclusive
-integer grids, and gcds fall back to plain repeated remainders.
+integer grids, and gcds fall back to plain repeated remainders.  The one
+exception is the reference Groebner engine, which is built on the public
+S-polynomial and normal form so that it differs from the library's engine
+only in what the comparison is about: it applies no pair criterion.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from powerstable import FpElement, Polynomial
+from powerstable import FpElement, Polynomial, normal_form, s_polynomial
+from powerstable.orders import key_function
 
 
 def euclid_gcd(a: int, b: int) -> int:
@@ -293,3 +297,60 @@ def macaulay_member(f: Polynomial, gens, max_degree: int = 6) -> bool:
     if p is not None:
         return solve_field_fp(A, b, p) is not None
     return solve_field_qq(A, b) is not None
+
+
+# -- reference Groebner engine -----------------------------------------------------
+
+
+class PairLimit(Exception):
+    """The reference engine processed more pairs than its caller allowed."""
+
+
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
+    """The reduced Groebner basis over a field, by textbook Buchberger.
+
+    Every pair of elements is reduced, with no criterion at all, and every
+    nonzero remainder joins the basis.  Then elements whose leading
+    monomial another one divides are dropped (the first of equal ones
+    stays), the rest are made monic and their tails are reduced against the
+    others.  The result is sorted ascending by leading monomial.  Raises
+    PairLimit after ``max_pairs`` pairs.
+    """
+    G = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    done = 0
+    while pairs:
+        done += 1
+        if done > max_pairs:
+            raise PairLimit(f"more than {max_pairs} pairs")
+        i, j = pairs.pop(0)
+        r = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        if not r.is_zero():
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(r)
+    lms = [g.leading_term(order)[0] for g in G]
+    minimal = [
+        g
+        for k, (g, lm) in enumerate(zip(G, lms))
+        if not any(
+            _divides(other, lm) and (other != lm or m < k) for m, other in enumerate(lms) if m != k
+        )
+    ]
+    ring = minimal[0].ring
+    dom = ring.domain
+    monic = []
+    for g in minimal:
+        _, lc = g.leading_term(order)
+        monic.append(g.scale(dom.div(dom.one, lc)))
+    reduced = []
+    for k, g in enumerate(monic):
+        lm, lc = g.leading_term(order)
+        head = Polynomial(ring, {lm: lc})
+        others = monic[:k] + monic[k + 1 :]
+        reduced.append(head + normal_form(g - head, others, order) if others else g)
+    keyf = key_function(order, ring)
+    return sorted(reduced, key=lambda g: keyf(g.leading_term(order)[0]))

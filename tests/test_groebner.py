@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import powerstable.groebner
 from powerstable import (
     AlgebraError,
+    BlockElim,
     Budget,
     BudgetExceededError,
     Grevlex,
@@ -28,12 +30,16 @@ from powerstable.coefficients import divmod_least
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
-from oracles import macaulay_member
+from oracles import PairLimit, macaulay_member, reference_groebner
+from test_acceptance import _monic_instance
 
 ZX = RingSpec.parse("ZZ[X]")
 QYX = RingSpec.parse("QQ[Y][X]")
 QYZ = RingSpec.parse("QQ[Y,Z]")
 F7 = RingSpec.parse("Fp(7)[Y][X]")
+QYZW = RingSpec.parse("QQ[Y,Z,W]")
+F7YZX = RingSpec.parse("Fp(7)[Y,Z][X]")
+F32003 = RingSpec.parse("Fp(32003)[A,B,C,D]")
 
 
 def texts(gb):
@@ -121,6 +127,70 @@ def test_no_tail_term_is_reducible_by_another_element(ring):
                             continue
                         assert ring.is_int_mode, (spec, format_poly(p))
                         assert divmod_least(c, lc)[0] == 0, (spec, format_poly(p))
+
+
+# -- pair criteria (field mode) ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [QYZW, F7YZX, F32003],
+    ids=str,
+)
+def test_engine_matches_the_criterion_free_reference(ring):
+    """The engine, with its pair criteria, returns exactly the reduced basis
+    of a plain all-pairs Buchberger.  Inputs whose reference run exceeds its
+    pair limit are skipped; nearly all of them finish."""
+    v = ring.variables
+    compared = 0
+    for spec in ("grevlex", "lex", f"elim:{v[0]}", f"elim:{v[0]},{v[1]}"):
+        order = parse_order(spec, ring)
+        for seed in range(8):
+            rng = random.Random(f"reference:{ring}:{spec}:{seed}")
+            gens = rand_gens(rng, ring, rng.randint(2, 4), 3)
+            try:
+                expected = reference_groebner(gens, order, max_pairs=150)
+            except PairLimit:
+                continue
+            assert list(groebner_basis(gens, order).elements) == expected, (spec, seed)
+            compared += 1
+    assert compared >= 28
+
+
+@pytest.fixture
+def spoly_calls(monkeypatch):
+    """A list that grows by one per S-polynomial the engine forms."""
+    calls = []
+    real = powerstable.groebner.s_polynomial
+
+    def counting(f, g, order=None):
+        calls.append((f, g))
+        return real(f, g, order)
+
+    monkeypatch.setattr(powerstable.groebner, "s_polynomial", counting)
+    return calls
+
+
+def test_chain_criterion_keeps_the_pair_count_down(spoly_calls):
+    """Pin the criteria: with the product criterion alone this elimination
+    processes 180 S-pairs."""
+    gens = _monic_instance(36).power(3).generators
+    groebner_basis(gens, BlockElim(("X",)))
+    assert len(spoly_calls) <= 45
+
+
+def test_pair_budget_counts_processed_pairs_only(spoly_calls):
+    """max_pairs caps the S-pairs reduced; pairs a criterion discards, also
+    those already queued when a later element makes them redundant, are
+    free."""
+    # queued pairs go stale between processed ones here, not only at the end
+    gens = rand_gens(random.Random("budget:6"), QYZW, 4, 3)
+    expected = groebner_basis(gens).elements
+    n = len(spoly_calls)
+    assert n > 1
+    assert groebner_basis(gens, budget=Budget(max_pairs=n)).elements == expected
+    with pytest.raises(BudgetExceededError):
+        groebner_basis(gens, budget=Budget(max_pairs=n - 1))
 
 
 # -- strong bases over ZZ ---------------------------------------------------------
@@ -321,9 +391,8 @@ def test_empty_generating_set_rejected():
 
 
 def test_pair_budget_exhaustion():
-    ring = RingSpec.parse("QQ[Y,Z,W]")
     rng = random.Random("budget:8")
-    gens = rand_gens(rng, ring, 4, 3)
+    gens = rand_gens(rng, QYZW, 4, 3)
     with pytest.raises(BudgetExceededError):
         groebner_basis(gens, budget=Budget(max_pairs=1, max_degree=60))
 

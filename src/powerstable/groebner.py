@@ -16,19 +16,28 @@ reduction divides coefficients with the least non-negative remainder
 (5 reduced by 2 leaves 1).  A strong basis strong-reduces every ideal
 element to zero, which is exactly what membership, elimination, and
 contraction over ZZ rely on.  Leading coefficients are normalized positive;
-content is never removed.  ZZ mode applies no pair criterion: every S- and
-G-pair is reduced.
+content is never removed.  The same S-pair criteria apply to leading terms
+c*x^a, where c*x^a divides d*x^b when c | d and x^a | x^b, and the product
+criterion needs coprime coefficients as well as coprime monomials.  A
+G-pair stands for the term gcd(c, d)*lcm(x^a, x^b); with the S-pairs
+settled, the basis is strong once a leading term divides every such term.
+So one G-pair is formed per minimal term, with the active elements only,
+and it is skipped when popped if a leading term already divides its term
+(Lichtblau, "Effective computation of strong Groebner bases over Euclidean
+domains", 2012).
 
-Every computation is budgeted (pair count, total degree).  The pair count
-is the number of S- and G-pairs reduced; pairs a criterion discards are not
-counted.  Exceeding a budget raises BudgetExceededError rather than
-returning a partial answer.  ``is_groebner`` applies no criterion, so it
-checks a basis independently of how it was built.
+Every computation is budgeted (pair count, total degree), each call on its
+own.  The pair count is the number of S- and G-pairs reduced; pairs a
+criterion discards, also queued ones that go stale, are not counted.
+Exceeding a budget raises BudgetExceededError rather than returning a
+partial answer.  ``is_groebner`` applies no criterion, so it checks a basis
+independently of how it was built.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +50,12 @@ from .rings import RingSpec
 
 @dataclass(frozen=True, slots=True)
 class Budget:
+    """Caps on one Groebner computation: the S- and G-pairs it reduces and
+    the total degree of every polynomial it forms.  Each ``groebner_basis``
+    call checks them on its own, so an operation that computes several bases
+    (a contraction, a stability check) may reduce many times ``max_pairs``
+    pairs in total."""
+
     max_pairs: int = 100_000
     max_degree: int = 60
 
@@ -94,6 +109,27 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
 
 def _coprime(a: Exponents, b: Exponents) -> bool:
     return not any(x and y for x, y in zip(a, b))
+
+
+# Over ZZ the pair criteria work on leading terms (monomial, coefficient),
+# coefficients positive; c*x^a divides d*x^b when c | d and x^a | x^b.
+
+
+def _term_lcm(s: tuple, t: tuple) -> tuple:
+    return _lcm(s[0], t[0]), math.lcm(s[1], t[1])
+
+
+def _term_divides(s: tuple, t: tuple) -> bool:
+    return t[1] % s[1] == 0 and _divides(s[0], t[0])
+
+
+def _term_coprime(s: tuple, t: tuple) -> bool:
+    return math.gcd(s[1], t[1]) == 1 and _coprime(s[0], t[0])
+
+
+def _g_term(s: tuple, t: tuple) -> tuple:
+    """Leading term of the G-polynomial of elements with leading terms s, t."""
+    return _lcm(s[0], t[0]), math.gcd(s[1], t[1])
 
 
 class _Reducers:
@@ -344,47 +380,64 @@ def groebner_basis(
 
     red = _Reducers(keyf)
     heap: list = []
-    # Field mode only: the live pairs, (i, j) -> lcm of their leading
-    # monomials, and the active elements, those whose leading monomial no
-    # later one divides.  A heap entry whose pair left ``live`` is stale.
-    live: dict[tuple[int, int], Exponents] = {}
+    # The live S-pairs, (i, j) -> lcm of their leading terms, and the active
+    # elements, those whose leading term no later one divides.  A heap entry
+    # whose S-pair left ``live`` is stale.  Over a field the leading term is
+    # the leading monomial (elements are monic); over ZZ it is the pair
+    # (monomial, coefficient), kept in ``lts``.
+    live: dict[tuple[int, int], object] = {}
     active: list[int] = []
+    if int_mode:
+        lts: list = []
+        t_lcm, t_divides, t_coprime = _term_lcm, _term_divides, _term_coprime
+
+        def t_key(t):
+            return keyf(t[0])
+
+    else:
+        lts = red.lms
+        t_lcm, t_divides, t_coprime, t_key = _lcm, _divides, _coprime, keyf
 
     def push_pairs(j: int) -> None:
-        lmj = red.lms[j]
-        if int_mode:
-            # no criteria over ZZ: leading coefficients interact
-            for i in range(j):
-                k = keyf(_lcm(red.lms[i], lmj))
-                heapq.heappush(heap, (k, i, j, 0))
-                heapq.heappush(heap, (k, i, j, 1))
-            return
-        # (B) an old pair (a, b) whose lcm lmj divides is redundant, because
+        tj = lts[j]
+        # (B) an old pair (a, b) whose lcm tj divides is redundant, because
         # (a, j) and (b, j) cover it, unless one of their lcms equals it
-        lms = red.lms
         for (a, b), m in list(live.items()):
-            if _divides(lmj, m) and _lcm(lms[a], lmj) != m and _lcm(lms[b], lmj) != m:
+            if t_divides(tj, m) and t_lcm(lts[a], tj) != m and t_lcm(lts[b], tj) != m:
                 del live[(a, b)]
-        new = [(i, _lcm(lms[i], lmj), _coprime(lms[i], lmj)) for i in active]
+        new = [(i, t_lcm(lts[i], tj), t_coprime(lts[i], tj)) for i in active]
         # (M) drop a new pair whose lcm another new lcm properly divides;
         # (F) keep the first pair of each equal lcm; the product criterion
         # then drops every group that has a coprime member
-        groups: dict[Exponents, tuple[int, bool]] = {}
+        groups: dict = {}
         for i, m, coprime in new:
-            if any(m2 != m and _divides(m2, m) for _, m2, _ in new):
+            if any(m2 != m and t_divides(m2, m) for _, m2, _ in new):
                 continue
             first, any_coprime = groups.get(m, (i, False))
             groups[m] = (first, any_coprime or coprime)
         for m, (i, coprime) in groups.items():
             if not coprime:
                 live[(i, j)] = m
-                heapq.heappush(heap, (keyf(m), i, j, 0))
-        active[:] = [i for i in active if not _divides(lmj, lms[i])]
+                heapq.heappush(heap, (t_key(m), i, j, 0))
+        if int_mode:
+            # the G-pair (i, j) stands for the term gcd(c_i, c_j)*lcm(x^a_i,
+            # x^a_j), which some leading term must divide: one pair per
+            # minimal term, with active elements only; a pair whose term a
+            # leading term divides is skipped when popped
+            gnew = [(i, _g_term(lts[i], tj)) for i in active]
+            seen = set()
+            for i, t in gnew:
+                if t not in seen and not any(t2 != t and _term_divides(t2, t) for _, t2 in gnew):
+                    seen.add(t)
+                    heapq.heappush(heap, (t_key(t), i, j, 1))
+        active[:] = [i for i in active if not t_divides(tj, lts[i])]
         active.append(j)
 
     def add(p: Polynomial) -> None:
         _degree_guard(p, budget)
         red.append(_normalize(p, keyf))
+        if int_mode:
+            lts.append((red.lms[-1], red.lcs[-1]))
         push_pairs(len(red.polys) - 1)
 
     for g in polys:
@@ -395,7 +448,11 @@ def groebner_basis(
     pops = 0
     while heap:
         _, i, j, kind = heapq.heappop(heap)
-        if not int_mode and live.pop((i, j), None) is None:
+        if kind:
+            t = _g_term(lts[i], lts[j])
+            if any(_term_divides(lts[k], t) for k in active):
+                continue
+        elif live.pop((i, j), None) is None:
             continue
         pops += 1
         if pops > budget.max_pairs:

@@ -5,10 +5,11 @@ textbook algorithms, sharing no code paths with the library it checks:
 ideal membership goes through dense linear algebra (fraction Gaussian
 elimination over a field, a Hermite style column reduction over the
 integers), polynomial identities are confirmed by evaluation on conclusive
-integer grids, and gcds fall back to plain repeated remainders.  The one
-exception is the reference Groebner engine, which is built on the public
-S-polynomial and normal form so that it differs from the library's engine
-only in what the comparison is about: it applies no pair criterion.
+integer grids, and gcds fall back to plain repeated remainders.  The
+exceptions are the reference Groebner engines, over a field and over ZZ:
+they are built on the public S- and G-polynomials and normal form, so that
+they differ from the library's engine only in what the comparison is
+about: they apply no pair criterion.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from powerstable import FpElement, Polynomial, normal_form, s_polynomial
+from powerstable import FpElement, Polynomial, g_polynomial, normal_form, s_polynomial
 from powerstable.orders import key_function
 
 
@@ -310,6 +311,49 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _all_pairs(gens, order, max_pairs, makers) -> list[Polynomial]:
+    # every pair of elements, each maker once per pair, no criterion at all;
+    # every nonzero remainder joins the basis
+    G = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    done = 0
+    while pairs:
+        i, j = pairs.pop(0)
+        for make in makers:
+            done += 1
+            if done > max_pairs:
+                raise PairLimit(f"more than {max_pairs} pairs")
+            r = normal_form(make(G[i], G[j], order), G, order)
+            if not r.is_zero():
+                pairs += [(k, len(G)) for k in range(len(G))]
+                G.append(r)
+    return G
+
+
+def _minimal(G, heads, divides) -> list[Polynomial]:
+    # drop elements whose head another one divides; the first of equal ones stays
+    return [
+        g
+        for k, (g, h) in enumerate(zip(G, heads))
+        if not any(
+            divides(other, h) and (other != h or m < k) for m, other in enumerate(heads) if m != k
+        )
+    ]
+
+
+def _tail_reduced(basis, order) -> list[Polynomial]:
+    # each tail reduced against the other elements, sorted by leading monomial
+    ring = basis[0].ring
+    reduced = []
+    for k, g in enumerate(basis):
+        lm, lc = g.leading_term(order)
+        head = Polynomial(ring, {lm: lc})
+        others = basis[:k] + basis[k + 1 :]
+        reduced.append(head + normal_form(g - head, others, order) if others else g)
+    keyf = key_function(order, ring)
+    return sorted(reduced, key=lambda g: keyf(g.leading_term(order)[0]))
+
+
 def reference_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
     """The reduced Groebner basis over a field, by textbook Buchberger.
 
@@ -320,37 +364,30 @@ def reference_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
     others.  The result is sorted ascending by leading monomial.  Raises
     PairLimit after ``max_pairs`` pairs.
     """
-    G = [g for g in gens if not g.is_zero()]
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
-    done = 0
-    while pairs:
-        done += 1
-        if done > max_pairs:
-            raise PairLimit(f"more than {max_pairs} pairs")
-        i, j = pairs.pop(0)
-        r = normal_form(s_polynomial(G[i], G[j], order), G, order)
-        if not r.is_zero():
-            pairs += [(k, len(G)) for k in range(len(G))]
-            G.append(r)
-    lms = [g.leading_term(order)[0] for g in G]
-    minimal = [
-        g
-        for k, (g, lm) in enumerate(zip(G, lms))
-        if not any(
-            _divides(other, lm) and (other != lm or m < k) for m, other in enumerate(lms) if m != k
-        )
-    ]
-    ring = minimal[0].ring
-    dom = ring.domain
-    monic = []
-    for g in minimal:
-        _, lc = g.leading_term(order)
-        monic.append(g.scale(dom.div(dom.one, lc)))
-    reduced = []
-    for k, g in enumerate(monic):
-        lm, lc = g.leading_term(order)
-        head = Polynomial(ring, {lm: lc})
-        others = monic[:k] + monic[k + 1 :]
-        reduced.append(head + normal_form(g - head, others, order) if others else g)
-    keyf = key_function(order, ring)
-    return sorted(reduced, key=lambda g: keyf(g.leading_term(order)[0]))
+    G = _all_pairs(gens, order, max_pairs, (s_polynomial,))
+    minimal = _minimal(G, [g.leading_term(order)[0] for g in G], _divides)
+    dom = minimal[0].ring.domain
+    monic = [g.scale(dom.div(dom.one, g.leading_term(order)[1])) for g in minimal]
+    return _tail_reduced(monic, order)
+
+
+def _term_divides(a, b) -> bool:
+    # leading terms (monomial, coefficient) over ZZ
+    return _divides(a[0], b[0]) and b[1] % a[1] == 0
+
+
+def reference_strong_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
+    """The reduced strong Groebner basis over ZZ, by textbook Buchberger.
+
+    Every pair of elements gives both its S- and its G-polynomial, with no
+    criterion at all, and every nonzero remainder joins the basis.  Then
+    leading coefficients are made positive, elements whose leading term
+    another one divides (monomial and coefficient) are dropped (the first
+    of equal ones stays), and the tails are reduced against the others.
+    The result is sorted ascending by leading monomial.  Raises PairLimit
+    after ``max_pairs`` S- and G-polynomials.
+    """
+    G = _all_pairs(gens, order, max_pairs, (s_polynomial, g_polynomial))
+    G = [-g if g.leading_term(order)[1] < 0 else g for g in G]
+    minimal = _minimal(G, [g.leading_term(order) for g in G], _term_divides)
+    return _tail_reduced(minimal, order)

@@ -18,6 +18,7 @@ from powerstable import (
     RingSpec,
     ZeroPolynomialError,
     divide,
+    example_3_12,
     format_poly,
     g_polynomial,
     groebner_basis,
@@ -30,7 +31,7 @@ from powerstable.coefficients import divmod_least
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
-from oracles import PairLimit, macaulay_member, reference_groebner
+from oracles import PairLimit, macaulay_member, reference_groebner, reference_strong_groebner
 from test_acceptance import _monic_instance
 
 ZX = RingSpec.parse("ZZ[X]")
@@ -158,35 +159,36 @@ def test_engine_matches_the_criterion_free_reference(ring):
 
 
 @pytest.fixture
-def spoly_calls(monkeypatch):
-    """A list that grows by one per S-polynomial the engine forms."""
+def pair_calls(monkeypatch):
+    """A list that grows by one per S- or G-polynomial the engine forms."""
     calls = []
-    real = powerstable.groebner.s_polynomial
+    for name in ("s_polynomial", "g_polynomial"):
+        real = getattr(powerstable.groebner, name)
 
-    def counting(f, g, order=None):
-        calls.append((f, g))
-        return real(f, g, order)
+        def counting(f, g, order=None, real=real):
+            calls.append((f, g))
+            return real(f, g, order)
 
-    monkeypatch.setattr(powerstable.groebner, "s_polynomial", counting)
+        monkeypatch.setattr(powerstable.groebner, name, counting)
     return calls
 
 
-def test_chain_criterion_keeps_the_pair_count_down(spoly_calls):
+def test_chain_criterion_keeps_the_pair_count_down(pair_calls):
     """Pin the criteria: with the product criterion alone this elimination
     processes 180 S-pairs."""
     gens = _monic_instance(36).power(3).generators
     groebner_basis(gens, BlockElim(("X",)))
-    assert len(spoly_calls) <= 45
+    assert len(pair_calls) <= 45
 
 
-def test_pair_budget_counts_processed_pairs_only(spoly_calls):
+def test_pair_budget_counts_processed_pairs_only(pair_calls):
     """max_pairs caps the S-pairs reduced; pairs a criterion discards, also
     those already queued when a later element makes them redundant, are
     free."""
     # queued pairs go stale between processed ones here, not only at the end
     gens = rand_gens(random.Random("budget:6"), QYZW, 4, 3)
     expected = groebner_basis(gens).elements
-    n = len(spoly_calls)
+    n = len(pair_calls)
     assert n > 1
     assert groebner_basis(gens, budget=Budget(max_pairs=n)).elements == expected
     with pytest.raises(BudgetExceededError):
@@ -257,6 +259,54 @@ def test_normal_form_reduces_integer_coefficients():
     assert normal_form(parse_poly("7*X + 9", ZX), [parse_poly("3", ZX)]) == parse_poly(
         "X", ZX
     )
+
+
+# -- pair criteria (ZZ) ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tags", [(), ("_T0",), ("_T0", "_T1")], ids=["ZZ[X]", "one tag", "two tags"]
+)
+def test_strong_engine_matches_the_criterion_free_reference(tags):
+    """Over ZZ too, the engine with its pair criteria returns exactly the
+    reduced strong basis of an all-pairs S- and G-polynomial Buchberger.
+    Inputs whose reference run exceeds its pair limit are skipped; more
+    than half of them finish."""
+    ring = ZX.extend_aux(*tags)
+    orders = {"grevlex": Grevlex(), "lex": Lex(ring.variables)}
+    if tags:
+        orders["elim"] = BlockElim(("_T0",))
+    compared = 0
+    for name, order in orders.items():
+        for seed in range(16):
+            rng = random.Random(f"strong-reference:{len(tags)}:{name}:{seed}")
+            gens = rand_gens(rng, ring, rng.randint(2, 4), 3, 9)
+            try:
+                expected = reference_strong_groebner(gens, order, max_pairs=100)
+            except PairLimit:
+                continue
+            assert list(groebner_basis(gens, order).elements) == expected, (name, seed)
+            compared += 1
+    assert compared >= 16
+
+
+def test_strong_criteria_keep_the_pair_count_down(pair_calls):
+    """Pin the ZZ criteria: with every S- and G-pair reduced this strong
+    basis forms 132 of them."""
+    groebner_basis(example_3_12(3).power(3).generators)
+    assert len(pair_calls) <= 26
+
+
+def test_pair_budget_counts_processed_pairs_only_over_zz(pair_calls):
+    """Over ZZ, max_pairs caps the S- and G-pairs reduced: S-pairs that go
+    stale in the queue and G-pairs skipped when popped are free."""
+    gens = example_3_12(3).power(3).generators
+    expected = groebner_basis(gens).elements
+    n = len(pair_calls)
+    assert n > 1
+    assert groebner_basis(gens, budget=Budget(max_pairs=n)).elements == expected
+    with pytest.raises(BudgetExceededError):
+        groebner_basis(gens, budget=Budget(max_pairs=n - 1))
 
 
 # -- division transcript -----------------------------------------------------------

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -395,7 +395,12 @@ def _add_common(sp, ring: bool = True, gens: bool = True) -> None:
         sp.add_argument("--gens", help="comma-separated generators; '-' reads stdin")
         sp.add_argument("--gens-file", help="file with comma- or newline-separated generators")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--max-pairs", type=int, default=100_000, help="S-pair budget")
+    sp.add_argument(
+        "--max-pairs",
+        type=int,
+        default=100_000,
+        help="cap on the S- and G-pairs reduced, per Groebner computation",
+    )
     sp.add_argument("--max-degree", type=int, default=60, help="total degree budget")
 
 
@@ -464,8 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The ``ps`` parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def run_command(argv: Sequence[str]) -> tuple[int, OutputDocument]:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(list(argv))
     except argparse.ArgumentError as err:

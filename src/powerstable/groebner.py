@@ -32,16 +32,42 @@ criterion discards, also queued ones that go stale, are not counted.
 Exceeding a budget raises BudgetExceededError rather than returning a
 partial answer.  ``is_groebner`` applies no criterion, so it checks a basis
 independently of how it was built.
+
+Representation.  ``Polynomial`` is the public boundary; inside, the engine
+works on term lists.  A monomial order, a ring and a degree bound D are
+compiled once into integer weights w, one per variable, so that the key of
+a monomial e is the single int dot(w, e).  The order's key tuples are linear
+in e, so w holds those tuples written in base 4*D + 1, and comparing keys
+compares monomials exactly up to total degree 2*D.  That covers every
+polynomial the engine forms within a degree budget of D, and every pair lcm
+of two of them.  D is the budget's ``max_degree`` (in ``divide``,
+``normal_form`` and ``is_groebner`` at least the degree of each divisor);
+a term above the budget raises before its key is used.  An engine
+polynomial is a list of terms (key, exponents, coefficient, degree) sorted
+by descending key, so its leading term is the first and a shifted term's
+key and degree are integer sums.
+
+Coefficients are plain ints: residues in [0, p) over GF(p), the integers
+themselves over ZZ, and over QQ a primitive integer polynomial that stands
+for its positive rational multiples.  Reduction over QQ is fraction-free
+(pseudo-reduction): before a reducer with leading coefficient b cancels a
+term with coefficient c, the polynomial is multiplied by b/gcd(b, c).  One
+loop, ``_reduce``, serves all three domains; content is removed after each
+normal form, and ``Fraction`` and ``FpElement`` values appear only where
+polynomials enter and leave the engine.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from operator import add, le, mul, sub
 from typing import Sequence
 
-from .coefficients import divmod_least, ext_gcd
+from .coefficients import FpElement, PrimeField, RationalDomain, ext_gcd
 from .errors import AlgebraError, BudgetExceededError, RingMismatchError, ZeroPolynomialError
 from .orders import Grevlex, MonomialOrder, key_function
 from .polynomials import Exponents, Polynomial
@@ -70,6 +96,8 @@ class GroebnerBasis:
     elements: tuple[Polynomial, ...]
     reduced: bool
     strong: bool
+    # engine reducers of the elements per (order, max_degree), for normal_form
+    _reducers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -89,7 +117,7 @@ def _check_same_ring(polys: Sequence[Polynomial]) -> RingSpec:
     return ring
 
 
-def _degree_guard(p: Polynomial, budget: Budget) -> None:
+def _degree_guard(p, budget: Budget) -> None:
     if p.total_degree() > budget.max_degree:
         raise BudgetExceededError(
             f"degree budget {budget.max_degree} exceeded (term of degree {p.total_degree()})"
@@ -97,14 +125,11 @@ def _degree_guard(p: Polynomial, budget: Budget) -> None:
 
 
 def _divides(lm: Exponents, e: Exponents) -> bool:
-    for x, y in zip(lm, e):
-        if x > y:
-            return False
-    return True
+    return all(map(le, lm, e))
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _coprime(a: Exponents, b: Exponents) -> bool:
@@ -132,114 +157,283 @@ def _g_term(s: tuple, t: tuple) -> tuple:
     return _lcm(s[0], t[0]), math.gcd(s[1], t[1])
 
 
-class _Reducers:
-    """Precomputed leading data for a reducer set; grows during Buchberger."""
-
-    __slots__ = ("keyf", "polys", "lms", "lcs", "items")
-
-    def __init__(self, keyf):
-        self.keyf = keyf
-        self.polys: list[Polynomial] = []
-        self.lms: list[Exponents] = []
-        self.lcs: list = []
-        self.items: list[list] = []
-
-    def append(self, p: Polynomial) -> None:
-        lm = max(p._terms, key=self.keyf)
-        self.polys.append(p)
-        self.lms.append(lm)
-        self.lcs.append(p._terms[lm])
-        self.items.append(list(p._terms.items()))
+# -- the engine representation ---------------------------------------------------
 
 
-def _nf_terms(
-    fterms: dict,
-    red: _Reducers,
-    ring: RingSpec,
-    budget: Budget,
-    quotients: list[dict] | None = None,
-) -> dict:
-    """Full normal form of a term dict against ``red``; the workhorse loop.
+class _Order:
+    """A monomial order compiled for degree bound D: for monomials of total
+    degree up to 2*D, ``key(e)`` is one int, and a larger key is a larger
+    monomial."""
 
-    Field mode cancels each reducible leading term completely; ZZ mode
-    divides coefficients with least non-negative remainder and keeps
-    irreducible residues.  Monomials are visited in descending order via a
-    lazy max-heap, so each monomial is finalized exactly once.
-    """
-    keyf = red.keyf
-    int_mode = ring.is_int_mode
+    __slots__ = ("weights",)
+
+    def __init__(self, order: MonomialOrder, ring: RingSpec, bound: int):
+        keyf = key_function(order, ring)
+        n = len(ring.variables)
+        base = 4 * bound + 1
+        weights = []
+        for j in range(n):
+            w = 0
+            for c in keyf(tuple(int(i == j) for i in range(n))):
+                w = w * base + c
+            weights.append(w)
+        self.weights = tuple(weights)
+
+    def key(self, e: Exponents) -> int:
+        return sum(map(mul, self.weights, e))
+
+
+@lru_cache(maxsize=64)
+def _compiled(order: MonomialOrder, ring: RingSpec, bound: int) -> _Order:
+    return _Order(order, ring, max(bound, 1))
+
+
+class _Poly:
+    """An engine polynomial: terms (key, exponents, coefficient, degree)
+    sorted by descending key, with raw int coefficients (see the module
+    docstring)."""
+
+    __slots__ = ("ring", "cord", "terms")
+
+    def __init__(self, ring: RingSpec, cord: _Order, terms: list):
+        self.ring = ring
+        self.cord = cord
+        self.terms = terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        return max((t[3] for t in self.terms), default=-1)
+
+
+def _modulus(ring: RingSpec) -> int:
     dom = ring.domain
-    max_degree = budget.max_degree
-    work = dict(fterms)
-    rem: dict = {}
-    heap: list = []
-    for e in work:
-        if sum(e) > max_degree:
-            raise BudgetExceededError(f"degree budget {max_degree} exceeded during reduction")
-        heap.append((tuple(-x for x in keyf(e)), e))
-    heapq.heapify(heap)
-    nred = len(red.lms)
+    return dom.p if isinstance(dom, PrimeField) else 0
 
-    def subtract(e: Exponents, q, gi: int) -> None:
-        # work -= q * X^(e - lm_gi) * g_i
-        lm = red.lms[gi]
-        shift = tuple(x - y for x, y in zip(e, lm))
-        if quotients is not None:
-            qd = quotients[gi]
-            s = qd.get(shift)
-            if s is None:
-                qd[shift] = q
-            else:
-                s = s + q
-                if s:
-                    qd[shift] = s
-                else:
-                    del qd[shift]
-        for eg, cg in red.items[gi]:
-            em = tuple(x + y for x, y in zip(shift, eg))
-            d = q * cg
-            s = work.get(em)
-            if s is None:
-                if sum(em) > max_degree:
-                    raise BudgetExceededError(
-                        f"degree budget {max_degree} exceeded during reduction"
-                    )
-                work[em] = -d
-                heapq.heappush(heap, (tuple(-x for x in keyf(em)), em))
-            else:
-                s = s - d
-                if s:
-                    work[em] = s
-                else:
-                    del work[em]
 
+def _engine_poly(f: Polynomial, cord: _Order) -> tuple[_Poly, object]:
+    """f as an engine polynomial, and the scalar s with engine form = s*f.
+
+    Over QQ the engine form is the primitive integer multiple of f with a
+    positive leading coefficient; elsewhere it is f itself and s is 1.
+    """
+    ring = f.ring
+    dom = ring.domain
+    key = cord.key
+    den = 1
+    if isinstance(dom, PrimeField):
+        raw = [(e, c.residue) for e, c in f._terms.items()]
+    elif isinstance(dom, RationalDomain):
+        den = math.lcm(*(c.denominator for c in f._terms.values()))
+        raw = [(e, c.numerator * (den // c.denominator)) for e, c in f._terms.items()]
+    else:
+        raw = f._terms.items()
+    terms = sorted(((key(e), e, c, sum(e)) for e, c in raw), reverse=True)
+    scale = 1
+    if isinstance(dom, RationalDomain) and terms:
+        g = math.gcd(*(t[2] for t in terms))
+        if terms[0][2] < 0:
+            g = -g
+        if g != 1:
+            terms = [(k, e, c // g, d) for k, e, c, d in terms]
+        scale = Fraction(den, g)
+    return _Poly(ring, cord, terms), scale
+
+
+def _to_polynomial(ring: RingSpec, terms, scale=1) -> Polynomial:
+    """The Polynomial with coefficients c / scale for the (exponents,
+    coefficient) pairs given; scale is 1 except over QQ."""
+    dom = ring.domain
+    if isinstance(dom, PrimeField):
+        p = dom.p
+        return Polynomial._make(ring, {e: FpElement(c, p) for e, c in terms})
+    if isinstance(dom, RationalDomain):
+        num, den = scale.denominator, scale.numerator
+        return Polynomial._make(ring, {e: Fraction(c * num, den) for e, c in terms})
+    return Polynomial._make(ring, dict(terms))
+
+
+def _normalized(terms: list, ring: RingSpec) -> list:
+    """Monic over GF(p); primitive with a positive leading coefficient over
+    QQ; a positive leading coefficient over ZZ (content kept)."""
+    lc = terms[0][2]
+    p = _modulus(ring)
+    if p:
+        if lc == 1:
+            return terms
+        inv = pow(lc, -1, p)
+        return [(k, e, c * inv % p, d) for k, e, c, d in terms]
+    if isinstance(ring.domain, RationalDomain):
+        g = math.gcd(*(t[2] for t in terms))
+        if lc < 0:
+            g = -g
+    else:
+        g = -1 if lc < 0 else 1
+    if g == 1:
+        return terms
+    return [(k, e, c // g, d) for k, e, c, d in terms]
+
+
+class _Reducers:
+    """A reducer set that only grows, with the leading data of each element.
+
+    ``first`` memoizes, per monomial key, the first reducer whose leading
+    monomial divides it (an index >= 0), or ~n when none of the first n
+    reducers does; since reducers are only appended, a later lookup scans
+    only the new ones.  Only field-mode reduction uses it.
+    """
+
+    __slots__ = ("ring", "cord", "p", "qq", "polys", "lms", "lcs", "invs", "k0s", "d0s", "first")
+
+    def __init__(self, ring: RingSpec, cord: _Order):
+        self.ring = ring
+        self.cord = cord
+        self.p = _modulus(ring)
+        self.qq = isinstance(ring.domain, RationalDomain)
+        self.polys: list[_Poly] = []
+        self.lms: list[Exponents] = []
+        self.lcs: list[int] = []
+        self.invs: list[int] = []
+        self.k0s: list[int] = []
+        self.d0s: list[int] = []
+        self.first: dict[int, int] = {}
+
+    def append(self, f: _Poly) -> None:
+        k, e, c, d = f.terms[0]
+        self.polys.append(f)
+        self.lms.append(e)
+        self.lcs.append(c)
+        self.k0s.append(k)
+        self.d0s.append(d)
+        if self.p:
+            self.invs.append(pow(c, -1, self.p))
+
+
+def _reduce(
+    terms: list, red: _Reducers, max_degree: int, quotients: list[dict] | None = None
+) -> tuple[list, int]:
+    """Full normal form of a term list against ``red``: the one reduction loop.
+
+    Monomials are visited in descending order through a max-heap of keys, so
+    each one is finalized exactly once.  Over a field a reducible term is
+    cancelled completely by the first reducer whose leading monomial divides
+    it; over ZZ coefficients are divided with least non-negative remainder
+    and irreducible residues stay.  Over QQ the reduction is fraction-free:
+    the whole polynomial is first multiplied by m = b/gcd(b, c), where b is
+    the reducer's leading coefficient and c the term's.
+
+    Returns (remainder, M), M the product of those multipliers (1 except over
+    QQ), such that M*f = sum(q_i*g_i) + remainder.  ``quotients``, when
+    given, receives q_i per reducer as {shift key: [shift, coefficient, M at
+    that step]}; the coefficient of q_i is coefficient * (M // M at step).
+    """
+    if terms and max(t[3] for t in terms) > max_degree:
+        raise BudgetExceededError(f"degree budget {max_degree} exceeded during reduction")
+    p, qq, int_mode = red.p, red.qq, red.ring.is_int_mode
+    polys, lms, lcs, invs, k0s, d0s = red.polys, red.lms, red.lcs, red.invs, red.k0s, red.d0s
+    first = red.first
+    nred = len(lms)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = {t[0]: t[2] for t in terms}
+    mono = {t[0]: (t[1], t[3]) for t in terms}
+    heap = [-t[0] for t in terms]  # terms descend, so this list is a heap
+    rem: list = []
+    rem_at: list[int] = []
+    M = 1
     while heap:
-        _, e = heapq.heappop(heap)
-        if e not in work:
+        k = -heappop(heap)
+        c = work.get(k)
+        if c is None:
             continue
-        if int_mode:
-            c = work[e]
-            while c:
+        e, d = mono[k]
+        while True:
+            if int_mode:
                 for gi in range(nred):
-                    if _divides(red.lms[gi], e):
-                        q, r = divmod_least(c, red.lcs[gi])
+                    if _divides(lms[gi], e):
+                        b = lcs[gi]
+                        q = (c - c % abs(b)) // b
                         if q:
-                            subtract(e, q, gi)
-                            c = work.get(e, 0)
                             break
                 else:
                     break
-            if e in work:
-                rem[e] = work.pop(e)
-        else:
-            c = work[e]
-            for gi in range(nred):
-                if _divides(red.lms[gi], e):
-                    subtract(e, dom.div(c, red.lcs[gi]), gi)
-                    break
             else:
-                rem[e] = work.pop(e)
-    return rem
+                gi = first.get(k, -1)
+                if gi < 0:
+                    for gi in range(~gi, nred):
+                        if _divides(lms[gi], e):
+                            break
+                    else:
+                        gi = ~nred
+                    first[k] = gi
+                    if gi < 0:
+                        break
+                if p:
+                    q = c * invs[gi] % p
+                else:
+                    b = lcs[gi]
+                    g0 = math.gcd(c, b)
+                    m = b // g0
+                    q = c // g0
+                    if m != 1:
+                        for kk in work:
+                            work[kk] *= m
+                        M *= m
+            # work -= q * x^(e - lm) * g
+            ks = k - k0s[gi]
+            ds = d - d0s[gi]
+            shift = None
+            if quotients is not None:
+                shift = tuple(map(sub, e, lms[gi]))
+                got = quotients[gi].get(ks)
+                if got is None:
+                    quotients[gi][ks] = [shift, q, M]
+                else:
+                    got[1] += q
+            for kg, eg, cg, dg in polys[gi].terms:
+                km = ks + kg
+                s = work.get(km)
+                if s is None:
+                    if ds + dg > max_degree:
+                        raise BudgetExceededError(
+                            f"degree budget {max_degree} exceeded during reduction"
+                        )
+                    work[km] = -q * cg % p if p else -q * cg
+                    if km not in mono:
+                        if shift is None:
+                            shift = tuple(map(sub, e, lms[gi]))
+                        mono[km] = (tuple(map(add, shift, eg)), ds + dg)
+                    heappush(heap, -km)
+                else:
+                    s -= q * cg
+                    if p:
+                        s %= p
+                    if s:
+                        work[km] = s
+                    else:
+                        del work[km]
+            c = work.get(k)
+            if c is None:
+                break
+        if c is not None:
+            del work[k]
+            rem.append((k, e, c, d))
+            if qq:
+                rem_at.append(M)
+    if M != 1:
+        rem = [(k, e, c * (M // at), d) for (k, e, c, d), at in zip(rem, rem_at)]
+    return rem, M
+
+
+def _reducers_of(polys: Sequence[Polynomial], ring: RingSpec, cord: _Order) -> tuple[_Reducers, list]:
+    """Reducers for the divisors, and the scalar of each engine form."""
+    red = _Reducers(ring, cord)
+    scales = []
+    for g in polys:
+        h, s = _engine_poly(g, cord)
+        red.append(h)
+        scales.append(s)
+    return red, scales
 
 
 def divide(
@@ -261,14 +455,23 @@ def divide(
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor in division basis")
     budget = budget or DEFAULT_BUDGET
-    keyf = key_function(order or Grevlex(), ring)
-    red = _Reducers(keyf)
-    for g in polys:
-        red.append(g)
+    bound = max(budget.max_degree, *(g.total_degree() for g in polys))
+    cord = _compiled(order or Grevlex(), ring, bound)
+    red, scales = _reducers_of(polys, ring, cord)
+    h, mu = _engine_poly(f, cord)
     quotients: list[dict] = [{} for _ in polys]
-    rem = _nf_terms(f._terms, red, ring, budget, quotients)
-    qs = [Polynomial._make(ring, qd) for qd in quotients]
-    return qs, Polynomial._make(ring, rem)
+    rem, M = _reduce(h.terms, red, budget.max_degree, quotients)
+    # M*mu*f = sum(Q_i * lam_i*g_i) + rem, so q_i = Q_i * lam_i / (M*mu)
+    qq = isinstance(ring.domain, RationalDomain)
+    qs = [
+        _to_polynomial(
+            ring,
+            [(shift, q * (M // at)) for shift, q, at in qd.values() if q],
+            M * mu / lam if qq else 1,
+        )
+        for qd, lam in zip(quotients, scales)
+    ]
+    return qs, _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
 
 
 def normal_form(
@@ -277,78 +480,123 @@ def normal_form(
     order: MonomialOrder | None = None,
     budget: Budget | None = None,
 ) -> Polynomial:
+    """The remainder of ``divide``.  Against a GroebnerBasis the reducers
+    are built once and kept on the basis object."""
+    cache = None
     if isinstance(basis, GroebnerBasis):
         if order is None:
             order = basis.order
+        cache = basis._reducers
         basis = basis.elements
-    _, r = divide(f, basis, order, budget)
-    return r
+    polys = list(basis)
+    if not polys:
+        return f
+    ring = _check_same_ring([f, *polys])
+    budget = budget or DEFAULT_BUDGET
+    order = order or Grevlex()
+    red = cache.get((order, budget.max_degree)) if cache is not None else None
+    if red is None:
+        for g in polys:
+            if g.is_zero():
+                raise ZeroPolynomialError("zero divisor in division basis")
+        bound = max(budget.max_degree, *(g.total_degree() for g in polys))
+        red, _ = _reducers_of(polys, ring, _compiled(order, ring, bound))
+        if cache is not None:
+            cache[(order, budget.max_degree)] = red
+    h, mu = _engine_poly(f, red.cord)
+    rem, M = _reduce(h.terms, red, budget.max_degree)
+    return _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
 
 
 # -- S and G polynomials ---------------------------------------------------------
 
 
-def _leading(p: Polynomial, keyf) -> tuple[Exponents, object]:
-    e = max(p._terms, key=keyf)
-    return e, p._terms[e]
+def _pair(f: _Poly, g: _Poly, gpoly: bool) -> _Poly:
+    """S- or G-polynomial of two engine polynomials.  Over a field it is
+    the S-polynomial up to a nonzero scalar; over ZZ it is exact."""
+    ring = f.ring
+    p = _modulus(ring)
+    lf, lg = f.terms[0], g.terms[0]
+    a, b = lf[2], lg[2]
+    m = _lcm(lf[1], lg[1])
+    km, dm = f.cord.key(m), sum(m)
+    skip = 1  # the leading terms of an S-polynomial cancel
+    if gpoly:
+        _, u, v = ext_gcd(a, b)
+        skip = 0
+    elif ring.is_int_mode:
+        c = abs(a * b) // ext_gcd(a, b)[0]
+        u, v = c // a, -(c // b)
+    elif p:
+        u, v = b, -a % p
+    else:
+        g0 = math.gcd(a, b)
+        u, v = b // g0, -(a // g0)
+    # keyed by exponents, so that a term above the key range (which the
+    # degree budget then rejects) still combines exactly
+    acc: dict = {}
+    for (k0, lm, _, d0), terms, w in ((lf, f.terms, u), (lg, g.terms, v)):
+        shift = tuple(map(sub, m, lm))
+        ks, ds = km - k0, dm - d0
+        for k, e, c, d in terms[skip:]:
+            em = tuple(map(add, e, shift))
+            t = acc.get(em)
+            if t is None:
+                acc[em] = [ks + k, w * c, ds + d]
+            else:
+                t[1] += w * c
+    if p:
+        out = [(k, e, c % p, d) for e, (k, c, d) in acc.items() if c % p]
+    else:
+        out = [(k, e, c, d) for e, (k, c, d) in acc.items() if c]
+    out.sort(reverse=True)
+    return _Poly(ring, f.cord, out)
+
+
+def _exact_pair(f: Polynomial, g: Polynomial, order: MonomialOrder | None, gpoly: bool) -> Polynomial:
+    """``_pair`` on Polynomials, exact.  An S-polynomial over a field does
+    not change when f or g is scaled, so over GF(p) the engine forms are made
+    monic; over QQ, where they are primitive with leading coefficients a and
+    b, ``_pair`` returns lcm(a, b) times the S-polynomial."""
+    ring = f.ring
+    cord = _compiled(order or Grevlex(), ring, max(f.total_degree(), g.total_degree()))
+    fe, ge = (_engine_poly(h, cord)[0] for h in (f, g))
+    scale = 1
+    if isinstance(ring.domain, RationalDomain):
+        scale = math.lcm(fe.terms[0][2], ge.terms[0][2])
+    elif not ring.is_int_mode:
+        fe, ge = (_Poly(ring, cord, _normalized(h.terms, ring)) for h in (fe, ge))
+    return _to_polynomial(ring, [(e, c) for _, e, c, _ in _pair(fe, ge, gpoly).terms], scale)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """The S-polynomial; over ZZ leading coefficients are matched by their lcm."""
-    ring = _check_same_ring([f, g])
+    """The S-polynomial; over ZZ leading coefficients are matched by their lcm.
+
+    The Buchberger loop forms its pairs through this function on its own
+    engine polynomials, and gets one back (see ``_pair``).
+    """
+    if isinstance(f, _Poly):
+        return _pair(f, g, False)
+    _check_same_ring([f, g])
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("S-polynomial of a zero polynomial")
-    keyf = key_function(order or Grevlex(), ring)
-    lmf, lcf = _leading(f, keyf)
-    lmg, lcg = _leading(g, keyf)
-    lcm_mono = _lcm(lmf, lmg)
-    sf = tuple(x - y for x, y in zip(lcm_mono, lmf))
-    sg = tuple(x - y for x, y in zip(lcm_mono, lmg))
-    if ring.is_int_mode:
-        d, _, _ = ext_gcd(lcf, lcg)
-        c = abs(lcf * lcg) // d
-        return f.mul_term(c // lcf, sf) - g.mul_term(c // lcg, sg)
-    dom = ring.domain
-    return f.mul_term(dom.div(dom.one, lcf), sf) - g.mul_term(dom.div(dom.one, lcg), sg)
+    return _exact_pair(f, g, order, False)
 
 
 def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """The G-polynomial (ZZ only): its leading coefficient is gcd(lc f, lc g)."""
+    """The G-polynomial (ZZ only): its leading coefficient is gcd(lc f, lc g).
+    On engine polynomials it returns one, like ``s_polynomial``."""
+    if isinstance(f, _Poly):
+        return _pair(f, g, True)
     ring = _check_same_ring([f, g])
     if not ring.is_int_mode:
         raise AlgebraError("G-polynomials only exist over ZZ")
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("G-polynomial of a zero polynomial")
-    keyf = key_function(order or Grevlex(), ring)
-    lmf, lcf = _leading(f, keyf)
-    lmg, lcg = _leading(g, keyf)
-    lcm_mono = _lcm(lmf, lmg)
-    sf = tuple(x - y for x, y in zip(lcm_mono, lmf))
-    sg = tuple(x - y for x, y in zip(lcm_mono, lmg))
-    _, s, t = ext_gcd(lcf, lcg)
-    return f.mul_term(s, sf) + g.mul_term(t, sg)
+    return _exact_pair(f, g, order, True)
 
 
 # -- Buchberger ----------------------------------------------------------------------
-
-
-def _poly_token(p: Polynomial, keyf, dom):
-    return tuple(
-        (keyf(e), dom.sort_token(c))
-        for e, c in sorted(p._terms.items(), key=lambda t: keyf(t[0]), reverse=True)
-    )
-
-
-def _normalize(p: Polynomial, keyf) -> Polynomial:
-    """Monic over a field; positive leading coefficient over ZZ (content kept)."""
-    ring = p.ring
-    lm = max(p._terms, key=keyf)
-    lc = p._terms[lm]
-    if ring.is_int_mode:
-        return -p if lc < 0 else p
-    if lc == ring.domain.one:
-        return p
-    return p.scale(ring.domain.div(ring.domain.one, lc))
 
 
 def groebner_basis(
@@ -374,16 +622,17 @@ def groebner_basis(
         raise AlgebraError("cannot compute a basis for an empty or all-zero generating set")
     ring = _check_same_ring(polys)
     int_mode = ring.is_int_mode
-    keyf = key_function(order, ring)
+    cord = _compiled(order, ring, budget.max_degree)
+    key = cord.key
     for p in polys:
         _degree_guard(p, budget)
 
-    red = _Reducers(keyf)
+    red = _Reducers(ring, cord)
     heap: list = []
     # The live S-pairs, (i, j) -> lcm of their leading terms, and the active
     # elements, those whose leading term no later one divides.  A heap entry
     # whose S-pair left ``live`` is stale.  Over a field the leading term is
-    # the leading monomial (elements are monic); over ZZ it is the pair
+    # the leading monomial (elements are normalized); over ZZ it is the pair
     # (monomial, coefficient), kept in ``lts``.
     live: dict[tuple[int, int], object] = {}
     active: list[int] = []
@@ -392,11 +641,11 @@ def groebner_basis(
         t_lcm, t_divides, t_coprime = _term_lcm, _term_divides, _term_coprime
 
         def t_key(t):
-            return keyf(t[0])
+            return key(t[0])
 
     else:
         lts = red.lms
-        t_lcm, t_divides, t_coprime, t_key = _lcm, _divides, _coprime, keyf
+        t_lcm, t_divides, t_coprime, t_key = _lcm, _divides, _coprime, key
 
     def push_pairs(j: int) -> None:
         tj = lts[j]
@@ -433,17 +682,18 @@ def groebner_basis(
         active[:] = [i for i in active if not t_divides(tj, lts[i])]
         active.append(j)
 
-    def add(p: Polynomial) -> None:
-        _degree_guard(p, budget)
-        red.append(_normalize(p, keyf))
+    def add(terms: list) -> None:
+        # every term was checked against the degree budget already
+        red.append(_Poly(ring, cord, _normalized(terms, ring)))
         if int_mode:
             lts.append((red.lms[-1], red.lcs[-1]))
         push_pairs(len(red.polys) - 1)
 
     for g in polys:
-        r = _nf_terms(g._terms, red, ring, budget) if red.polys else dict(g._terms)
+        h, _ = _engine_poly(g, cord)
+        r = _reduce(h.terms, red, budget.max_degree)[0] if red.polys else h.terms
         if r:
-            add(Polynomial._make(ring, r))
+            add(r)
 
     pops = 0
     while heap:
@@ -462,55 +712,54 @@ def groebner_basis(
         if p.is_zero():
             continue
         _degree_guard(p, budget)
-        r = _nf_terms(p._terms, red, ring, budget)
+        r, _ = _reduce(p.terms, red, budget.max_degree)
         if r:
-            add(Polynomial._make(ring, r))
+            add(r)
 
-    basis = _minimalize(red.polys, keyf, ring)
-    basis = _tail_reduce(basis, keyf, ring, budget)
-    dom = ring.domain
-    basis.sort(key=lambda p: (keyf(max(p._terms, key=keyf)), _poly_token(p, keyf, dom)))
-    return GroebnerBasis(ring, order, tuple(basis), reduced=True, strong=int_mode)
-
-
-def _minimalize(polys: list[Polynomial], keyf, ring: RingSpec) -> list[Polynomial]:
-    """Drop elements whose leading term is (strongly) divisible by another's."""
-    int_mode = ring.is_int_mode
-    dom = ring.domain
-    decorated = []
-    for p in polys:
-        lm = max(p._terms, key=keyf)
-        decorated.append((keyf(lm), _poly_token(p, keyf, dom), lm, p._terms[lm], p))
-    decorated.sort(key=lambda t: (t[0], t[1]))
-    kept: list[tuple[Exponents, object, Polynomial]] = []
-    for _, _, lm, lc, p in decorated:
-        redundant = False
-        for klm, klc, _ in kept:
-            if _divides(klm, lm) and (not int_mode or lc % klc == 0):
-                redundant = True
-                break
-        if not redundant:
-            kept.append((lm, lc, p))
-    return [p for _, _, p in kept]
+    final = _tail_reduce(_minimalize(red.polys, int_mode), ring, cord, budget)
+    qq = isinstance(ring.domain, RationalDomain)
+    elements = tuple(
+        _to_polynomial(ring, [(e, c) for _, e, c, _ in f.terms], f.terms[0][2] if qq else 1)
+        for f in final.polys
+    )
+    gb = GroebnerBasis(ring, order, elements, reduced=True, strong=int_mode)
+    gb._reducers[(order, budget.max_degree)] = final
+    return gb
 
 
-def _tail_reduce(basis: list[Polynomial], keyf, ring: RingSpec, budget: Budget) -> list[Polynomial]:
+def _minimalize(polys: list[_Poly], int_mode: bool) -> list[_Poly]:
+    """Drop elements whose leading term is (strongly) divisible by another's.
+
+    The rest ascend by leading monomial, ties broken by their term lists;
+    they are the final order of the basis, because tail reduction keeps the
+    heads and no two kept elements share a leading monomial.
+    """
+    kept: list[_Poly] = []
+    for f in sorted(polys, key=lambda f: [(t[0], t[2]) for t in f.terms]):
+        _, lm, lc, _ = f.terms[0]
+        if not any(
+            _divides(h.terms[0][1], lm) and (not int_mode or lc % h.terms[0][2] == 0)
+            for h in kept
+        ):
+            kept.append(f)
+    return kept
+
+
+def _tail_reduce(basis: list[_Poly], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:
     """Reduce every term below each leading term against the other elements.
 
     ``basis`` is sorted ascending by leading monomial (see ``_minimalize``)
     and only a smaller leading monomial can divide a tail term, so one
     ascending pass against the already reduced prefix is final.  Heads are
-    untouched, so the leading terms (and the basis property) are preserved.
+    kept (over QQ scaled with the tail), so the leading terms, and the basis
+    property, are preserved.  Returns the reduced elements as reducers.
     """
-    red = _Reducers(keyf)
-    for p in basis:
-        lm = max(p._terms, key=keyf)
-        tail = dict(p._terms)
-        head_c = tail.pop(lm)
-        new_tail = _nf_terms(tail, red, ring, budget)
-        new_tail[lm] = head_c
-        red.append(Polynomial._make(ring, new_tail))
-    return red.polys
+    red = _Reducers(ring, cord)
+    for f in basis:
+        k, e, c, d = f.terms[0]
+        tail, M = _reduce(f.terms[1:], red, budget.max_degree)
+        red.append(_Poly(ring, cord, _normalized([(k, e, c * M, d), *tail], ring)))
+    return red
 
 
 def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
@@ -522,19 +771,19 @@ def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     if not polys:
         return False
     ring = _check_same_ring(polys)
-    keyf = key_function(gb.order, ring)
-    red = _Reducers(keyf)
-    for g in polys:
-        if g.is_zero():
-            return False
-        red.append(g)
-    for j in range(len(polys)):
+    bound = max(budget.max_degree, *(g.total_degree() for g in polys))
+    cord = _compiled(gb.order, ring, bound)
+    if any(g.is_zero() for g in polys):
+        return False
+    red, _ = _reducers_of(polys, ring, cord)
+    elems = red.polys
+    for j in range(len(elems)):
         for i in range(j):
-            sp = s_polynomial(polys[i], polys[j], gb.order)
-            if not sp.is_zero() and _nf_terms(sp._terms, red, ring, budget):
+            sp = s_polynomial(elems[i], elems[j], gb.order)
+            if not sp.is_zero() and _reduce(sp.terms, red, budget.max_degree)[0]:
                 return False
             if ring.is_int_mode:
-                gp = g_polynomial(polys[i], polys[j], gb.order)
-                if not gp.is_zero() and _nf_terms(gp._terms, red, ring, budget):
+                gp = g_polynomial(elems[i], elems[j], gb.order)
+                if not gp.is_zero() and _reduce(gp.terms, red, budget.max_degree)[0]:
                     return False
     return True

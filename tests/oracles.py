@@ -6,10 +6,10 @@ ideal membership goes through dense linear algebra (fraction Gaussian
 elimination over a field, a Hermite style column reduction over the
 integers), polynomial identities are confirmed by evaluation on conclusive
 integer grids, and gcds fall back to plain repeated remainders.  The
-exceptions are the reference Groebner engines, over a field and over ZZ:
-they are built on the public S- and G-polynomials and normal form, so that
-they differ from the library's engine only in what the comparison is
-about: they apply no pair criterion.
+reference Groebner engines, over a field and over ZZ, bring their own
+textbook division and S- and G-polynomials, written on ``Polynomial``
+arithmetic and the order's key tuples, so that they share no reduction code
+with the library's engine, and apply no pair criterion.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from powerstable import FpElement, Polynomial, g_polynomial, normal_form, s_polynomial
+from powerstable import FpElement, Polynomial
 from powerstable.orders import key_function
 
 
@@ -311,6 +311,79 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _lead(f: Polynomial, order) -> tuple[tuple[int, ...], object]:
+    # leading (monomial, coefficient) by the order's key tuples
+    keyf = key_function(order, f.ring)
+    return max(f.terms(), key=lambda t: keyf(t[0]))
+
+
+def _shift(big, small) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(big, small))
+
+
+def _ext_euclid(a: int, b: int) -> tuple[int, int, int]:
+    # (d, s, t) with d = gcd(a, b) >= 0 and d = s*a + t*b
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    d, s, t = _ext_euclid(b, a % b)
+    return d, t, s - (a // b) * t
+
+
+def reference_normal_form(f: Polynomial, G, order) -> Polynomial:
+    """Textbook multivariate division: the remainder of f by the list G.
+
+    The leading term of what is left is cancelled by the first element whose
+    leading monomial divides it; over ZZ the first one that leaves a smaller
+    non-negative remainder, and the term is retried until none does.  A term
+    nothing divides moves to the remainder.
+    """
+    ring = f.ring
+    int_mode = ring.is_int_mode
+    dom = ring.domain
+    heads = [_lead(g, order) for g in G]
+    p, r = f, Polynomial.zero(ring)
+    while not p.is_zero():
+        e, c = _lead(p, order)
+        for g, (lm, lc) in zip(G, heads):
+            if not _divides(lm, e):
+                continue
+            if int_mode:
+                q = (c - c % abs(lc)) // lc
+                if not q:
+                    continue
+            else:
+                q = dom.div(c, lc)
+            p = p - g.mul_term(q, _shift(e, lm))
+            break
+        else:
+            term = Polynomial(ring, {e: c})
+            r, p = r + term, p - term
+    return r
+
+
+def reference_s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    """Textbook S-polynomial; over ZZ the leading coefficients are matched
+    by their lcm."""
+    (ef, cf), (eg, cg) = _lead(f, order), _lead(g, order)
+    m = tuple(max(x, y) for x, y in zip(ef, eg))
+    if f.ring.is_int_mode:
+        c = abs(cf * cg) // euclid_gcd(cf, cg)
+        return f.mul_term(c // cf, _shift(m, ef)) - g.mul_term(c // cg, _shift(m, eg))
+    dom = f.ring.domain
+    return f.mul_term(dom.div(dom.one, cf), _shift(m, ef)) - g.mul_term(
+        dom.div(dom.one, cg), _shift(m, eg)
+    )
+
+
+def reference_g_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    """Textbook G-polynomial over ZZ: s*f*x^(m - lm f) + t*g*x^(m - lm g),
+    with s*lc(f) + t*lc(g) = gcd(lc(f), lc(g))."""
+    (ef, cf), (eg, cg) = _lead(f, order), _lead(g, order)
+    m = tuple(max(x, y) for x, y in zip(ef, eg))
+    _, s, t = _ext_euclid(cf, cg)
+    return f.mul_term(s, _shift(m, ef)) + g.mul_term(t, _shift(m, eg))
+
+
 def _all_pairs(gens, order, max_pairs, makers) -> list[Polynomial]:
     # every pair of elements, each maker once per pair, no criterion at all;
     # every nonzero remainder joins the basis
@@ -323,7 +396,8 @@ def _all_pairs(gens, order, max_pairs, makers) -> list[Polynomial]:
             done += 1
             if done > max_pairs:
                 raise PairLimit(f"more than {max_pairs} pairs")
-            r = normal_form(make(G[i], G[j], order), G, order)
+            h = make(G[i], G[j], order)
+            r = reference_normal_form(h, G, order) if not h.is_zero() else h
             if not r.is_zero():
                 pairs += [(k, len(G)) for k in range(len(G))]
                 G.append(r)
@@ -346,12 +420,12 @@ def _tail_reduced(basis, order) -> list[Polynomial]:
     ring = basis[0].ring
     reduced = []
     for k, g in enumerate(basis):
-        lm, lc = g.leading_term(order)
+        lm, lc = _lead(g, order)
         head = Polynomial(ring, {lm: lc})
         others = basis[:k] + basis[k + 1 :]
-        reduced.append(head + normal_form(g - head, others, order) if others else g)
+        reduced.append(head + reference_normal_form(g - head, others, order) if others else g)
     keyf = key_function(order, ring)
-    return sorted(reduced, key=lambda g: keyf(g.leading_term(order)[0]))
+    return sorted(reduced, key=lambda g: keyf(_lead(g, order)[0]))
 
 
 def reference_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
@@ -364,10 +438,10 @@ def reference_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
     others.  The result is sorted ascending by leading monomial.  Raises
     PairLimit after ``max_pairs`` pairs.
     """
-    G = _all_pairs(gens, order, max_pairs, (s_polynomial,))
-    minimal = _minimal(G, [g.leading_term(order)[0] for g in G], _divides)
+    G = _all_pairs(gens, order, max_pairs, (reference_s_polynomial,))
+    minimal = _minimal(G, [_lead(g, order)[0] for g in G], _divides)
     dom = minimal[0].ring.domain
-    monic = [g.scale(dom.div(dom.one, g.leading_term(order)[1])) for g in minimal]
+    monic = [g.scale(dom.div(dom.one, _lead(g, order)[1])) for g in minimal]
     return _tail_reduced(monic, order)
 
 
@@ -387,7 +461,7 @@ def reference_strong_groebner(gens, order, max_pairs: int = 400) -> list[Polynom
     The result is sorted ascending by leading monomial.  Raises PairLimit
     after ``max_pairs`` S- and G-polynomials.
     """
-    G = _all_pairs(gens, order, max_pairs, (s_polynomial, g_polynomial))
-    G = [-g if g.leading_term(order)[1] < 0 else g for g in G]
-    minimal = _minimal(G, [g.leading_term(order) for g in G], _term_divides)
+    G = _all_pairs(gens, order, max_pairs, (reference_s_polynomial, reference_g_polynomial))
+    G = [-g if _lead(g, order)[1] < 0 else g for g in G]
+    minimal = _minimal(G, [_lead(g, order) for g in G], _term_divides)
     return _tail_reduced(minimal, order)

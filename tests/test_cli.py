@@ -382,6 +382,59 @@ def test_help_exits_zero():
     assert run("gb", "--help")[0] == 0
 
 
+def test_help_is_printed_the_same_every_time(capsys):
+    outputs = []
+    for _ in range(2):
+        assert run("gb", "--help")[0] == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "cap on the S- and G-pairs reduced, per Groebner" in outputs[0]
+
+
+# -- one parser per process ------------------------------------------------------------------
+
+
+def test_same_argv_twice_gives_identical_output():
+    argv = ("check-stable", "--ring", "QQ[Y][X]", "--gens", "X^2 - Y, Y*X", "--max-power", "3")
+    first = run(*argv)
+    assert first[0] == 1
+    assert run(*argv) == first
+    assert run(*argv, "--format", "json") == run(*argv, "--format", "json")
+
+
+def test_valid_argv_after_a_usage_error():
+    assert run("gb", "--ring", "ZZ[X]", "--gens", "X", "--max-pairs", "many")[0] == 2
+    assert run("member", "--ring", "ZZ[X]", "--gens", "X")[0] == 2  # --poly missing
+    assert run("transmogrify")[0] == 2
+    assert run("gb", "--ring", "ZZ[X]", "--gens", "X^2 - 2, X^3") == (0, "(4, 2*X, X^2 + 2)")
+    code, body = run("member", "--ring", "ZZ[X]", "--gens", "2", "--poly", "4")
+    assert (code, body) == (0, "true")
+
+
+# The body computed with Fraction coefficients throughout.  Its BlockElim(X)
+# basis of I^3 reduces hundreds of S-pairs against a 23-element basis.
+_CUBE_CONTRACTION = "(" + ", ".join([
+    "Y^6*Z^2 - 2*Y^3*Z^5 + Z^8 + Y^6*Z - 2*Y^3*Z^4 + Z^7 + Y^6 - 2*Y^3*Z^3 + Z^6",
+    "Y^3*Z^6 - Z^9 + 2*Y^3*Z^5 - 2*Z^8 + 3*Y^3*Z^4 - 3*Z^7 + 2*Y^3*Z^3 - 2*Z^6 + Y^3*Z^2 - Z^5",
+    "Y^9 - Z^9 + 6*Y^3*Z^5 - 6*Z^8 + 9*Y^3*Z^4 - 9*Z^7 - 3*Y^6 + 12*Y^3*Z^3 - 9*Z^6"
+    " + 3*Y^3*Z^2 - 3*Z^5",
+    "Z^10 + 3*Z^9 + 6*Z^8 + 7*Z^7 + 6*Z^6 + 3*Z^5 + Z^4",
+    "Y*Z^9 + 3*Y*Z^8 + 6*Y*Z^7 + 7*Y*Z^6 + 6*Y*Z^5 + 3*Y*Z^4 + Y*Z^3",
+    "Y^5*Z^5 - Y^2*Z^8 + 2*Y^5*Z^4 - 2*Y^2*Z^7 + 3*Y^5*Z^3 - 3*Y^2*Z^6 + 2*Y^5*Z^2"
+    " - 2*Y^2*Z^5 + Y^5*Z - Y^2*Z^4",
+]) + ")"
+
+
+def test_contract_cube_of_a_three_generator_ideal():
+    code, body = run(
+        "contract", "--power", "3",
+        "--ring", "QQ[Y,Z][X]",
+        "--gens", "Y*Z - X^2, Y^2 + X*Z, X^3 + Y*X - Z",
+    )
+    assert code == 0
+    assert body == _CUBE_CONTRACTION
+
+
 def test_main_prints_body_and_returns_code(capsys):
     code = main(["contract", "--ring", "QQ[Y][X]", "--gens", "Y, X^2+X+1", "--power", "3"])
     assert code == 0

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import powerstable.groebner
 from powerstable import (
@@ -28,10 +30,19 @@ from powerstable import (
     s_polynomial,
 )
 from powerstable.coefficients import divmod_least
+from powerstable.groebner import _compiled
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
-from oracles import PairLimit, macaulay_member, reference_groebner, reference_strong_groebner
+from oracles import (
+    PairLimit,
+    macaulay_member,
+    reference_g_polynomial,
+    reference_groebner,
+    reference_normal_form,
+    reference_s_polynomial,
+    reference_strong_groebner,
+)
 from test_acceptance import _monic_instance
 
 ZX = RingSpec.parse("ZZ[X]")
@@ -370,6 +381,9 @@ def test_g_polynomial_realizes_the_gcd():
     gp = g_polynomial(f, g)
     e, c = gp.leading_term(Grevlex())
     assert e == (1,) and c == 1
+    # extended Euclid gives 4 = (-1)*4 + (-1)*(-8): the inputs keep their signs
+    gp = g_polynomial(parse_poly("4*X^2 + 3", ZX), parse_poly("-8*X", ZX))
+    assert gp == parse_poly("4*X^2 - 3", ZX)
     with pytest.raises(AlgebraError):
         g_polynomial(parse_poly("Y", QYX), parse_poly("X", QYX))
 
@@ -456,3 +470,149 @@ def test_degree_budget_guards_inputs():
 def test_mixed_rings_rejected():
     with pytest.raises(AlgebraError):
         groebner_basis([parse_poly("X", ZX), parse_poly("X", QYX)])
+
+
+# -- the engine representation ------------------------------------------------------------
+
+QABCD = RingSpec.parse("QQ[A,B,C,D]")
+F7ABC = RingSpec.parse("Fp(7)[A,B,C]")
+
+
+@st.composite
+def monomials(draw, nvars, degree):
+    """Exponent tuples of total degree at most ``degree``."""
+    left = draw(st.integers(0, degree))
+    e = []
+    for _ in range(nvars):
+        k = draw(st.integers(0, left))
+        e.append(k)
+        left -= k
+    return tuple(draw(st.permutations(e)))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        Lex(),
+        Lex(("C", "A", "D", "B")),
+        Grevlex(),
+        BlockElim(("B",)),
+        BlockElim(("A", "C"), "lex", "lex"),
+        BlockElim(("D",), "grevlex", "lex"),
+        BlockElim(("A", "B", "C"), "lex", "grevlex"),
+    ],
+    ids=repr,
+)
+def test_compiled_keys_order_monomials_like_the_key_tuples(order):
+    """The engine's int key, compiled for degree bound D, compares every two
+    monomials of total degree up to 2*D as the order's key tuples do."""
+    keyf = key_function(order, QABCD)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), bound=st.integers(1, 8))
+    def check(data, bound):
+        key = _compiled(order, QABCD, bound).key
+        a = data.draw(monomials(4, 2 * bound))
+        b = data.draw(monomials(4, 2 * bound))
+        ta, tb = keyf(a), keyf(b)
+        assert (key(a) > key(b)) == (ta > tb)
+        assert (key(a) == key(b)) == (a == b)
+
+    check()
+
+
+@st.composite
+def fractional_polys(draw, ring, max_terms=4, max_deg=3, nonzero=False):
+    """Polynomials with coefficients n/d (n only over ZZ), not monic in general."""
+    dom = ring.domain
+    exps = st.tuples(*(st.integers(0, max_deg) for _ in ring.variables))
+    dens = st.just(None) if ring.is_int_mode else st.sampled_from([None, 2, 3, 4, 6])
+    terms = draw(
+        st.dictionaries(
+            exps, st.tuples(st.integers(-9, 9), dens), min_size=int(nonzero), max_size=max_terms
+        )
+    )
+    f = Polynomial(ring, {e: dom.literal(n, d) for e, (n, d) in terms.items()})
+    assume(not (nonzero and f.is_zero()))
+    return f
+
+
+@pytest.mark.parametrize("ring", [QYZ, QABCD, F7ABC, ZX], ids=str)
+def test_division_is_exact_and_matches_textbook_division(ring):
+    """Fractional, non-monic dividends and divisors: f == sum(q_i*g_i) + r
+    exactly, and r is the remainder of textbook division, which cancels the
+    leading term of what is left with the first divisor that can."""
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        f=fractional_polys(ring, 6, 4),
+        basis=st.lists(fractional_polys(ring, 3, 2, nonzero=True), min_size=1, max_size=3),
+        lex=st.booleans(),
+    )
+    def check(f, basis, lex):
+        order = Lex() if lex else Grevlex()
+        qs, r = divide(f, basis, order)
+        total = r
+        for q, g in zip(qs, basis):
+            total = total + q * g
+        assert total == f
+        assert r == reference_normal_form(f, basis, order)
+        assert normal_form(f, basis, order) == r
+
+    check()
+
+
+@pytest.mark.parametrize("ring", [QYZ, F7ABC, ZX], ids=str)
+def test_s_and_g_polynomials_match_the_textbook_ones(ring):
+    """Exact S- (and over ZZ, G-) polynomials of fractional, non-monic
+    inputs, also under lex, where their degree can exceed twice the inputs'."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        f=fractional_polys(ring, 4, 4, nonzero=True),
+        g=fractional_polys(ring, 4, 4, nonzero=True),
+        lex=st.booleans(),
+    )
+    def check(f, g, lex):
+        order = Lex() if lex else Grevlex()
+        assert s_polynomial(f, g, order) == reference_s_polynomial(f, g, order)
+        if ring.is_int_mode:
+            assert g_polynomial(f, g, order) == reference_g_polynomial(f, g, order)
+
+    check()
+
+
+@pytest.mark.parametrize("ring", [QYZW, QYZ.extend_aux("_T0")], ids=str)
+def test_engine_matches_the_reference_on_rational_generators(ring):
+    """Generators with fractional coefficients, which the engine clears to
+    primitive integer polynomials: the same reduced basis as the textbook
+    reference, which computes with fractions throughout."""
+    v = ring.variables
+    compared = fractional = 0
+    for spec in ("grevlex", "lex", f"elim:{v[-1]}"):
+        order = parse_order(spec, ring)
+        for seed in range(8):
+            rng = random.Random(f"rational:{ring}:{spec}:{seed}")
+            gens = rand_gens(rng, ring, rng.randint(2, 3), 3, 5, max_den=6)
+            try:
+                expected = reference_groebner(gens, order, max_pairs=150)
+            except PairLimit:
+                continue
+            assert list(groebner_basis(gens, order).elements) == expected, (spec, seed)
+            compared += 1
+            fractional += any(c.denominator > 1 for g in gens for _, c in g.terms())
+    assert compared >= 20 and fractional >= 18
+
+
+def test_normal_form_reuses_the_reducers_kept_on_a_basis():
+    rng = random.Random("reducers:9")
+    gens = rand_gens(rng, QYZW, 3, 3, 5, max_den=4)
+    gb = groebner_basis(gens)
+    kept = dict(gb._reducers)
+    assert len(kept) == 1
+    for _ in range(10):
+        probe = rand_gens(rng, QYZW, 1, 4, 5, max_den=4)[0]
+        assert normal_form(probe, gb) == normal_form(probe, list(gb.elements))
+    assert gb._reducers == kept
+    normal_form(gens[0], gb, budget=Budget(max_degree=20))
+    assert len(gb._reducers) == 2

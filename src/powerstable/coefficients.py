@@ -115,7 +115,6 @@ class CoefficientDomain:
     """Shared interface of the three coefficient domains."""
 
     name: str
-    is_field: bool
 
     def from_int(self, n: int) -> Coefficient:
         raise NotImplementedError
@@ -138,10 +137,6 @@ class CoefficientDomain:
         """Display-level sign; prime fields have no signs."""
         return False
 
-    def sort_token(self, c: Coefficient):
-        """A totally ordered stand-in for c, used only for deterministic output."""
-        raise NotImplementedError
-
     def format(self, c: Coefficient) -> str:
         return str(c)
 
@@ -160,7 +155,6 @@ class CoefficientDomain:
 @dataclass(frozen=True, slots=True)
 class IntegerDomain(CoefficientDomain):
     name = "ZZ"
-    is_field = False
 
     def from_int(self, n: int) -> int:
         return n
@@ -181,9 +175,6 @@ class IntegerDomain(CoefficientDomain):
     def is_negative(self, c: int) -> bool:
         return c < 0
 
-    def sort_token(self, c: int) -> int:
-        return c
-
     def to_json(self) -> str:
         return "ZZ"
 
@@ -191,7 +182,6 @@ class IntegerDomain(CoefficientDomain):
 @dataclass(frozen=True, slots=True)
 class RationalDomain(CoefficientDomain):
     name = "QQ"
-    is_field = True
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -209,9 +199,6 @@ class RationalDomain(CoefficientDomain):
     def is_negative(self, c: Fraction) -> bool:
         return c < 0
 
-    def sort_token(self, c: Fraction) -> Fraction:
-        return c
-
     def to_json(self) -> str:
         return "QQ"
 
@@ -220,7 +207,6 @@ class RationalDomain(CoefficientDomain):
 class PrimeField(CoefficientDomain):
     p: int
     name = "Fp"
-    is_field = True
 
     def __post_init__(self):
         if self.p >= 1 << 64:
@@ -243,9 +229,6 @@ class PrimeField(CoefficientDomain):
         if not b:
             raise CoefficientError("division by zero")
         return a * b.inverse()
-
-    def sort_token(self, c: FpElement) -> int:
-        return c.residue
 
     def to_json(self) -> dict:
         return {"Fp": self.p}

@@ -68,9 +68,15 @@ from operator import add, le, mul, sub
 from typing import Sequence
 
 from .coefficients import FpElement, PrimeField, RationalDomain, ext_gcd
-from .errors import AlgebraError, BudgetExceededError, RingMismatchError, ZeroPolynomialError
+from .errors import (
+    AlgebraError,
+    BudgetExceededError,
+    NonExactDivisionError,
+    RingMismatchError,
+    ZeroPolynomialError,
+)
 from .orders import Grevlex, MonomialOrder, key_function
-from .polynomials import Exponents, Polynomial
+from .polynomials import Exponents, Polynomial, format_poly
 from .rings import RingSpec
 
 
@@ -84,9 +90,6 @@ class Budget:
 
     max_pairs: int = 100_000
     max_degree: int = 60
-
-
-DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
@@ -454,7 +457,7 @@ def divide(
     for g in polys:
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor in division basis")
-    budget = budget or DEFAULT_BUDGET
+    budget = budget or Budget()
     bound = max(budget.max_degree, *(g.total_degree() for g in polys))
     cord = _compiled(order or Grevlex(), ring, bound)
     red, scales = _reducers_of(polys, ring, cord)
@@ -472,6 +475,26 @@ def divide(
         for qd, lam in zip(quotients, scales)
     ]
     return qs, _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
+
+
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Return q with f = q*g, or raise NonExactDivisionError.
+
+    One ``divide`` under grevlex with the degree budget deg f.  Grevlex is
+    degree-compatible, so every term the division forms has degree at most
+    deg f and the budget cannot fire; the division is exact precisely when
+    the remainder is zero.  Over ZZ a leading coefficient that does not
+    divide leaves a remainder, so the coefficients must divide too.
+    """
+    f._peer(g)
+    if g.is_zero():
+        raise ZeroPolynomialError("division by the zero polynomial")
+    if f.is_zero():
+        return f
+    (q,), rem = divide(f, [g], budget=Budget(max_degree=f.total_degree()))
+    if not rem.is_zero():
+        raise NonExactDivisionError(f"{format_poly(f)} is not divisible by {format_poly(g)}")
+    return q
 
 
 def normal_form(
@@ -492,7 +515,7 @@ def normal_form(
     if not polys:
         return f
     ring = _check_same_ring([f, *polys])
-    budget = budget or DEFAULT_BUDGET
+    budget = budget or Budget()
     order = order or Grevlex()
     red = cache.get((order, budget.max_degree)) if cache is not None else None
     if red is None:
@@ -611,7 +634,7 @@ def groebner_basis(
     basis.
     """
     order = order or Grevlex()
-    budget = budget or DEFAULT_BUDGET
+    budget = budget or Budget()
     polys = []
     for g in gens:
         if g.is_zero():
@@ -766,7 +789,7 @@ def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     """Check the basis property directly: every S (and over ZZ, G) polynomial
     must reduce to zero against the basis.  No pair criteria are applied, so
     this is an independent verification, not a replay of the construction."""
-    budget = budget or DEFAULT_BUDGET
+    budget = budget or Budget()
     polys = list(gb.elements)
     if not polys:
         return False

@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebraError, BudgetExceededError, RingMismatchError
-from .groebner import Budget, GroebnerBasis, groebner_basis, normal_form
+from .errors import AlgebraError, RingMismatchError
+from .groebner import Budget, GroebnerBasis, exact_divide, groebner_basis, normal_form
 from .orders import BlockElim, Grevlex, MonomialOrder
-from .polynomials import Polynomial, evaluate_map, exact_divide, format_poly, transport
+from .polynomials import Polynomial, evaluate_map, format_poly, transport
 from .rings import RingSpec
 
 # Over ZZ, radical membership tries the powers f, f^2, ..., f^cap.
@@ -31,7 +31,8 @@ class Ideal:
     instance, bases per monomial order, and so is the field-mode
     contraction to the coefficient ring.  Elimination (and with it
     intersection, saturation, kernels and contractions of powers) computes
-    its elimination-order basis through the same per-order cache.
+    its elimination-order basis through the same per-order cache, and each
+    of these is one route over ZZ, QQ and GF(p) alike.
     """
 
     __slots__ = ("ring", "generators", "_gb", "_powers", "_contraction")
@@ -154,25 +155,17 @@ class Ideal:
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
 
     def saturate(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
-        """(I : f^infinity).  Over a field coefficient ring this is a single
-        elimination with the trick polynomial 1 - y*f; over ZZ quotients are
-        iterated until they stabilize."""
+        """(I : f^infinity) = (I + (1 - y*f)) ∩ R[X], one elimination of the
+        trick variable y.  The identity holds over any coefficient ring A,
+        because A[X][y]/(1 - y*f) is the localization at f, and strong bases
+        eliminate over ZZ as Groebner bases do over a field."""
         if f.ring != self.ring:
             raise RingMismatchError(f"saturation divisor in {f.ring}, expected {self.ring}")
         if f.is_zero() or self.is_zero_ideal():
             return self.quotient(f, budget) if f.is_zero() else self
-        ring = self.ring
-        if ring.is_int_mode:
-            current = self
-            for _ in range(64):
-                nxt = current.quotient(f, budget)
-                if nxt.equals(current, budget):
-                    return current
-                current = nxt
-            raise BudgetExceededError("saturation did not stabilize within 64 quotient steps")
         trick, tag = self._trick(f)
         front_free = trick.eliminate((tag,), budget)
-        return Ideal(ring, [transport(g, ring) for g in front_free.generators])
+        return Ideal(self.ring, [transport(g, self.ring) for g in front_free.generators])
 
     def eliminate(self, front: Sequence[str], budget: Budget | None = None) -> "Ideal":
         """I ∩ R', where R' drops the listed variables: generators of the

@@ -8,7 +8,7 @@ exponents, which gives multiplicativity for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from .errors import AlgebraError
@@ -39,26 +39,14 @@ class BlockElim:
 
     Any monomial containing a front variable is larger than every monomial
     free of them, so a Groebner basis under this order intersects cleanly
-    with the subring in the remaining variables.  Inner block orders default
-    to grevlex: degree-compatible inner orders keep reduction degrees
-    bounded, and the elimination property holds either way; lex is accepted.
+    with the subring in the remaining variables.  Both blocks are ordered by
+    grevlex, which is degree-compatible and keeps reduction degrees bounded.
     """
 
     front: tuple[str, ...]
-    inner_front: str = "grevlex"
-    inner_back: str = "grevlex"
-
-    def __post_init__(self):
-        for inner in (self.inner_front, self.inner_back):
-            if inner not in ("lex", "grevlex"):
-                raise AlgebraError(f"unknown inner order {inner!r}")
 
 
 MonomialOrder = Lex | Grevlex | BlockElim
-
-
-def elimination_order(front_vars) -> BlockElim:
-    return BlockElim(front=tuple(front_vars))
 
 
 def _lex_key(indices: list[int]) -> KeyFunction:
@@ -75,10 +63,6 @@ def _grevlex_key(indices: list[int]) -> KeyFunction:
         return (sum(e[i] for i in indices), *(-e[i] for i in rev))
 
     return key
-
-
-def _inner_key(kind: str, indices: list[int]) -> KeyFunction:
-    return _lex_key(indices) if kind == "lex" else _grevlex_key(indices)
 
 
 def key_function(order: MonomialOrder, ring: "RingSpec") -> KeyFunction:
@@ -98,8 +82,8 @@ def key_function(order: MonomialOrder, ring: "RingSpec") -> KeyFunction:
             raise AlgebraError(f"bad elimination block {order.front} for ring {ring}")
         front_idx = [ring.index(v) for v in front]
         back_idx = [i for i, v in enumerate(ring.variables) if v not in set(front)]
-        fk = _inner_key(order.inner_front, front_idx)
-        bk = _inner_key(order.inner_back, back_idx)
+        fk = _grevlex_key(front_idx)
+        bk = _grevlex_key(back_idx)
 
         def key(e: Exponents) -> tuple[int, ...]:
             return fk(e) + bk(e)

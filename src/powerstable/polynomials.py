@@ -30,7 +30,6 @@ from .coefficients import Coefficient
 from .errors import (
     AlgebraError,
     CoefficientError,
-    NonExactDivisionError,
     ParseError,
     RingMismatchError,
     ZeroPolynomialError,
@@ -100,10 +99,6 @@ class Polynomial:
 
     def terms(self) -> Iterable[tuple[Exponents, Coefficient]]:
         return self._terms.items()
-
-    def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[Exponents, Coefficient]]:
-        keyf = key_function(order or Grevlex(), self.ring)
-        return sorted(self._terms.items(), key=lambda t: keyf(t[0]), reverse=True)
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
@@ -251,53 +246,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{format_poly(self)} over {self.ring}>"
-
-
-# -- exact division ----------------------------------------------------------
-
-
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """Return q with f = q*g, or raise NonExactDivisionError.
-
-    Works over any of the coefficient domains; over ZZ the coefficient at
-    every cancellation step must divide exactly.
-    """
-    f._peer(g)
-    if g.is_zero():
-        raise ZeroPolynomialError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    ring = f.ring
-    dom = ring.domain
-    keyf = key_function(order or Grevlex(), ring)
-    glm = max(g._terms, key=keyf)
-    glc = g._terms[glm]
-    gitems = list(g._terms.items())
-    rem = dict(f._terms)
-    quo: dict[Exponents, Coefficient] = {}
-    while rem:
-        e = max(rem, key=keyf)
-        c = rem[e]
-        if any(x < y for x, y in zip(e, glm)):
-            raise NonExactDivisionError(f"{format_poly(f)} is not divisible by {format_poly(g)}")
-        qc = dom.exact_div(c, glc)
-        if qc is None:
-            raise NonExactDivisionError(f"{format_poly(f)} is not divisible by {format_poly(g)}")
-        shift = tuple(x - y for x, y in zip(e, glm))
-        quo[shift] = qc
-        for eg, cg in gitems:
-            em = tuple(x + y for x, y in zip(shift, eg))
-            s = rem.get(em)
-            d = qc * cg
-            if s is None:
-                rem[em] = -d
-            else:
-                s = s - d
-                if s:
-                    rem[em] = s
-                else:
-                    del rem[em]
-    return Polynomial._make(ring, quo)
 
 
 # -- substitution --------------------------------------------------------------

@@ -465,3 +465,24 @@ def reference_strong_groebner(gens, order, max_pairs: int = 400) -> list[Polynom
     G = [-g if _lead(g, order)[1] < 0 else g for g in G]
     minimal = _minimal(G, [_lead(g, order) for g in G], _term_divides)
     return _tail_reduced(minimal, order)
+
+
+# -- reference saturation -------------------------------------------------------------
+
+
+def reference_saturation(ideal, f, max_steps: int = 64):
+    """(I : f^infinity) as the limit of the ascending chain (I : f^k).
+
+    Each step is one colon ideal through the library's ``quotient``
+    (intersection with (f), then exact division), a different route from
+    the elimination of the trick variable in 1 - y*f that ``saturate``
+    takes.  (I : f^(k+1)) = ((I : f^k) : f), so the chain is final at its
+    first repeat; it must repeat within ``max_steps`` quotients.
+    """
+    current = ideal
+    for _ in range(max_steps):
+        nxt = current.quotient(f)
+        if nxt.equals(current):
+            return current
+        current = nxt
+    raise AssertionError(f"quotient chain did not stabilize within {max_steps} steps")

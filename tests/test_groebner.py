@@ -497,9 +497,9 @@ def monomials(draw, nvars, degree):
         Lex(("C", "A", "D", "B")),
         Grevlex(),
         BlockElim(("B",)),
-        BlockElim(("A", "C"), "lex", "lex"),
-        BlockElim(("D",), "grevlex", "lex"),
-        BlockElim(("A", "B", "C"), "lex", "grevlex"),
+        BlockElim(("A", "C")),
+        BlockElim(("D",)),
+        BlockElim(("A", "B", "C")),
     ],
     ids=repr,
 )

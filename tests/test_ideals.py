@@ -22,6 +22,7 @@ from powerstable import (
 )
 
 from helpers import rand_gens
+from oracles import reference_saturation
 
 ZX = RingSpec.parse("ZZ[X]")
 QYX = RingSpec.parse("QQ[Y][X]")
@@ -171,6 +172,27 @@ def test_saturate_examples_over_zz():
     two = parse_poly("2", ZX)
     assert ideal_equal(ideal(ZX, "4*X").saturate(two), ideal(ZX, "X"))
     assert ideal_equal(ideal(ZX, "3*X").saturate(two), ideal(ZX, "3*X"))
+    # seventy quotient steps away from stable: one elimination all the same
+    assert ideal_equal(ideal(ZX, f"{2**70}*X").saturate(two), ideal(ZX, "X"))
+
+
+@pytest.mark.parametrize("ring", [ZX, QYX], ids=["ZZ[X]", "QQ[Y][X]"])
+def test_saturate_matches_the_quotient_chain(ring):
+    """One elimination of 1 - y*f equals the limit of (I : f^k), over ZZ
+    as over a field."""
+    rng = random.Random(f"sat-chain:{ring}")
+    const = [parse_poly(c, ring) for c in ("2", "6", "-3")]
+    for _ in range(24):
+        if ring.is_int_mode and rng.random() < 0.4:
+            f = rng.choice(const)
+        else:
+            f = rand_gens(rng, ring, 1, 1)[0]
+        # generators divisible by powers of f, so that the chain is not flat
+        hs = rand_gens(rng, ring, rng.randint(1, 2), 1, coeff_bound=6)
+        gens = [f ** rng.randint(1, 3) * h for h in hs]
+        gens += rand_gens(rng, ring, rng.randint(0, 1), 2, coeff_bound=6)
+        I = Ideal(ring, gens)
+        assert ideal_equal(I.saturate(f), reference_saturation(I, f)), (I, f)
 
 
 def test_saturate_laws():

@@ -86,14 +86,25 @@ def test_contraction_containment_half_always_holds():
 
 
 @pytest.mark.parametrize(
-    "ring, texts, new_bases",
-    [(QYX, ("X^2 - Y", "Y*X"), 2), (ZX, ("X^2 - 2", "X^3"), 0)],
-    ids=["QQ[Y][X]", "ZZ[X]"],
+    "ring, texts, check_bases, new_bases",
+    [
+        (QYX, ("X^2 - Y", "Y*X"), 4, 2),
+        (ZX, ("X^2 - 2", "X^3"), 2, 0),
+        (QYX, ("Y", "X^2 + X + 1"), 5, 2),
+    ],
+    ids=["QQ[Y][X]", "ZZ[X]", "QQ[Y][X]-stable"],
 )
-def test_contractions_come_from_the_ideal_caches(monkeypatch, ring, texts, new_bases):
+def test_contractions_come_from_the_ideal_caches(
+    monkeypatch, ring, texts, check_bases, new_bases
+):
     """I^t ∩ R is computed once per ideal and exponent, and in field mode a
     repeated contraction is the same ideal of R, with its bases.  Every basis
-    is counted, in R[X], in R and in rings extended by a tag variable."""
+    is counted, in R[X], in R and in rings extended by a tag variable.
+
+    Comparisons are one-sided: only the smaller side, (I ∩ R)^t or J^(n+1),
+    needs a basis, so a contraction that equals it is never given one.  The
+    stable pair needs 5 bases for t <= 3 and 2 more for the graded levels,
+    where comparing both ways took 8 and 4."""
     computed = []
     real = powerstable.ideals.groebner_basis
 
@@ -109,11 +120,15 @@ def test_contractions_come_from_the_ideal_caches(monkeypatch, ring, texts, new_b
     assert computed == [ring]
 
     I = ideal(ring, *texts)
+    before = len(computed)
     check_power_stable(I, 3)
+    assert len(computed) - before == check_bases
     before = len(computed)
     graded_criterion(I, 2)
-    # over QQ[Y] only the level-1 meet is new: the elimination basis of the
-    # intersection, then the basis of the meet itself; over ZZ no basis at all
+    # J^(n+1) has its basis from the bounded check, so over QQ[Y] a level
+    # adds only the elimination basis of its intersection; the gadget fails
+    # at level 1, and re-verifying its witness in the meet adds one more;
+    # over ZZ no basis at all
     new = computed[before:]
     assert len(new) == new_bases
     assert ring not in new
@@ -159,6 +174,20 @@ def test_stability_verdict_is_definitionally_consistent():
     for name, I in stability_corpus():
         if check_power_stable(I, 4).is_stable():
             assert check_power_stable(I.power(2), 2).is_stable(), name
+
+
+def test_one_sided_comparisons_skip_only_a_containment_that_holds():
+    """The bounded check and the graded criterion test the larger side
+    against the smaller one only.  The other direction, never computed,
+    holds on every graded level (test_contraction_containment_half_always_holds
+    covers (I ∩ R)^t), and each one-sided flag is the two-sided answer."""
+    for name, I in stability_corpus():
+        for rec in check_power_stable(I, 3).records:
+            assert rec.equal == rec.contraction.equals(rec.expected), f"{name} at t={rec.t}"
+        for rec in graded_criterion(I, 3).records:
+            for g in rec.target.generators():
+                assert rec.meet.contains(g), f"{name} at level {rec.n}"
+            assert rec.holds == rec.meet.equals(rec.target), f"{name} at level {rec.n}"
 
 
 # -- graded criterion ---------------------------------------------------------------

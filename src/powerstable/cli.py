@@ -87,18 +87,11 @@ def _certificate_doc(cert) -> dict:
             "monic": format_poly(cert.monic),
             "base_gens": _texts(cert.base_gens),
         }
-    if cert.kind == "regular_image":
-        return {
-            "kind": "regular_image",
-            "modulus": cert.modulus,
-            "image": format_poly(cert.image),
-            "lcm": cert.lcm_value,
-        }
     return {
-        "kind": cert.kind,
-        "t": cert.t,
-        "witness": format_poly(cert.witness),
-        "cofactor": format_poly(cert.cofactor),
+        "kind": "regular_image",
+        "modulus": cert.modulus,
+        "image": format_poly(cert.image),
+        "lcm": cert.lcm_value,
     }
 
 
@@ -113,15 +106,7 @@ def _certificate_text(cert) -> str:
     if cert.kind == "monic":
         base = _paren(_texts(cert.base_gens))
         return f"certificate: monic; f = {format_poly(cert.monic)}; base ideal {base}"
-    if cert.kind == "regular_image":
-        return (
-            f"certificate: regular_image; modulus {cert.modulus}; "
-            f"image {format_poly(cert.image)}"
-        )
-    return (
-        f"certificate: {cert.kind}; t = {cert.t}; "
-        f"witness {format_poly(cert.witness)}; cofactor {format_poly(cert.cofactor)}"
-    )
+    return f"certificate: regular_image; modulus {cert.modulus}; image {format_poly(cert.image)}"
 
 
 # -- verb handlers --------------------------------------------------------------
@@ -398,10 +383,12 @@ def _add_common(sp, ring: bool = True, gens: bool = True) -> None:
     sp.add_argument(
         "--max-pairs",
         type=int,
-        default=100_000,
+        default=Budget().max_pairs,
         help="cap on the S- and G-pairs reduced, per Groebner computation",
     )
-    sp.add_argument("--max-degree", type=int, default=60, help="total degree budget")
+    sp.add_argument(
+        "--max-degree", type=int, default=Budget().max_degree, help="total degree budget"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0, help="seed for the seeded builders")
     sp.add_argument("--pairs", help='radical_zx pairs like "2:X^2+X+1;3:X+1"')
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--max-pairs", type=int, default=100_000)
-    sp.add_argument("--max-degree", type=int, default=60)
+    sp.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
+    sp.add_argument("--max-degree", type=int, default=Budget().max_degree)
 
     return parser
 

@@ -314,7 +314,7 @@ class _Reducers:
 
 
 def _reduce(
-    terms: list, red: _Reducers, max_degree: int, quotients: list[dict] | None = None
+    terms: list, red: _Reducers, max_degree: int, quotients: list[list] | None = None
 ) -> tuple[list, int]:
     """Full normal form of a term list against ``red``: the one reduction loop.
 
@@ -328,8 +328,11 @@ def _reduce(
 
     Returns (remainder, M), M the product of those multipliers (1 except over
     QQ), such that M*f = sum(q_i*g_i) + remainder.  ``quotients``, when
-    given, receives q_i per reducer as {shift key: [shift, coefficient, M at
-    that step]}; the coefficient of q_i is coefficient * (M // M at step).
+    given, receives q_i per reducer as a list of (shift, coefficient, M at
+    that step); the coefficient of q_i at x^shift is coefficient * (M // M at
+    step).  No reducer acts twice on one monomial (a field step cancels the
+    term; over ZZ a reducer that acted leaves a residue it cannot divide), so
+    the shifts in one list are distinct and every coefficient is nonzero.
     """
     if terms and max(t[3] for t in terms) > max_degree:
         raise BudgetExceededError(f"degree budget {max_degree} exceeded during reduction")
@@ -388,11 +391,7 @@ def _reduce(
             shift = None
             if quotients is not None:
                 shift = tuple(map(sub, e, lms[gi]))
-                got = quotients[gi].get(ks)
-                if got is None:
-                    quotients[gi][ks] = [shift, q, M]
-                else:
-                    got[1] += q
+                quotients[gi].append((shift, q, M))
             for kg, eg, cg, dg in polys[gi].terms:
                 km = ks + kg
                 s = work.get(km)
@@ -428,12 +427,21 @@ def _reduce(
     return rem, M
 
 
-def _reducers_of(polys: Sequence[Polynomial], ring: RingSpec, cord: _Order) -> tuple[_Reducers, list]:
-    """Reducers for the divisors, and the scalar of each engine form."""
-    red = _Reducers(ring, cord)
+def _divisors(
+    polys: Sequence[Polynomial], order: MonomialOrder, budget: Budget
+) -> tuple[_Reducers, list]:
+    """The divisors of a division as engine reducers, and the scalar of each
+    engine form.  The order is compiled for the budget's degree bound, raised
+    to the degree of each divisor."""
+    for g in polys:
+        if g.is_zero():
+            raise ZeroPolynomialError("zero divisor in division basis")
+    ring = polys[0].ring
+    bound = max(budget.max_degree, *(g.total_degree() for g in polys))
+    red = _Reducers(ring, _compiled(order, ring, bound))
     scales = []
     for g in polys:
-        h, s = _engine_poly(g, cord)
+        h, s = _engine_poly(g, red.cord)
         red.append(h)
         scales.append(s)
     return red, scales
@@ -454,25 +462,20 @@ def divide(
     if not polys:
         return [], f
     ring = _check_same_ring([f, *polys])
-    for g in polys:
-        if g.is_zero():
-            raise ZeroPolynomialError("zero divisor in division basis")
     budget = budget or Budget()
-    bound = max(budget.max_degree, *(g.total_degree() for g in polys))
-    cord = _compiled(order or Grevlex(), ring, bound)
-    red, scales = _reducers_of(polys, ring, cord)
-    h, mu = _engine_poly(f, cord)
-    quotients: list[dict] = [{} for _ in polys]
+    red, scales = _divisors(polys, order or Grevlex(), budget)
+    h, mu = _engine_poly(f, red.cord)
+    quotients: list[list] = [[] for _ in polys]
     rem, M = _reduce(h.terms, red, budget.max_degree, quotients)
     # M*mu*f = sum(Q_i * lam_i*g_i) + rem, so q_i = Q_i * lam_i / (M*mu)
     qq = isinstance(ring.domain, RationalDomain)
     qs = [
         _to_polynomial(
             ring,
-            [(shift, q * (M // at)) for shift, q, at in qd.values() if q],
+            [(shift, q * (M // at)) for shift, q, at in steps],
             M * mu / lam if qq else 1,
         )
-        for qd, lam in zip(quotients, scales)
+        for steps, lam in zip(quotients, scales)
     ]
     return qs, _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
 
@@ -519,11 +522,7 @@ def normal_form(
     order = order or Grevlex()
     red = cache.get((order, budget.max_degree)) if cache is not None else None
     if red is None:
-        for g in polys:
-            if g.is_zero():
-                raise ZeroPolynomialError("zero divisor in division basis")
-        bound = max(budget.max_degree, *(g.total_degree() for g in polys))
-        red, _ = _reducers_of(polys, ring, _compiled(order, ring, bound))
+        red, _ = _divisors(polys, order, budget)
         if cache is not None:
             cache[(order, budget.max_degree)] = red
     h, mu = _engine_poly(f, red.cord)
@@ -635,12 +634,9 @@ def groebner_basis(
     """
     order = order or Grevlex()
     budget = budget or Budget()
-    polys = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        if g not in polys:
-            polys.append(g)
+    # A repeated generator reduces to zero against its first copy, so it
+    # adds no element and no pair.
+    polys = [g for g in gens if not g.is_zero()]
     if not polys:
         raise AlgebraError("cannot compute a basis for an empty or all-zero generating set")
     ring = _check_same_ring(polys)
@@ -653,10 +649,11 @@ def groebner_basis(
     red = _Reducers(ring, cord)
     heap: list = []
     # The live S-pairs, (i, j) -> lcm of their leading terms, and the active
-    # elements, those whose leading term no later one divides.  A heap entry
-    # whose S-pair left ``live`` is stale.  Over a field the leading term is
-    # the leading monomial (elements are normalized); over ZZ it is the pair
-    # (monomial, coefficient), kept in ``lts``.
+    # elements, those whose leading term no later one divides; at the end
+    # they are the minimal basis.  A heap entry whose S-pair left ``live`` is
+    # stale.  Over a field the leading term is the leading monomial (elements
+    # are normalized); over ZZ it is the pair (monomial, coefficient), kept
+    # in ``lts``.
     live: dict[tuple[int, int], object] = {}
     active: list[int] = []
     if int_mode:
@@ -739,7 +736,15 @@ def groebner_basis(
         if r:
             add(r)
 
-    final = _tail_reduce(_minimalize(red.polys, int_mode), ring, cord, budget)
+    # The active elements are the minimal basis.  Each new element is fully
+    # reduced against the earlier ones, so no earlier leading term divides
+    # its own (over ZZ, strongly: a remainder coefficient is below every
+    # earlier one whose monomial divides), and ``push_pairs`` retires each
+    # element whose leading term a later one divides.  Active leading
+    # monomials are distinct (over ZZ because the G-pairs are settled), so
+    # sorting by key alone orders the basis.
+    minimal = [red.polys[i] for i in sorted(active, key=red.k0s.__getitem__)]
+    final = _tail_reduce(minimal, ring, cord, budget)
     qq = isinstance(ring.domain, RationalDomain)
     elements = tuple(
         _to_polynomial(ring, [(e, c) for _, e, c, _ in f.terms], f.terms[0][2] if qq else 1)
@@ -750,29 +755,11 @@ def groebner_basis(
     return gb
 
 
-def _minimalize(polys: list[_Poly], int_mode: bool) -> list[_Poly]:
-    """Drop elements whose leading term is (strongly) divisible by another's.
-
-    The rest ascend by leading monomial, ties broken by their term lists;
-    they are the final order of the basis, because tail reduction keeps the
-    heads and no two kept elements share a leading monomial.
-    """
-    kept: list[_Poly] = []
-    for f in sorted(polys, key=lambda f: [(t[0], t[2]) for t in f.terms]):
-        _, lm, lc, _ = f.terms[0]
-        if not any(
-            _divides(h.terms[0][1], lm) and (not int_mode or lc % h.terms[0][2] == 0)
-            for h in kept
-        ):
-            kept.append(f)
-    return kept
-
-
 def _tail_reduce(basis: list[_Poly], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:
     """Reduce every term below each leading term against the other elements.
 
-    ``basis`` is sorted ascending by leading monomial (see ``_minimalize``)
-    and only a smaller leading monomial can divide a tail term, so one
+    ``basis`` is minimal and sorted ascending by leading monomial, and only
+    a smaller leading monomial can divide a tail term, so one
     ascending pass against the already reduced prefix is final.  Heads are
     kept (over QQ scaled with the tail), so the leading terms, and the basis
     property, are preserved.  Returns the reduced elements as reducers.
@@ -794,11 +781,9 @@ def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     if not polys:
         return False
     ring = _check_same_ring(polys)
-    bound = max(budget.max_degree, *(g.total_degree() for g in polys))
-    cord = _compiled(gb.order, ring, bound)
     if any(g.is_zero() for g in polys):
         return False
-    red, _ = _reducers_of(polys, ring, cord)
+    red, _ = _divisors(polys, gb.order, budget)
     elems = red.polys
     for j in range(len(elems)):
         for i in range(j):

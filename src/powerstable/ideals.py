@@ -9,7 +9,6 @@ polynomial parser refuses, so user input can never collide with them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -93,20 +92,25 @@ class Ideal:
     # -- arithmetic -----------------------------------------------------------
 
     def power(self, t: int, budget: Budget | None = None) -> "Ideal":
-        """I^t, generated by all products of t generators (with repetition)."""
+        """I^t, generated by all products of t generators (with repetition).
+
+        Built as I^k = I^(k-1) * I, one factor at a time from the highest
+        power already cached, and every I^k is cached.  A product whose new
+        factor comes before the last factor of its I^(k-1) generator has
+        already appeared, and equal products collapse, so the generators come
+        out in the order of ``itertools.combinations_with_replacement``, each
+        distinct product once.
+        """
         if t < 1:
             raise AlgebraError(f"ideal powers need t >= 1, got {t}")
+        if t == 1 or not self.generators:
+            return self
         got = self._powers.get(t)
         if got is None:
-            if t == 1 or not self.generators:
-                got = self
-            else:
-                prods = [
-                    _product(combo)
-                    for combo in itertools.combinations_with_replacement(self.generators, t)
-                ]
-                got = Ideal(self.ring, prods)
-            self._powers[t] = got
+            k = max((s for s in self._powers if s < t), default=1)
+            got = self._powers.get(k, self)
+            for k in range(k + 1, t + 1):
+                got = self._powers[k] = got * self
         return got
 
     def __add__(self, other: "Ideal") -> "Ideal":
@@ -243,13 +247,6 @@ class RadicalMembership:
 
     def __bool__(self) -> bool:
         return self.value
-
-
-def _product(polys: Sequence[Polynomial]) -> Polynomial:
-    out = polys[0]
-    for p in polys[1:]:
-        out = out * p
-    return out
 
 
 # -- ring maps ----------------------------------------------------------------

@@ -7,6 +7,8 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from powerstable import Ideal, RingMap, RingSpec, hochster_P, ideal_equal, parse_poly
 from powerstable.cli import main, run_command
@@ -389,6 +391,95 @@ def test_help_is_printed_the_same_every_time(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "cap on the S- and G-pairs reduced, per Groebner" in outputs[0]
+
+
+# -- argv fuzz ----------------------------------------------------------------------------
+
+
+_MALFORMED = ["", " , ", "X +", "1/0", "X^", "(X", "X**2", "2X", "<2^70>*X", "_y", "1/2*X", "Q"]
+# ring notation -> its variable names; hypothesis starts from the first entry
+_RINGS = {
+    "QQ[Y][X]": "XY",
+    "ZZ[X]": "X",
+    "Fp(7)[Y,Z][X]": "XYZ",
+    "QQ[Y,Z,W]": "YZW",
+    "ZZ[X": "X",
+    "Fp(6)[X]": "X",
+}
+
+
+@st.composite
+def poly_texts(draw, names):
+    """A polynomial in small coefficients and exponents over the given
+    variable names, or a malformed fragment."""
+    if draw(st.integers(0, 19)) == 19:
+        return draw(st.sampled_from(_MALFORMED))
+    text = ""
+    for i in range(draw(st.integers(1, 3))):
+        factors = [str(draw(st.integers(1, 9)))]
+        for _ in range(draw(st.integers(0, 2))):
+            factors.append(f"{draw(st.sampled_from(names))}^{draw(st.integers(0, 4))}")
+        # a leading "-" would read as a flag, so only later terms take a sign
+        text += (draw(st.sampled_from([" + ", " - "])) if i else "") + "*".join(factors)
+    return text
+
+
+@st.composite
+def ps_argvs(draw):
+    """argv for one ps verb: ring, generators and the verb's own flags."""
+    verb = draw(
+        st.sampled_from(
+            ["gb", "contract", "check-stable", "criterion", "eliminate", "quotient", "saturate",
+             "member", "radical-member", "certify", "obstruct", "kernel", "corpus"]
+        )
+    )
+    ints = st.sampled_from(["2", "3", "1", "0", "-1", "x"])
+    if verb == "corpus":
+        names = ["example_3_12", "principal", "hochster_P", "comaximal_pair", "radical_zx", "none"]
+        argv = [verb, "--name", draw(st.sampled_from(names)), "--seed", draw(ints)]
+        argv += ["--p", draw(st.sampled_from(["2", "3", "4", "7"]))]
+        argv += ["--pairs", draw(st.sampled_from(["2:X+1", "3:X^2+1;2:X", "2", "x:X"]))]
+    elif verb == "kernel":
+        source = draw(st.sampled_from(["QQ[W,Y]", "QQ[W,Y,Z]", "ZZ[W,Y]", "QQ[W"]))
+        target, names = draw(st.sampled_from([("QQ[T]", "T"), ("QQ[S,T]", "ST"), ("ZZ[T]", "T")]))
+        images = [f"{v}={draw(poly_texts(names))}" for v in draw(st.sampled_from(["WY", "WYZ", "W"]))]
+        argv = [verb, "--source", source, "--target", target, "--map", ",".join(images)]
+    else:
+        ring = draw(st.sampled_from(list(_RINGS)))
+        polys = poly_texts(_RINGS[ring])
+        argv = [verb, "--ring", ring, "--gens", ", ".join(draw(st.lists(polys, min_size=1, max_size=3)))]
+        flag = {
+            "gb": ("--order", st.sampled_from(["elim:X", "lex", "grevlex", "lex:Y,X", "elim:Q", "x"])),
+            "contract": ("--power", ints),
+            "check-stable": ("--max-power", ints),
+            "criterion": ("--max-level", ints),
+            "eliminate": ("--vars", st.sampled_from(["X", "Y", "X,Y", "Q", ""])),
+            "quotient": ("--by", polys),
+            "saturate": ("--by", polys),
+            "member": ("--poly", polys),
+            "radical-member": ("--poly", polys),
+            "obstruct": ("--witnesses", polys),
+        }.get(verb)
+        # a required flag is left out one time in six
+        if flag is not None and draw(st.integers(0, 5)) < 5:
+            argv += [flag[0], draw(flag[1])]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv + ["--max-pairs", "50", "--max-degree", "10"]
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(argv=ps_argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    code, body = run(*argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in body, argv
 
 
 # -- one parser per process ------------------------------------------------------------------

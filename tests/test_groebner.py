@@ -123,13 +123,23 @@ def test_groebner_basis_is_idempotent():
 def test_no_tail_term_is_reducible_by_another_element(ring):
     """Reducedness checked term by term, independently of the engine's own
     interreduction: over a field no other leading monomial divides a tail
-    term; over ZZ a dividing one must leave a zero least-remainder quotient."""
+    term; over ZZ a dividing one must leave a zero least-remainder quotient.
+    The basis is minimal: no leading term divides another (over ZZ, strongly:
+    monomial and coefficient), and leading monomials strictly ascend."""
     rng = random.Random(f"tail:{ring}")
     for spec in ("grevlex", "lex", f"elim:{ring.variables[0]}"):
         order = parse_order(spec, ring)
+        keyf = key_function(order, ring)
         for _ in range(6):
             gb = groebner_basis(rand_gens(rng, ring, rng.randint(2, 3), 3), order)
             heads = [p.leading_term(order) for p in gb]
+            keys = [keyf(lm) for lm, _ in heads]
+            assert keys == sorted(set(keys)), (spec, texts(gb))
+            for i, (lm_i, lc_i) in enumerate(heads):
+                for j, (lm_j, lc_j) in enumerate(heads):
+                    if j == i or any(x > y for x, y in zip(lm_j, lm_i)):
+                        continue
+                    assert ring.is_int_mode and lc_i % lc_j, (spec, texts(gb))
             for i, p in enumerate(gb):
                 for e, c in p.terms():
                     if e == heads[i][0]:

@@ -1,6 +1,8 @@
 """Ideal calculus: powers, intersection, quotient, saturation, elimination,
 membership, radicals, and kernels of ring maps."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -53,6 +55,16 @@ def test_power_generators_are_all_products():
         parse_poly("Y^2*X^2", QYX),
     }
     assert set(gadget.power(2).generators) == expected
+    # X * X*Y = X^2 * Y: equal products collapse, first occurrences in order
+    coincide = ideal(QYX, "X", "Y", "X^2", "X*Y")
+    for t in (2, 3, 4):
+        distinct = []
+        for combo in itertools.combinations_with_replacement(coincide.generators, t):
+            prod = math.prod(combo[1:], start=combo[0])
+            if prod not in distinct:
+                distinct.append(prod)
+        assert coincide.power(t).generators == tuple(distinct), t
+        assert len(distinct) < math.comb(len(coincide.generators) + t - 1, t)
 
 
 def test_power_basics():

@@ -23,8 +23,11 @@ from powerstable import (
     parse_poly,
     primary_obstruction,
     regular_image_certificate,
+    transport,
 )
 from powerstable.corpus import prime_corpus, radical_corpus, stability_corpus
+
+from oracles import macaulay_member
 
 ZX = RingSpec.parse("ZZ[X]")
 QYX = RingSpec.parse("QQ[Y][X]")
@@ -188,6 +191,46 @@ def test_one_sided_comparisons_skip_only_a_containment_that_holds():
             for g in rec.target.generators():
                 assert rec.meet.contains(g), f"{name} at level {rec.n}"
             assert rec.holds == rec.meet.equals(rec.target), f"{name} at level {rec.n}"
+
+
+def _certified_in_power(w, I, t):
+    """The least degree bound, from deg w up to 8, at which the Macaulay
+    oracle finds w in I^t, or None.  w is an int over ZZ or a polynomial of
+    the base ring or of I's own ring."""
+    ring = I.ring
+    if isinstance(w, Polynomial):
+        f = transport(w, ring)
+    else:
+        f = Polynomial.constant(ring, ring.domain.literal(w))
+    gens = I.power(t).generators
+    for bound in range(f.total_degree(), 9):
+        if macaulay_member(f, gens, bound):
+            return bound
+    return None
+
+
+def test_witnesses_are_certified_by_the_macaulay_oracle():
+    """Every reported witness lies in the power it was taken from, checked
+    by linear algebra rather than by a Groebner basis: a stability witness
+    at t in I^t, a graded-criterion witness at level n in I^(n+1)."""
+    found = {}
+    for name, I in stability_corpus():
+        report = check_power_stable(I, 4)
+        if report.witness is not None:
+            t = report.verdict.t
+            found[name, "check"] = _certified_in_power(report.witness, I, t)
+        graded = graded_criterion(I, 3)
+        if graded.witness is not None:
+            n = graded.failure_n
+            found[name, "graded"] = _certified_in_power(graded.witness, I, n + 1)
+    assert len(found) == 6
+    assert None not in found.values(), found
+
+
+def test_obstruction_product_is_certified_by_the_macaulay_oracle():
+    P = hochster_P()
+    cert = primary_obstruction(P, 2)
+    assert _certified_in_power(cert.witness * cert.cofactor, P, 2) is not None
 
 
 # -- graded criterion ---------------------------------------------------------------

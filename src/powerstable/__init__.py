@@ -29,20 +29,7 @@ from .groebner import (
     s_polynomial,
     g_polynomial,
 )
-from .ideals import (
-    Ideal,
-    RadicalMembership,
-    RingMap,
-    eliminate,
-    ideal_equal,
-    ideal_power,
-    intersect,
-    kernel_of_map,
-    member,
-    quotient,
-    radical_member,
-    saturate,
-)
+from .ideals import Ideal, RadicalMembership, RingMap
 from .orders import BlockElim, Grevlex, Lex, parse_order
 from .polynomials import (
     Polynomial,
@@ -54,7 +41,6 @@ from .polynomials import (
 from .rings import RingSpec
 from .stability import (
     BaseIdeal,
-    ContractionResult,
     GradedCriterionReport,
     GradedRecord,
     MonicCertificate,
@@ -92,7 +78,6 @@ __all__ = [
     "Budget",
     "BudgetExceededError",
     "CoefficientError",
-    "ContractionResult",
     "CorpusError",
     "FpElement",
     "GF",
@@ -124,7 +109,6 @@ __all__ = [
     "contract_power",
     "corpus",
     "divide",
-    "eliminate",
     "evaluate_map",
     "exact_divide",
     "example_3_12",
@@ -137,24 +121,16 @@ __all__ = [
     "groebner_basis",
     "hochster_P",
     "hochster_toric_map",
-    "ideal_equal",
-    "ideal_power",
-    "intersect",
     "is_groebner",
     "is_prime_u64",
-    "kernel_of_map",
-    "member",
     "monic_certificate",
     "normal_form",
     "parse_order",
     "parse_poly",
     "primary_obstruction",
     "principal",
-    "quotient",
-    "radical_member",
     "radical_zx",
     "regular_image_certificate",
     "s_polynomial",
-    "saturate",
     "transport",
 ]

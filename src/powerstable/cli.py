@@ -138,9 +138,8 @@ def _cmd_gb(args, ideal, budget):
 
 
 def _cmd_contract(args, ideal, budget):
-    res = contract_power(ideal, args.power, budget)
-    doc = {"power": args.power, "contraction": list(res.base.texts())}
-    return 0, doc, [_paren(res.base.texts())]
+    texts = contract_power(ideal, args.power, budget).texts()
+    return 0, {"power": args.power, "contraction": list(texts)}, [_paren(texts)]
 
 
 def _cmd_check_stable(args, ideal, budget):
@@ -326,6 +325,7 @@ def _cmd_corpus(args):
                 raise ParseError(f"modulus {p_str.strip()!r} is not an integer") from None
             pairs.append((p, f_str.strip()))
         params["pairs"] = pairs
+        params["budget"] = _budget(args)
     result = corpus(args.name, params)
     if isinstance(result, Ideal):
         doc = {"name": args.name, **_ideal_doc(result)}
@@ -449,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=2, help="prime for example_3_12")
     sp.add_argument("--seed", type=int, default=0, help="seed for the seeded builders")
     sp.add_argument("--pairs", help='radical_zx pairs like "2:X^2+X+1;3:X+1"')
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--max-pairs", type=int, default=Budget().max_pairs)
-    sp.add_argument("--max-degree", type=int, default=Budget().max_degree)
+    _add_common(sp, ring=False, gens=False)
 
     return parser
 

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 from .coefficients import is_prime_u64
 from .errors import CorpusError
+from .groebner import Budget, normal_form
 from .ideals import Ideal, RingMap
 from .polynomials import Polynomial, parse_poly
 from .rings import RingSpec
@@ -144,74 +145,42 @@ def _random_monic_irreducible(rng: random.Random, p: int) -> Polynomial:
         f = x**deg
         for i, c in enumerate(coeffs):
             f = f + Polynomial.constant(_ZX, c) * x**i
-        if _irreducible_mod_p(_int_coeffs(f), p):
+        if _irreducible_mod_p(f, p):
             return f
 
 
 # -- mod-p irreducibility (validation for the radical corpus) ---------------------
 
 
-def _int_coeffs(f: Polynomial) -> list[int]:
-    """Dense little-endian integer coefficient list of f in ZZ[X]."""
-    d = f.total_degree()
-    out = [0] * (d + 1)
-    for e, c in f.terms():
-        out[e[0]] = int(c)
-    return out
+def _irreducible_mod_p(f: Polynomial, p: int) -> bool:
+    """Brute-force irreducibility of f in ZZ[X] over GF(p), degree at most 6.
 
-
-def _strip_mod(coeffs: Sequence[int], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _polyrem_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by den over GF(p); den must be nonzero."""
-    num = list(num)
-    dn = len(den) - 1
-    inv = pow(den[-1], -1, p)
-    while len(num) - 1 >= dn and num:
-        shift = len(num) - 1 - dn
-        q = num[-1] * inv % p
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - q * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
-def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    """Brute-force irreducibility over GF(p), degree at most 6.
-
-    Checks every monic candidate divisor of degree 1..deg/2; the search
-    space stays tiny at desk scale (p <= 13, degree <= 6)."""
-    f = _strip_mod(coeffs, p)
-    deg = len(f) - 1
+    Maps f into GF(p)[X] and divides it by every monic candidate divisor of
+    degree 1..deg/2; the search space stays tiny at desk scale (p <= 13,
+    degree <= 6)."""
+    ring = RingSpec.parse(f"Fp({p})[X]")
+    gf = ring.domain
+    f_p = Polynomial(ring, {e: gf.from_int(int(c)) for e, c in f.terms()})
+    deg = f_p.total_degree()
     if deg < 1:
         return False
     if deg > 6:
         raise CorpusError(f"irreducibility check limited to degree 6, got {deg}")
     for k in range(1, deg // 2 + 1):
         for code in range(p**k):
-            g = []
-            c = code
-            for _ in range(k):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            if not _polyrem_mod(f, g, p):
+            low = {(i,): gf.from_int(code // p**i % p) for i in range(k)}
+            g = Polynomial(ring, {**low, (k,): gf.one})
+            if normal_form(f_p, [g]).is_zero():
                 return False
     return True
 
 
-def radical_zx(pairs: Sequence[tuple[int, object]]) -> Ideal:
+def radical_zx(pairs: Sequence[tuple[int, object]], budget: Budget | None = None) -> Ideal:
     """Intersection of maximal ideals (p, f) of ZZ[X].
 
     Each pair must have p prime and f irreducible mod p with its leading
     coefficient a unit mod p, so that (p, f) really is maximal; the pairs
-    are intersected left to right."""
+    are intersected left to right, each intersection under ``budget``."""
     if not pairs:
         raise CorpusError("radical_zx needs at least one (p, f) pair")
     parts: list[Ideal] = []
@@ -219,17 +188,16 @@ def radical_zx(pairs: Sequence[tuple[int, object]]) -> Ideal:
         if p < 2 or not is_prime_u64(p):
             raise CorpusError(f"radical_zx modulus must be prime, got {p}")
         poly = f if isinstance(f, Polynomial) else parse_poly(str(f), _ZX)
-        coeffs = _int_coeffs(poly)
-        if not coeffs or coeffs[-1] % p == 0:
+        if poly.is_zero() or int(poly.leading_term()[1]) % p == 0:
             raise CorpusError(
                 f"radical_zx polynomial {f} drops degree mod {p}; pick a unit leading coefficient"
             )
-        if not _irreducible_mod_p(coeffs, p):
+        if not _irreducible_mod_p(poly, p):
             raise CorpusError(f"radical_zx polynomial {f} is reducible mod {p}")
         parts.append(Ideal(_ZX, [Polynomial.constant(_ZX, p), poly]))
     out = parts[0]
     for nxt in parts[1:]:
-        out = out.intersect(nxt)
+        out = out.intersect(nxt, budget)
     return out
 
 

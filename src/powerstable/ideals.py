@@ -288,44 +288,3 @@ class RingMap:
         ]
         kept = Ideal(joint, gens).eliminate(self.target.variables, budget)
         return Ideal(self.source, [transport(g, self.source) for g in kept.generators])
-
-
-# -- functional aliases ----------------------------------------------------------
-
-
-def ideal_power(ideal: Ideal, t: int, budget: Budget | None = None) -> Ideal:
-    return ideal.power(t, budget)
-
-
-def intersect(left: Ideal, right: Ideal, budget: Budget | None = None) -> Ideal:
-    return left.intersect(right, budget)
-
-
-def quotient(ideal: Ideal, f: Polynomial, budget: Budget | None = None) -> Ideal:
-    return ideal.quotient(f, budget)
-
-
-def saturate(ideal: Ideal, f: Polynomial, budget: Budget | None = None) -> Ideal:
-    return ideal.saturate(f, budget)
-
-
-def eliminate(ideal: Ideal, front: Sequence[str], budget: Budget | None = None) -> Ideal:
-    return ideal.eliminate(front, budget)
-
-
-def member(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:
-    return ideal.contains(f, budget)
-
-
-def radical_member(
-    f: Polynomial, ideal: Ideal, budget: Budget | None = None
-) -> RadicalMembership:
-    return ideal.radical_contains(f, budget)
-
-
-def ideal_equal(left: Ideal, right: Ideal, budget: Budget | None = None) -> bool:
-    return left.equals(right, budget)
-
-
-def kernel_of_map(ring_map: RingMap, budget: Budget | None = None) -> Ideal:
-    return ring_map.kernel(budget)

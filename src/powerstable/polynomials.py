@@ -29,7 +29,6 @@ from typing import Iterable, Mapping
 from .coefficients import Coefficient
 from .errors import (
     AlgebraError,
-    CoefficientError,
     ParseError,
     RingMismatchError,
     ZeroPolynomialError,

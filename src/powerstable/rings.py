@@ -18,7 +18,7 @@ Text notation, also used by the CLI:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coefficients import CoefficientDomain, IntegerDomain, PrimeField, QQ, ZZ
 from .errors import AlgebraError, ParseError

@@ -94,16 +94,8 @@ class BaseIdeal:
 # -- contraction ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionResult:
-    """I^t ∩ R for one exponent t."""
-
-    t: int
-    base: BaseIdeal
-
-
-def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> ContractionResult:
-    """Contract I^t to the coefficient ring.
+def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> BaseIdeal:
+    """Contract I^t to the coefficient ring: the ideal I^t ∩ R.
 
     Over ZZ the reduced strong basis pins the contraction down exactly: its
     constant element (if any) generates I^t ∩ ZZ.  In field mode the main
@@ -113,16 +105,15 @@ def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> Contra
     ring = ideal.ring
     ring.require_main()
     pw = ideal.power(t, budget)
-    if ring.is_int_mode:
-        if pw.is_zero_ideal():
-            return ContractionResult(t, BaseIdeal(ring, integer=0))
-        d = 0
+    if not ring.is_int_mode:
+        return BaseIdeal(ring, ideal=pw._contract(budget))
+    d = 0
+    if not pw.is_zero_ideal():
         for g in pw.groebner(budget=budget).elements:
             if g.is_constant():
                 d = abs(int(g.constant_value()))
                 break
-        return ContractionResult(t, BaseIdeal(ring, integer=d))
-    return ContractionResult(t, BaseIdeal(ring, ideal=pw._contract(budget)))
+    return BaseIdeal(ring, integer=d)
 
 
 # -- bounded stability check -------------------------------------------------------
@@ -190,7 +181,7 @@ def check_power_stable(
         raise AlgebraError(f"stability bound must be >= 1, got {bound}")
     records: list[StabilityRecord] = []
     for t in range(1, bound + 1):
-        ct = contract_power(ideal, t, budget).base
+        ct = contract_power(ideal, t, budget)
         if t == 1:
             base1 = ct
         expected = base1.power(t, budget)
@@ -238,7 +229,7 @@ def graded_criterion(
         raise AlgebraError(f"graded bound must be >= 0, got {bound}")
     records: list[GradedRecord] = []
     for n in range(bound + 1):
-        c_next = contract_power(ideal, n + 1, budget).base
+        c_next = contract_power(ideal, n + 1, budget)
         if n == 0:
             J = meet = c_next
         else:

@@ -1,16 +1,21 @@
 """The ps command line: exit codes, fixed text templates, json documents."""
 
+import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from powerstable import Ideal, RingMap, RingSpec, hochster_P, ideal_equal, parse_poly
+import powerstable
+from powerstable import Ideal, RingMap, RingSpec, hochster_P, parse_poly
 from powerstable.cli import main, run_command
 
 
@@ -134,7 +139,7 @@ def test_kernel_of_the_toric_map():
     assert doc["map"] == {"Y": "T^4", "Z": "T^5", "W": "T^3"}
     src = RingSpec.parse("QQ[Y,Z,W]")
     kernel = Ideal(src, [parse_poly(t, src) for t in doc["kernel"]])
-    assert ideal_equal(kernel, hochster_P())
+    assert kernel.equals(hochster_P())
 
 
 def test_certify_verbs():
@@ -316,6 +321,19 @@ def test_corpus_radical_zx_pairs():
     assert code == 2
     code, body = run("corpus", "--name", "radical_zx", "--pairs", "4:X+1")
     assert code == 2  # 4 is not prime
+
+
+def test_corpus_radical_zx_honours_the_budget_flags():
+    pairs = ("corpus", "--name", "radical_zx", "--pairs", "2:X^2+X+1;3:X+1;5:X+2")
+    assert run(*pairs) == (0, "ZZ[X]\n(30, 2*X + 14, X^2 + X + 3)")
+    for flag, message in (
+        (("--max-pairs", "1"), "pair budget 1 exhausted"),
+        (("--max-degree", "1"), "degree budget 1 exceeded (term of degree 3)"),
+    ):
+        assert run(*pairs, *flag) == (3, f"budget exceeded: {message}")
+        code, body = run(*pairs, *flag, "--format", "json")
+        assert code == 3
+        assert json.loads(body) == {"error": message, "budget_exceeded": True}
 
 
 def test_corpus_deterministic_per_seed():
@@ -557,3 +575,26 @@ def test_readme_examples_print_what_they_show():
     assert len(examples) == 5
     for argv, shown in examples:
         assert run(*argv)[1] == shown, argv
+
+
+def test_readme_library_block_prints_what_its_comments_show():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    shown = [line.split("# ", 1)[1].strip() for line in block.splitlines() if "print(" in line]
+    assert shown == ["UNSTABLE_AT(2)", "8", "monic"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == shown
+
+
+def test_python_m_powerstable_runs_the_cli():
+    argv = ["corpus", "--name", "example_3_12", "--p", "5"]
+    (shown,) = [body for args, body in _readme_examples() if args == argv]
+    src = str(Path(powerstable.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "powerstable", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == shown + "\n"

@@ -477,6 +477,24 @@ def test_degree_budget_guards_inputs():
         groebner_basis([f], budget=Budget(max_pairs=100, max_degree=4))
 
 
+def test_degree_budget_guards_reduction_steps():
+    # every input is inside the budget, but reducing X by X - Y^10, or the
+    # S-polynomial -X*Y^4 of X - Y^4 and X^2 by X - Y^4, forms a term of degree > 5
+    x, g = parse_poly("X", QYX), parse_poly("X - Y^10", QYX)
+    low = Budget(max_degree=5)
+    lex = Lex(("X", "Y"))
+    calls = [
+        lambda: divide(x, [g], lex, low),
+        lambda: normal_form(x, [g], lex, low),
+        lambda: groebner_basis(
+            [parse_poly("X - Y^4", QYX), parse_poly("X^2", QYX)], BlockElim(("X",)), low
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceededError, match="degree budget 5 exceeded during reduction"):
+            call()
+
+
 def test_mixed_rings_rejected():
     with pytest.raises(AlgebraError):
         groebner_basis([parse_poly("X", ZX), parse_poly("X", QYX)])

@@ -1,9 +1,10 @@
 """Polynomial arithmetic, parsing, formatting, and monomial orders."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerstable import (
@@ -34,6 +35,7 @@ ZX = RingSpec.parse("ZZ[X]")
 QYX = RingSpec.parse("QQ[Y][X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
 F5 = RingSpec.parse("Fp(5)[Y,Z][X]")
+F32003 = RingSpec.parse("Fp(32003)[Y][X]")
 
 RINGS = pytest.mark.parametrize("ring", [ZX, QYX, F5], ids=["ZZ[X]", "QQ[Y][X]", "F5[Y,Z][X]"])
 
@@ -318,6 +320,35 @@ def test_format_round_trip():
                 ],
             )
             assert parse_poly(format_poly(f), ring) == f
+
+
+@st.composite
+def wide_polys(draw, ring):
+    """Polynomials with coefficients up to 10^30 in absolute value and, over
+    QQ, denominators up to 10^6; the zero polynomial included."""
+    n = len(ring.variables)
+    exp = st.tuples(*(st.integers(0, 4) for _ in range(n)))
+    coef = st.integers(-(10**30), 10**30)
+    if ring.domain.name == "QQ":
+        coef = st.builds(Fraction, coef, st.integers(1, 10**6))
+    return build(ring, draw(st.lists(st.tuples(exp, coef), max_size=5)))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZX, QYX, QYZW, F5, F32003],
+    ids=["ZZ[X]", "QQ[Y][X]", "QQ[Y,Z,W]", "F5[Y,Z][X]", "F32003[Y][X]"],
+)
+def test_format_parse_round_trip_fuzzed(ring):
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(f=wide_polys(ring))
+    @example(f=Polynomial.zero(ring))
+    def check(f):
+        text = format_poly(f)
+        assert parse_poly(text, ring) == f
+        assert format_poly(parse_poly(text, ring)) == text
+
+    check()
 
 
 def test_format_style():

@@ -1,6 +1,8 @@
 """Power stability: contractions, verdicts, the graded criterion, and
 certificates (monic, regular image, primary obstruction)."""
 
+import random
+
 import pytest
 
 import powerstable.ideals
@@ -18,7 +20,6 @@ from powerstable import (
     gadget_3_14,
     graded_criterion,
     hochster_P,
-    member,
     monic_certificate,
     parse_poly,
     primary_obstruction,
@@ -32,6 +33,7 @@ from oracles import macaulay_member
 ZX = RingSpec.parse("ZZ[X]")
 QYX = RingSpec.parse("QQ[Y][X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
+F7 = RingSpec.parse("Fp(7)[Y][X]")
 
 
 def ideal(ring, *texts):
@@ -44,19 +46,19 @@ def ideal(ring, *texts):
 def test_contraction_of_the_square_root_of_two_ideal():
     for p in (2, 3, 5):
         I = example_3_12(p)
-        c1 = contract_power(I, 1).base
+        c1 = contract_power(I, 1)
         assert c1.generators() == (p * p,)
-        c2 = contract_power(I, 2).base
+        c2 = contract_power(I, 2)
         assert c2.generators() == (p**3,)
-        assert member(parse_poly(str(p**3), ZX), I.power(2))
+        assert I.power(2).contains(parse_poly(str(p**3), ZX))
 
 
 def test_contraction_of_the_gadget():
     I = gadget_3_14()
     base = I.ring.base_ring()
-    c1 = contract_power(I, 1).base
+    c1 = contract_power(I, 1)
     assert c1.ideal.equals(Ideal.from_texts(base, ["Y^2"]))
-    c2 = contract_power(I, 2).base
+    c2 = contract_power(I, 2)
     y3 = parse_poly("Y^3", base)
     assert c2.ideal.contains(y3)
     assert not c1.power(2).contains(y3)
@@ -65,7 +67,7 @@ def test_contraction_of_the_gadget():
 def test_contraction_of_monic_pair():
     I = ideal(QYX, "Y", "X^2 + X + 1")
     base = QYX.base_ring()
-    c3 = contract_power(I, 3).base
+    c3 = contract_power(I, 3)
     assert c3.ideal.equals(Ideal.from_texts(base, ["Y^3"]))
 
 
@@ -73,17 +75,17 @@ def test_contraction_modes_and_edges():
     with pytest.raises(AlgebraError):
         contract_power(Ideal(QYZW, [parse_poly("Y", QYZW)]), 1)  # no main variable
     zero = Ideal(ZX, [])
-    assert contract_power(zero, 2).base.is_zero()
+    assert contract_power(zero, 2).is_zero()
     unit = ideal(ZX, "1")
-    assert contract_power(unit, 3).base.generators() == (1,)
+    assert contract_power(unit, 3).generators() == (1,)
 
 
 def test_contraction_containment_half_always_holds():
     # (I ∩ R)^t ⊆ I^t ∩ R for every ideal and exponent
     for name, I in stability_corpus():
-        c1 = contract_power(I, 1).base
+        c1 = contract_power(I, 1)
         for t in (2, 3, 4, 5):
-            ct = contract_power(I, t).base
+            ct = contract_power(I, t)
             for g in c1.power(t).generators():
                 assert ct.contains(g), f"{name} at t={t}"
 
@@ -117,9 +119,9 @@ def test_contractions_come_from_the_ideal_caches(
 
     monkeypatch.setattr(powerstable.ideals, "groebner_basis", counting)
     I = ideal(ring, *texts)
-    first = contract_power(I, 2).base
-    assert contract_power(I, 2).base.ideal is first.ideal
-    assert contract_power(I, 2).base.texts() == first.texts()
+    first = contract_power(I, 2)
+    assert contract_power(I, 2).ideal is first.ideal
+    assert contract_power(I, 2).texts() == first.texts()
     assert computed == [ring]
 
     I = ideal(ring, *texts)
@@ -244,6 +246,37 @@ def test_graded_criterion_matches_bounded_stability():
         assert graded.holds == direct.is_stable(), name
 
 
+def _seeded_graded_family(rng, i):
+    """(X^a + c*X - p, X^b) over ZZ[X], c often 0; (X^a - Y^c, Y^d*X^e),
+    sometimes with Y^3, over QQ[Y][X] and GF(7)[Y][X].  Plain random
+    generators are almost always stable, these families often are not."""
+    if i % 3 == 0:
+        a, b, p = rng.randint(2, 3), rng.randint(3, 5), rng.choice((2, 3, 5))
+        c = rng.choice((0, 0, rng.randint(1, 4)))
+        return ideal(ZX, f"X^{a} + {c}*X - {p}", f"X^{b}")
+    ring = QYX if i % 3 == 1 else F7
+    a, c, d, e = rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+    gens = [f"X^{a} - Y^{c}", f"Y^{d}*X^{e}"]
+    if rng.random() < 0.3:
+        gens.append("Y^3")
+    return ideal(ring, *gens)
+
+
+def test_graded_criterion_matches_bounded_stability_on_seeded_families():
+    rng = random.Random("graded-families")
+    outcomes = set()
+    for i in range(60):
+        I = _seeded_graded_family(rng, i)
+        graded = graded_criterion(I, 2)
+        direct = check_power_stable(I, 3)
+        assert graded.holds == direct.is_stable(), I
+        if not direct.is_stable():
+            assert graded.failure_n + 1 == direct.verdict.t, I
+        outcomes.add((I.ring, str(direct.verdict)))
+    # in every ring: stable up to 3, unstable at 2 and unstable at 3
+    assert len(outcomes) == 9
+
+
 def test_graded_failure_level_and_witness():
     report = graded_criterion(example_3_12(2), 3)
     assert not report.holds
@@ -352,9 +385,9 @@ def test_obstruction_for_the_toric_prime_with_explicit_witnesses():
     assert cert.witness == w
     assert cert.cofactor == parse_poly("W^5 + Y^3*W - 3*Y*Z*W^2 + Z^3", QYZW)
     assert cert.verify()
-    assert member(cert.witness * cert.cofactor, P.power(2))
-    assert not member(cert.cofactor, P.power(2))
-    assert not member(cert.witness, P)
+    assert P.power(2).contains(cert.witness * cert.cofactor)
+    assert not P.power(2).contains(cert.cofactor)
+    assert not P.contains(cert.witness)
 
 
 def test_obstruction_default_witnesses_are_the_variables():
@@ -392,15 +425,15 @@ def test_radical_corpus_is_stable():
 
 
 def test_comaximal_intersections_stay_stable():
-    from powerstable import comaximal_pair, intersect
+    from powerstable import comaximal_pair
 
     for seed in (0, 1, 2):
         A, B = comaximal_pair(seed)
         one = Polynomial.one(A.ring)
-        assert member(one, A + B)
+        assert (A + B).contains(one)
         assert check_power_stable(A, 3).is_stable()
         assert check_power_stable(B, 3).is_stable()
-        assert check_power_stable(intersect(A, B), 3).is_stable()
+        assert check_power_stable(A.intersect(B), 3).is_stable()
 
 
 # -- base ideal arithmetic -------------------------------------------------------------------

@@ -86,7 +86,10 @@ class Budget:
     the total degree of every polynomial it forms.  Each ``groebner_basis``
     call checks them on its own, so an operation that computes several bases
     (a contraction, a stability check) may reduce many times ``max_pairs``
-    pairs in total."""
+    pairs in total.  ``max_degree`` also caps the generators of ideal powers,
+    before I^t is formed.  Over the cap the error reads "degree budget D
+    exceeded (term of degree N)", or "... during reduction" for a term that
+    a reduction step forms."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
@@ -105,9 +108,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 # -- shared helpers -----------------------------------------------------------
 
@@ -120,11 +120,9 @@ def _check_same_ring(polys: Sequence[Polynomial]) -> RingSpec:
     return ring
 
 
-def _degree_guard(p, budget: Budget) -> None:
-    if p.total_degree() > budget.max_degree:
-        raise BudgetExceededError(
-            f"degree budget {budget.max_degree} exceeded (term of degree {p.total_degree()})"
-        )
+def _check_degree(max_degree: int, degree: int) -> None:
+    if degree > max_degree:
+        raise BudgetExceededError(f"degree budget {max_degree} exceeded (term of degree {degree})")
 
 
 def _divides(lm: Exponents, e: Exponents) -> bool:
@@ -205,9 +203,6 @@ class _Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((t[3] for t in self.terms), default=-1)
 
 
 def _modulus(ring: RingSpec) -> int:
@@ -333,9 +328,10 @@ def _reduce(
     step).  No reducer acts twice on one monomial (a field step cancels the
     term; over ZZ a reducer that acted leaves a residue it cannot divide), so
     the shifts in one list are distinct and every coefficient is nonzero.
+    The engine checks the degree budget here only: on entry, and on each
+    term a reduction step forms ("during reduction").
     """
-    if terms and max(t[3] for t in terms) > max_degree:
-        raise BudgetExceededError(f"degree budget {max_degree} exceeded during reduction")
+    _check_degree(max_degree, max((t[3] for t in terms), default=-1))
     p, qq, int_mode = red.p, red.qq, red.ring.is_int_mode
     polys, lms, lcs, invs, k0s, d0s = red.polys, red.lms, red.lcs, red.invs, red.k0s, red.d0s
     first = red.first
@@ -643,8 +639,6 @@ def groebner_basis(
     int_mode = ring.is_int_mode
     cord = _compiled(order, ring, budget.max_degree)
     key = cord.key
-    for p in polys:
-        _degree_guard(p, budget)
 
     red = _Reducers(ring, cord)
     heap: list = []
@@ -710,8 +704,7 @@ def groebner_basis(
         push_pairs(len(red.polys) - 1)
 
     for g in polys:
-        h, _ = _engine_poly(g, cord)
-        r = _reduce(h.terms, red, budget.max_degree)[0] if red.polys else h.terms
+        r, _ = _reduce(_engine_poly(g, cord)[0].terms, red, budget.max_degree)
         if r:
             add(r)
 
@@ -731,7 +724,6 @@ def groebner_basis(
         p = g_polynomial(f, g, order) if kind else s_polynomial(f, g, order)
         if p.is_zero():
             continue
-        _degree_guard(p, budget)
         r, _ = _reduce(p.terms, red, budget.max_degree)
         if r:
             add(r)

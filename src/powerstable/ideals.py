@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebraError, RingMismatchError
-from .groebner import Budget, GroebnerBasis, exact_divide, groebner_basis, normal_form
+from .groebner import Budget, GroebnerBasis, _check_degree, exact_divide, groebner_basis, normal_form
 from .orders import BlockElim, Grevlex, MonomialOrder
 from .polynomials import Polynomial, evaluate_map, format_poly, transport
 from .rings import RingSpec
@@ -27,14 +27,13 @@ class Ideal:
 
     Zero generators are discarded and duplicates collapse, so the empty
     list is the zero ideal.  Groebner bases and powers are cached on the
-    instance, bases per monomial order, and so is the field-mode
-    contraction to the coefficient ring.  Elimination (and with it
+    instance, bases per monomial order.  Elimination (and with it
     intersection, saturation, kernels and contractions of powers) computes
-    its elimination-order basis through the same per-order cache, and each
-    of these is one route over ZZ, QQ and GF(p) alike.
+    its basis through the same per-order cache, and each of these is one
+    route over ZZ, QQ and GF(p) alike.
     """
 
-    __slots__ = ("ring", "generators", "_gb", "_powers", "_contraction")
+    __slots__ = ("ring", "generators", "_gb", "_powers")
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens: list[Polynomial] = []
@@ -48,7 +47,6 @@ class Ideal:
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._powers: dict[int, "Ideal"] = {}
-        self._contraction: "Ideal | None" = None
 
     # -- construction ------------------------------------------------------
 
@@ -73,8 +71,6 @@ class Ideal:
         order = order or Grevlex()
         got = self._gb.get(order)
         if got is None:
-            if not self.generators:
-                raise AlgebraError("the zero ideal has no Groebner basis elements")
             got = groebner_basis(self.generators, order, budget)
             self._gb[order] = got
         return got
@@ -99,12 +95,16 @@ class Ideal:
         factor comes before the last factor of its I^(k-1) generator has
         already appeared, and equal products collapse, so the generators come
         out in the order of ``itertools.combinations_with_replacement``, each
-        distinct product once.
+        distinct product once.  Over domains I^t has a generator of degree t
+        times the top one, which any basis of I^t rejects over the degree
+        budget, so such a power raises before it is formed.
         """
         if t < 1:
             raise AlgebraError(f"ideal powers need t >= 1, got {t}")
         if t == 1 or not self.generators:
             return self
+        top = max(g.total_degree() for g in self.generators)
+        _check_degree((budget or Budget()).max_degree, t * top)
         got = self._powers.get(t)
         if got is None:
             k = max((s for s in self._powers if s < t), default=1)
@@ -180,21 +180,11 @@ class Ideal:
         if not front or self.is_zero_ideal():
             return self
         # A (strong) Groebner basis under an elimination order restricts to
-        # a basis of the elimination ideal, over fields and over ZZ alike.
-        gb = self.groebner(BlockElim(front), budget)
+        # a basis of the elimination ideal, over fields and over ZZ alike;
+        # without variables left, the constants of any basis generate it.
+        order = Grevlex() if set(front) >= set(self.ring.variables) else BlockElim(front)
+        gb = self.groebner(order, budget)
         return Ideal(self.ring, [g for g in gb.elements if g.free_of(front)])
-
-    def _contract(self, budget: Budget | None = None) -> "Ideal":
-        """I ∩ R over a field coefficient ring R, as an ideal of R itself.
-
-        Computed once per instance, so a repeated contraction returns the
-        same ideal of R together with the bases cached on it.
-        """
-        if self._contraction is None:
-            base = self.ring.base_ring()
-            kept = self.eliminate((self.ring.require_main(),), budget)
-            self._contraction = Ideal(base, [transport(g, base) for g in kept.generators])
-        return self._contraction
 
     def radical_contains(self, f: Polynomial, budget: Budget | None = None) -> "RadicalMembership":
         """Is some power of f in I?

@@ -40,7 +40,7 @@ Exponents = tuple[int, ...]
 
 
 class Polynomial:
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: RingSpec, terms: Mapping[Exponents, Coefficient] | None = None):
         clean: dict[Exponents, Coefficient] = {}
@@ -52,14 +52,12 @@ class Polynomial:
                 clean[tuple(e)] = c
         self.ring = ring
         self._terms = clean
-        self._hash = None
 
     @classmethod
     def _make(cls, ring: RingSpec, clean: dict[Exponents, Coefficient]) -> "Polynomial":
         p = object.__new__(cls)
         p.ring = ring
         p._terms = clean
-        p._hash = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -165,18 +163,7 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._peer(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            else:
-                s = s - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial._make(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._make(self.ring, {e: -c for e, c in self._terms.items()})
@@ -239,9 +226,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"<{format_poly(self)} over {self.ring}>"
@@ -266,23 +251,14 @@ def evaluate_map(
     for v, img in images.items():
         if img.ring != target:
             raise RingMismatchError(f"image of {v} lives in {img.ring}, expected {target}")
-    cache: dict[tuple[str, int], Polynomial] = {}
-
-    def power_of(v: str, k: int) -> Polynomial:
-        got = cache.get((v, k))
-        if got is None:
-            if v not in images:
-                raise AlgebraError(f"no image given for variable {v!r}")
-            got = images[v] ** k
-            cache[(v, k)] = got
-        return got
-
     out = Polynomial.zero(target)
     for e, c in f._terms.items():
         term = Polynomial.constant(target, c)
         for v, k in zip(f.ring.variables, e):
             if k:
-                term = term * power_of(v, k)
+                if v not in images:
+                    raise AlgebraError(f"no image given for variable {v!r}")
+                term = term * images[v] ** k
         out = out + term
     return out
 

@@ -29,7 +29,7 @@ from typing import Sequence
 from .errors import AlgebraError
 from .groebner import Budget
 from .ideals import Ideal
-from .polynomials import Polynomial, format_poly
+from .polynomials import Polynomial, format_poly, transport
 from .rings import RingSpec
 
 
@@ -95,25 +95,20 @@ class BaseIdeal:
 
 
 def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> BaseIdeal:
-    """Contract I^t to the coefficient ring: the ideal I^t ∩ R.
+    """Contract I^t to the coefficient ring: the ideal I^t ∩ R, which is
+    the elimination of the main variable from I^t, over every R.
 
-    Over ZZ the reduced strong basis pins the contraction down exactly: its
-    constant element (if any) generates I^t ∩ ZZ.  In field mode the main
-    variable is eliminated and the X-free basis re-expressed over R, once
-    per power ideal: a repeated (I, t) returns the same ideal of R.
+    Over ZZ the reduced strong basis keeps at most one constant, and it
+    generates I^t ∩ ZZ (none: the zero ideal).  In field mode the kept
+    generators are re-expressed over R.
     """
     ring = ideal.ring
-    ring.require_main()
-    pw = ideal.power(t, budget)
-    if not ring.is_int_mode:
-        return BaseIdeal(ring, ideal=pw._contract(budget))
-    d = 0
-    if not pw.is_zero_ideal():
-        for g in pw.groebner(budget=budget).elements:
-            if g.is_constant():
-                d = abs(int(g.constant_value()))
-                break
-    return BaseIdeal(ring, integer=d)
+    main = ring.require_main()
+    kept = ideal.power(t, budget).eliminate((main,), budget).generators
+    if ring.is_int_mode:
+        return BaseIdeal(ring, integer=abs(int(kept[0].constant_value())) if kept else 0)
+    base = ring.base_ring()
+    return BaseIdeal(ring, ideal=Ideal(base, [transport(g, base) for g in kept]))
 
 
 # -- bounded stability check -------------------------------------------------------
@@ -404,12 +399,13 @@ def primary_obstruction(
         witnesses = [
             Polynomial.variable(ring, v) for v in ring.variables if v not in ring.aux_vars
         ]
-    pt = ideal.power(t, budget)
+    pt = None  # formed once a witness outside P needs it
     for w in witnesses:
         if w.ring != ring:
             raise AlgebraError(f"witness candidate in {w.ring}, expected {ring}")
         if ideal.contains(w, budget):
             continue
+        pt = pt or ideal.power(t, budget)
         colon = pt.quotient(w, budget)
         for q in colon.generators:
             if not pt.contains(q, budget):

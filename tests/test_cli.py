@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -397,6 +398,67 @@ def test_degree_budget_flag():
     assert code == 3
 
 
+def test_power_over_the_degree_budget_exits_three_before_it_is_formed():
+    # (X + Y + Z + 1)^100 has 176,851 terms; the budget refuses it unformed
+    argv = ("contract", "--ring", "QQ[Y,Z][X]", "--gens", "X + Y + Z + 1", "--power", "100")
+    started = time.perf_counter()
+    result = run(*argv)
+    assert time.perf_counter() - started < 1
+    assert result == (3, "budget exceeded: degree budget 60 exceeded (term of degree 100)")
+    # the ring is checked first: QQ[X] has no main variable to contract
+    code, body = run("contract", "--ring", "QQ[X]", "--gens", "X^2", "--power", "3", "--max-degree", "3")
+    assert (code, body) == (2, "error: ring QQ[X] has no distinguished main variable")
+    # P^t is formed only for a witness outside P
+    argv = ("obstruct", "--ring", "QQ[Y][X]", "--gens", "X, Y", "--power", "100")
+    assert run(*argv, "--witnesses", "X,Y") == (0, "no obstruction found (not a primality proof)")
+
+
+# Inputs that exit 2, each with the message it prints.
+_EXIT_TWO = [
+    (("obstruct", "--ring", "QQ[Y][X]", "--gens", "X", "--witnesses", ","), "empty witness list"),
+    (
+        ("kernel", "--source", "QQ[Y,Z]", "--target", "QQ[T]", "--map", "W"),
+        "map entries look like VAR=POLY, got 'W'",
+    ),
+    (("corpus",), "corpus needs --list or --name"),
+    (
+        ("corpus", "--name", "radical_zx", "--pairs", "2X+1"),
+        "pair entries look like p:POLY, got '2X+1'",
+    ),
+    (("corpus", "--name", "radical_zx", "--pairs", "a:X"), "modulus 'a' is not an integer"),
+    (("gb", "--ring", "QQ[]", "--gens", "X"), "empty variable group in ring notation 'QQ[]'"),
+    (("gb", "--ring", "QQ[1X]", "--gens", "X"), "bad variable name '1X' in ring notation"),
+    (
+        ("gb", "--ring", "QQ[Y][X,Z]", "--gens", "X"),
+        "the second variable group must hold a single main variable",
+    ),
+    (("gb", "--ring", "ZZ[Y][X]", "--gens", "X"), "ZZ rings do not take base variables"),
+    (
+        ("gb", "--ring", "QQ[X][Y][Z]", "--gens", "X"),
+        "too many variable groups in ring notation 'QQ[X][Y][Z]'",
+    ),
+    (("gb", "--ring", "ZZ[X]", "--gens", "X 2"), "expected '+' or '-', found '2' (line 1, column 3)"),
+    (("gb", "--ring", "QQ[X]", "--gens", "1/X"), "expected a denominator (line 1, column 3)"),
+    (("gb", "--ring", "ZZ[X]", "--gens", "2*+X"), "expected a variable, found '+' (line 1, column 3)"),
+    (
+        ("contract", "--ring", "QQ[Y,Z,W]", "--gens", "Y"),
+        "ring QQ[Y,Z,W] has no distinguished main variable",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", _EXIT_TWO, ids=[" ".join(a) for a, _ in _EXIT_TWO])
+def test_input_errors_exit_two_with_their_message(argv, message):
+    assert run(*argv) == (2, f"error: {message}")
+
+
+def test_input_errors_in_json():
+    for argv, message in (_EXIT_TWO[2], _EXIT_TWO[9]):
+        code, body = run(*argv, "--format", "json")
+        assert code == 2
+        assert json.loads(body) == {"error": message}
+
+
 def test_help_exits_zero():
     assert run("--help")[0] == 0
     assert run("gb", "--help")[0] == 0
@@ -572,7 +634,7 @@ def _readme_examples():
 
 def test_readme_examples_print_what_they_show():
     examples = _readme_examples()
-    assert len(examples) == 5
+    assert len(examples) == 6
     for argv, shown in examples:
         assert run(*argv)[1] == shown, argv
 

@@ -472,9 +472,23 @@ def test_pair_budget_exhaustion():
 
 
 def test_degree_budget_guards_inputs():
-    f = parse_poly("X^5", ZX)
-    with pytest.raises(BudgetExceededError):
-        groebner_basis([f], budget=Budget(max_pairs=100, max_degree=4))
+    # a generator, first or later, and a division candidate above the cap
+    # raise on entry with their degree
+    low = Budget(max_pairs=100, max_degree=4)
+    x, x_y = parse_poly("X", QYX), parse_poly("X - Y", QYX)
+    zz_basis = groebner_basis([parse_poly("X", ZX)])
+    calls = [
+        (lambda: groebner_basis([parse_poly("X^5", ZX)], budget=low), 5),
+        (lambda: groebner_basis([x_y, parse_poly("Y^7 + X", QYX)], budget=low), 7),
+        (lambda: divide(parse_poly("X^6 + Y", QYX), [x_y], budget=low), 6),
+        (lambda: normal_form(parse_poly("Y^2*X^3", QYX), [x], budget=low), 5),
+        (lambda: normal_form(parse_poly("2*X^9", ZX), zz_basis, budget=low), 9),
+    ]
+    for call, degree in calls:
+        with pytest.raises(
+            BudgetExceededError, match=rf"^degree budget 4 exceeded \(term of degree {degree}\)$"
+        ):
+            call()
 
 
 def test_degree_budget_guards_reduction_steps():
@@ -491,7 +505,7 @@ def test_degree_budget_guards_reduction_steps():
         ),
     ]
     for call in calls:
-        with pytest.raises(BudgetExceededError, match="degree budget 5 exceeded during reduction"):
+        with pytest.raises(BudgetExceededError, match="^degree budget 5 exceeded during reduction$"):
             call()
 
 

@@ -4,19 +4,25 @@ membership, radicals, and kernels of ring maps."""
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from powerstable import (
     AlgebraError,
+    BlockElim,
+    Budget,
+    BudgetExceededError,
     Ideal,
     Polynomial,
     RingMap,
     RingMismatchError,
     RingSpec,
+    format_poly,
     hochster_P,
     hochster_toric_map,
     parse_poly,
+    transport,
 )
 
 from helpers import rand_gens
@@ -24,6 +30,8 @@ from oracles import reference_saturation
 
 ZX = RingSpec.parse("ZZ[X]")
 QYX = RingSpec.parse("QQ[Y][X]")
+QYZX = RingSpec.parse("QQ[Y,Z][X]")
+QX = RingSpec.parse("QQ[X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
 QT = RingSpec.parse("QQ[T]")
 
@@ -76,6 +84,25 @@ def test_power_basics():
     assert zero.power(5).is_zero_ideal()
 
 
+def test_power_over_the_degree_budget_raises_before_it_is_formed():
+    # (X + Y + Z + 1)^t has degree t; forming it at t = 100 would multiply
+    # out every product before any basis rejected it
+    I = ideal(QYZX, "X + Y + Z + 1")
+    started = time.perf_counter()
+    message = r"^degree budget 60 exceeded \(term of degree 100\)$"
+    with pytest.raises(BudgetExceededError, match=message):
+        I.power(100)
+    assert time.perf_counter() - started < 1
+    # the cap is t times the top generator degree, here 2, and a cached
+    # power is checked against the budget of each call
+    J = ideal(QYX, "X^2 - Y", "Y*X")
+    assert len(J.power(3, Budget(max_degree=6)).generators) == 4
+    with pytest.raises(BudgetExceededError, match=r"degree budget 5 exceeded \(term of degree 6\)"):
+        J.power(3, Budget(max_degree=5))
+    assert J.power(1, Budget(max_degree=1)) is J  # I^1 is not formed
+    assert Ideal(QYX, []).power(100).is_zero_ideal()
+
+
 def test_power_multiplicativity_on_membership():
     I = ideal(QYX, "X^2 - Y", "Y*X")
     for s, t in ((1, 2), (2, 2)):
@@ -117,6 +144,16 @@ def test_intersect_comaximal_pair_is_the_product():
     assert meet.contains(parse_poly("X^2 - X", ZX))
     assert meet.equals(A * B)  # comaximal: intersection equals product
     assert not meet.contains(parse_poly("2", ZX))
+
+
+def test_intersect_allocates_a_tag_that_avoids_a_used_name():
+    # the ring already holds the auxiliary _t0, so the tag variable is _t1
+    ext = QYX.extend_aux("_t0")
+    assert ext.fresh_aux("t") == "_t1"
+    meet = ideal(ext, "X^2 - Y").intersect(ideal(ext, "Y*X"))
+    assert [format_poly(g) for g in meet.generators] == ["Y*X^3 - Y^2*X"]
+    plain = ideal(QYX, "X^2 - Y").intersect(ideal(QYX, "Y*X"))
+    assert [transport(g, QYX) for g in meet.generators] == list(plain.generators)
 
 
 def test_intersect_laws():
@@ -237,6 +274,19 @@ def test_eliminate_edge_cases():
     assert Ideal(QYX, []).eliminate(["X"]).is_zero_ideal()
 
 
+def test_eliminating_every_variable_keeps_the_block_elimination_constants():
+    # with every variable in front, eliminate reads the constants of the
+    # grevlex basis; the X-free part of the BlockElim basis is the same
+    rng = random.Random("elim-all:0")
+    F7YZ = RingSpec.parse("Fp(7)[Y,Z]")
+    for ring, count, deg in ((ZX, 2, 3), (QX, 2, 3), (F7YZ, 3, 2)):
+        front = ring.variables
+        for _ in range(8):
+            I = Ideal(ring, rand_gens(rng, ring, count, deg))
+            block = [g for g in I.groebner(BlockElim(front)).elements if g.free_of(front)]
+            assert list(I.eliminate(front).generators) == block, I
+
+
 def test_eliminate_keeps_only_front_free_members():
     rng = random.Random("elim:3")
     for _ in range(5):
@@ -258,6 +308,11 @@ def test_membership_facts_for_the_toric_prime():
     assert P.power(2).contains(w * q)
     assert not P.power(2).contains(q)
     assert P.contains(q)  # q = w^2*(w^3 - yz) + y(y^2 - wz)... a member of P itself
+
+
+def test_zero_ideal_has_no_groebner_basis():
+    with pytest.raises(AlgebraError):
+        Ideal(QYX, []).groebner()
 
 
 def test_membership_edges():

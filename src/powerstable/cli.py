@@ -284,7 +284,10 @@ def _cmd_kernel(args):
         var, sep, expr = piece.partition("=")
         if not sep or not var.strip() or not expr.strip():
             raise ParseError(f"map entries look like VAR=POLY, got {piece!r}")
-        images[var.strip()] = parse_poly(expr.strip(), target)
+        var = var.strip()
+        if var in images:
+            raise ParseError(f"variable {var!r} is mapped twice")
+        images[var] = parse_poly(expr.strip(), target)
     ring_map = RingMap(source, target, images)
     out = ring_map.kernel(_budget(args))
     doc = {
@@ -297,6 +300,7 @@ def _cmd_kernel(args):
 
 
 def _cmd_corpus(args):
+    budget = _budget(args)  # only radical_zx computes, but every cap is checked
     if args.list:
         entries = [
             {"name": e.name, "params": e.params, "description": e.description}
@@ -325,7 +329,7 @@ def _cmd_corpus(args):
                 raise ParseError(f"modulus {p_str.strip()!r} is not an integer") from None
             pairs.append((p, f_str.strip()))
         params["pairs"] = pairs
-        params["budget"] = _budget(args)
+        params["budget"] = budget
     result = corpus(args.name, params)
     if isinstance(result, Ideal):
         doc = {"name": args.name, **_ideal_doc(result)}

@@ -43,9 +43,12 @@ polynomial the engine forms within a degree budget of D, and every pair lcm
 of two of them.  D is the budget's ``max_degree`` (in ``divide``,
 ``normal_form`` and ``is_groebner`` at least the degree of each divisor);
 a term above the budget raises before its key is used.  An engine
-polynomial is a list of terms (key, exponents, coefficient, degree) sorted
-by descending key, so its leading term is the first and a shifted term's
-key and degree are integer sums.
+polynomial is a plain list of terms (key, exponents, coefficient, degree)
+sorted by descending key, so its leading term is the first and a shifted
+term's key and degree are integer sums; the ring, modulus and compiled order
+live once per computation, in its reducer set.  Buchberger forms every pair
+through the public ``s_polynomial``/``g_polynomial`` on two term lists, with
+that reducer set in place of the order, and gets a term list back.
 
 Coefficients are plain ints: residues in [0, p) over GF(p), the integers
 themselves over ZZ, and over QQ a primitive integer polynomial that stands
@@ -89,10 +92,16 @@ class Budget:
     pairs in total.  ``max_degree`` also caps the generators of ideal powers,
     before I^t is formed.  Over the cap the error reads "degree budget D
     exceeded (term of degree N)", or "... during reduction" for a term that
-    a reduction step forms."""
+    a reduction step forms.  Both caps are non-negative; a cap of 0 is
+    valid, and a negative one raises AlgebraError."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
+
+    def __post_init__(self):
+        for name, cap in (("max_pairs", self.max_pairs), ("max_degree", self.max_degree)):
+            if cap < 0:
+                raise AlgebraError(f"budget {name} must be non-negative, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,16 @@ def _g_term(s: tuple, t: tuple) -> tuple:
     return _lcm(s[0], t[0]), math.gcd(s[1], t[1])
 
 
+def _minimal(pairs: list, divides) -> dict:
+    """The minimal-pair filter of both pair updates: each term of the
+    (index, term) pairs that no other term among them properly divides,
+    mapped to the indices that carry it, in order."""
+    groups: dict = {}
+    for i, t in pairs:
+        groups.setdefault(t, []).append(i)
+    return {t: g for t, g in groups.items() if not any(u != t and divides(u, t) for u in groups)}
+
+
 # -- the engine representation ---------------------------------------------------
 
 
@@ -189,35 +208,18 @@ def _compiled(order: MonomialOrder, ring: RingSpec, bound: int) -> _Order:
     return _Order(order, ring, max(bound, 1))
 
 
-class _Poly:
-    """An engine polynomial: terms (key, exponents, coefficient, degree)
-    sorted by descending key, with raw int coefficients (see the module
-    docstring)."""
-
-    __slots__ = ("ring", "cord", "terms")
-
-    def __init__(self, ring: RingSpec, cord: _Order, terms: list):
-        self.ring = ring
-        self.cord = cord
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
 def _modulus(ring: RingSpec) -> int:
     dom = ring.domain
     return dom.p if isinstance(dom, PrimeField) else 0
 
 
-def _engine_poly(f: Polynomial, cord: _Order) -> tuple[_Poly, object]:
-    """f as an engine polynomial, and the scalar s with engine form = s*f.
+def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
+    """f as an engine term list, and the scalar s with engine form = s*f.
 
     Over QQ the engine form is the primitive integer multiple of f with a
     positive leading coefficient; elsewhere it is f itself and s is 1.
     """
-    ring = f.ring
-    dom = ring.domain
+    dom = f.ring.domain
     key = cord.key
     den = 1
     if isinstance(dom, PrimeField):
@@ -236,7 +238,7 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[_Poly, object]:
         if g != 1:
             terms = [(k, e, c // g, d) for k, e, c, d in terms]
         scale = Fraction(den, g)
-    return _Poly(ring, cord, terms), scale
+    return terms, scale
 
 
 def _to_polynomial(ring: RingSpec, terms, scale=1) -> Polynomial:
@@ -289,7 +291,7 @@ class _Reducers:
         self.cord = cord
         self.p = _modulus(ring)
         self.qq = isinstance(ring.domain, RationalDomain)
-        self.polys: list[_Poly] = []
+        self.polys: list[list] = []
         self.lms: list[Exponents] = []
         self.lcs: list[int] = []
         self.invs: list[int] = []
@@ -297,8 +299,8 @@ class _Reducers:
         self.d0s: list[int] = []
         self.first: dict[int, int] = {}
 
-    def append(self, f: _Poly) -> None:
-        k, e, c, d = f.terms[0]
+    def append(self, f: list) -> None:
+        k, e, c, d = f[0]
         self.polys.append(f)
         self.lms.append(e)
         self.lcs.append(c)
@@ -388,7 +390,7 @@ def _reduce(
             if quotients is not None:
                 shift = tuple(map(sub, e, lms[gi]))
                 quotients[gi].append((shift, q, M))
-            for kg, eg, cg, dg in polys[gi].terms:
+            for kg, eg, cg, dg in polys[gi]:
                 km = ks + kg
                 s = work.get(km)
                 if s is None:
@@ -462,7 +464,7 @@ def divide(
     red, scales = _divisors(polys, order or Grevlex(), budget)
     h, mu = _engine_poly(f, red.cord)
     quotients: list[list] = [[] for _ in polys]
-    rem, M = _reduce(h.terms, red, budget.max_degree, quotients)
+    rem, M = _reduce(h, red, budget.max_degree, quotients)
     # M*mu*f = sum(Q_i * lam_i*g_i) + rem, so q_i = Q_i * lam_i / (M*mu)
     qq = isinstance(ring.domain, RationalDomain)
     qs = [
@@ -522,38 +524,33 @@ def normal_form(
         if cache is not None:
             cache[(order, budget.max_degree)] = red
     h, mu = _engine_poly(f, red.cord)
-    rem, M = _reduce(h.terms, red, budget.max_degree)
+    rem, M = _reduce(h, red, budget.max_degree)
     return _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
 
 
 # -- S and G polynomials ---------------------------------------------------------
 
 
-def _pair(f: _Poly, g: _Poly, gpoly: bool) -> _Poly:
-    """S- or G-polynomial of two engine polynomials.  Over a field it is
-    the S-polynomial up to a nonzero scalar; over ZZ it is exact."""
-    ring = f.ring
-    p = _modulus(ring)
-    lf, lg = f.terms[0], g.terms[0]
+def _pair(f: list, g: list, red: _Reducers, gpoly: bool) -> list:
+    """S- or G-polynomial of two engine polynomials, with the modulus and
+    compiled order of ``red``.  Over a field it is the S-polynomial up to a
+    nonzero scalar; over ZZ it is exact."""
+    p = red.p
+    lf, lg = f[0], g[0]
     a, b = lf[2], lg[2]
     m = _lcm(lf[1], lg[1])
-    km, dm = f.cord.key(m), sum(m)
-    skip = 1  # the leading terms of an S-polynomial cancel
+    km, dm = red.cord.key(m), sum(m)
     if gpoly:
         _, u, v = ext_gcd(a, b)
         skip = 0
-    elif ring.is_int_mode:
-        c = abs(a * b) // ext_gcd(a, b)[0]
-        u, v = c // a, -(c // b)
-    elif p:
-        u, v = b, -a % p
     else:
-        g0 = math.gcd(a, b)
-        u, v = b // g0, -(a // g0)
+        c = math.lcm(a, b)
+        u, v = c // a, -(c // b)
+        skip = 1  # the leading terms of an S-polynomial cancel
     # keyed by exponents, so that a term above the key range (which the
     # degree budget then rejects) still combines exactly
     acc: dict = {}
-    for (k0, lm, _, d0), terms, w in ((lf, f.terms, u), (lg, g.terms, v)):
+    for (k0, lm, _, d0), terms, w in ((lf, f, u), (lg, g, v)):
         shift = tuple(map(sub, m, lm))
         ks, ds = km - k0, dm - d0
         for k, e, c, d in terms[skip:]:
@@ -568,7 +565,7 @@ def _pair(f: _Poly, g: _Poly, gpoly: bool) -> _Poly:
     else:
         out = [(k, e, c, d) for e, (k, c, d) in acc.items() if c]
     out.sort(reverse=True)
-    return _Poly(ring, f.cord, out)
+    return out
 
 
 def _exact_pair(f: Polynomial, g: Polynomial, order: MonomialOrder | None, gpoly: bool) -> Polynomial:
@@ -581,20 +578,22 @@ def _exact_pair(f: Polynomial, g: Polynomial, order: MonomialOrder | None, gpoly
     fe, ge = (_engine_poly(h, cord)[0] for h in (f, g))
     scale = 1
     if isinstance(ring.domain, RationalDomain):
-        scale = math.lcm(fe.terms[0][2], ge.terms[0][2])
+        scale = math.lcm(fe[0][2], ge[0][2])
     elif not ring.is_int_mode:
-        fe, ge = (_Poly(ring, cord, _normalized(h.terms, ring)) for h in (fe, ge))
-    return _to_polynomial(ring, [(e, c) for _, e, c, _ in _pair(fe, ge, gpoly).terms], scale)
+        fe, ge = _normalized(fe, ring), _normalized(ge, ring)
+    out = _pair(fe, ge, _Reducers(ring, cord), gpoly)
+    return _to_polynomial(ring, [(e, c) for _, e, c, _ in out], scale)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """The S-polynomial; over ZZ leading coefficients are matched by their lcm.
 
     The Buchberger loop forms its pairs through this function on its own
-    engine polynomials, and gets one back (see ``_pair``).
+    engine polynomials (term lists), with its reducer set in place of the
+    order, and gets a term list back (see ``_pair``).
     """
-    if isinstance(f, _Poly):
-        return _pair(f, g, False)
+    if isinstance(f, list):
+        return _pair(f, g, order, False)
     _check_same_ring([f, g])
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("S-polynomial of a zero polynomial")
@@ -603,9 +602,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """The G-polynomial (ZZ only): its leading coefficient is gcd(lc f, lc g).
-    On engine polynomials it returns one, like ``s_polynomial``."""
-    if isinstance(f, _Poly):
-        return _pair(f, g, True)
+    On term lists, with a reducer set in place of the order, it returns a
+    term list, like ``s_polynomial``."""
+    if isinstance(f, list):
+        return _pair(f, g, order, True)
     ring = _check_same_ring([f, g])
     if not ring.is_int_mode:
         raise AlgebraError("G-polynomials only exist over ZZ")
@@ -668,43 +668,32 @@ def groebner_basis(
         for (a, b), m in list(live.items()):
             if t_divides(tj, m) and t_lcm(lts[a], tj) != m and t_lcm(lts[b], tj) != m:
                 del live[(a, b)]
-        new = [(i, t_lcm(lts[i], tj), t_coprime(lts[i], tj)) for i in active]
-        # (M) drop a new pair whose lcm another new lcm properly divides;
-        # (F) keep the first pair of each equal lcm; the product criterion
+        # (M) and (F): one new pair per minimal lcm; the product criterion
         # then drops every group that has a coprime member
-        groups: dict = {}
-        for i, m, coprime in new:
-            if any(m2 != m and t_divides(m2, m) for _, m2, _ in new):
-                continue
-            first, any_coprime = groups.get(m, (i, False))
-            groups[m] = (first, any_coprime or coprime)
-        for m, (i, coprime) in groups.items():
-            if not coprime:
-                live[(i, j)] = m
-                heapq.heappush(heap, (t_key(m), i, j, 0))
+        for m, group in _minimal([(i, t_lcm(lts[i], tj)) for i in active], t_divides).items():
+            if not any(t_coprime(lts[i], tj) for i in group):
+                live[(group[0], j)] = m
+                heapq.heappush(heap, (t_key(m), group[0], j, 0))
         if int_mode:
             # the G-pair (i, j) stands for the term gcd(c_i, c_j)*lcm(x^a_i,
             # x^a_j), which some leading term must divide: one pair per
             # minimal term, with active elements only; a pair whose term a
             # leading term divides is skipped when popped
             gnew = [(i, _g_term(lts[i], tj)) for i in active]
-            seen = set()
-            for i, t in gnew:
-                if t not in seen and not any(t2 != t and _term_divides(t2, t) for _, t2 in gnew):
-                    seen.add(t)
-                    heapq.heappush(heap, (t_key(t), i, j, 1))
+            for t, group in _minimal(gnew, _term_divides).items():
+                heapq.heappush(heap, (t_key(t), group[0], j, 1))
         active[:] = [i for i in active if not t_divides(tj, lts[i])]
         active.append(j)
 
     def add(terms: list) -> None:
         # every term was checked against the degree budget already
-        red.append(_Poly(ring, cord, _normalized(terms, ring)))
+        red.append(_normalized(terms, ring))
         if int_mode:
             lts.append((red.lms[-1], red.lcs[-1]))
         push_pairs(len(red.polys) - 1)
 
     for g in polys:
-        r, _ = _reduce(_engine_poly(g, cord)[0].terms, red, budget.max_degree)
+        r, _ = _reduce(_engine_poly(g, cord)[0], red, budget.max_degree)
         if r:
             add(r)
 
@@ -721,10 +710,8 @@ def groebner_basis(
         if pops > budget.max_pairs:
             raise BudgetExceededError(f"pair budget {budget.max_pairs} exhausted")
         f, g = red.polys[i], red.polys[j]
-        p = g_polynomial(f, g, order) if kind else s_polynomial(f, g, order)
-        if p.is_zero():
-            continue
-        r, _ = _reduce(p.terms, red, budget.max_degree)
+        p = g_polynomial(f, g, red) if kind else s_polynomial(f, g, red)
+        r, _ = _reduce(p, red, budget.max_degree)
         if r:
             add(r)
 
@@ -739,7 +726,7 @@ def groebner_basis(
     final = _tail_reduce(minimal, ring, cord, budget)
     qq = isinstance(ring.domain, RationalDomain)
     elements = tuple(
-        _to_polynomial(ring, [(e, c) for _, e, c, _ in f.terms], f.terms[0][2] if qq else 1)
+        _to_polynomial(ring, [(e, c) for _, e, c, _ in f], f[0][2] if qq else 1)
         for f in final.polys
     )
     gb = GroebnerBasis(ring, order, elements, reduced=True, strong=int_mode)
@@ -747,7 +734,7 @@ def groebner_basis(
     return gb
 
 
-def _tail_reduce(basis: list[_Poly], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:
+def _tail_reduce(basis: list[list], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:
     """Reduce every term below each leading term against the other elements.
 
     ``basis`` is minimal and sorted ascending by leading monomial, and only
@@ -758,9 +745,9 @@ def _tail_reduce(basis: list[_Poly], ring: RingSpec, cord: _Order, budget: Budge
     """
     red = _Reducers(ring, cord)
     for f in basis:
-        k, e, c, d = f.terms[0]
-        tail, M = _reduce(f.terms[1:], red, budget.max_degree)
-        red.append(_Poly(ring, cord, _normalized([(k, e, c * M, d), *tail], ring)))
+        k, e, c, d = f[0]
+        tail, M = _reduce(f[1:], red, budget.max_degree)
+        red.append(_normalized([(k, e, c * M, d), *tail], ring))
     return red
 
 
@@ -779,11 +766,10 @@ def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     elems = red.polys
     for j in range(len(elems)):
         for i in range(j):
-            sp = s_polynomial(elems[i], elems[j], gb.order)
-            if not sp.is_zero() and _reduce(sp.terms, red, budget.max_degree)[0]:
+            if _reduce(s_polynomial(elems[i], elems[j], red), red, budget.max_degree)[0]:
                 return False
-            if ring.is_int_mode:
-                gp = g_polynomial(elems[i], elems[j], gb.order)
-                if not gp.is_zero() and _reduce(gp.terms, red, budget.max_degree)[0]:
-                    return False
+            if ring.is_int_mode and _reduce(
+                g_polynomial(elems[i], elems[j], red), red, budget.max_degree
+            )[0]:
+                return False
     return True

@@ -256,6 +256,9 @@ class RingMap:
                 f"map must preserve coefficients: {self.source.domain.name} "
                 f"vs {self.target.domain.name}"
             )
+        for v in self.images:
+            if v not in self.source.variables:
+                raise AlgebraError(f"image given for {v!r}, which is not a source variable")
         for v in self.source.variables:
             img = self.images.get(v)
             if img is None:
@@ -270,11 +273,17 @@ class RingMap:
 
     def kernel(self, budget: Budget | None = None) -> Ideal:
         """Kernel computed in the joint ring: eliminate the target variables
-        from (v - image(v) : v a source variable)."""
-        joint = self.source.extend_aux(*self.target.variables)
+        from (v - image(v) : v a source variable).  In the joint ring the
+        target variables get fresh auxiliary names, so source and target may
+        share names."""
+        joint = self.source
+        for _ in self.target.variables:
+            joint = joint.extend_aux(joint.fresh_aux("k"))
+        aux = joint.variables[len(self.source.variables) :]
+        renamed = {v: Polynomial.variable(joint, a) for v, a in zip(self.target.variables, aux)}
         gens = [
-            Polynomial.variable(joint, v) - transport(self.images[v], joint)
+            Polynomial.variable(joint, v) - evaluate_map(self.images[v], renamed, joint)
             for v in self.source.variables
         ]
-        kept = Ideal(joint, gens).eliminate(self.target.variables, budget)
+        kept = Ideal(joint, gens).eliminate(aux, budget)
         return Ideal(self.source, [transport(g, self.source) for g in kept.generators])

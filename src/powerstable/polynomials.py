@@ -7,7 +7,7 @@ representation is canonical no matter what order the terms were produced in.
 
 Text grammar accepted by ``parse_poly`` (whitespace insignificant)::
 
-    poly    := ['-'] term (('+' | '-') term)*
+    poly    := ['-'] term (('+' | '-') ['-'] term)*
     term    := coeff ('*'? varpow)*  |  varpow ('*' varpow)*
     coeff   := NAT ['/' NAT]
     varpow  := NAME ['^' NAT]
@@ -342,12 +342,13 @@ class _Parser:
             raise ParseError("empty polynomial", self.text, 0)
         acc: dict[Exponents, Coefficient] = {}
         sign = 1
-        tok = self.peek()
-        if tok and tok[1] == "-":
-            self.take()
-            sign = -1
-        self._term(acc, sign)
         while True:
+            # one optional '-' opens the polynomial or follows '+' or '-'
+            tok = self.peek()
+            if tok and tok[1] == "-":
+                self.take()
+                sign = -sign
+            self._term(acc, sign)
             tok = self.peek()
             if tok is None:
                 break
@@ -355,11 +356,6 @@ class _Parser:
                 raise ParseError(f"expected '+' or '-', found {tok[1]!r}", self.text, tok[2])
             self.take()
             sign = -1 if tok[1] == "-" else 1
-            nxt = self.peek()
-            if nxt and nxt[1] == "-":
-                self.take()
-                sign = -sign
-            self._term(acc, sign)
         clean = {e: c for e, c in acc.items() if c}
         return Polynomial._make(self.ring, clean)
 
@@ -381,30 +377,22 @@ class _Parser:
                     raise ParseError("expected a denominator", self.text, dtok[2])
                 den = int(dtok[1])
             coeff = dom.literal(num, den)
-            # implicit multiplication allowed after a numeric literal
-            while True:
-                nxt = self.peek()
-                if nxt and nxt[1] == "*":
-                    self.take()
-                    self._varpow(exps, required=True)
-                elif nxt and nxt[0] == "name":
-                    self._varpow(exps, required=True)
-                else:
-                    break
         elif tok[0] == "name":
             coeff = dom.one
-            self._varpow(exps, required=True)
-            while True:
-                nxt = self.peek()
-                if nxt and nxt[0] == "name":
-                    raise ParseError("missing '*' between variables", self.text, nxt[2])
-                if nxt and nxt[1] == "*":
-                    self.take()
-                    self._varpow(exps, required=True)
-                else:
-                    break
+            self._varpow(exps)
         else:
             raise ParseError(f"unexpected {tok[1]!r}", self.text, tok[2])
+        while True:
+            nxt = self.peek()
+            if nxt and nxt[1] == "*":
+                self.take()
+            elif nxt and nxt[0] == "name":
+                # implicit multiplication only after a numeric literal
+                if tok[0] != "nat":
+                    raise ParseError("missing '*' between variables", self.text, nxt[2])
+            else:
+                break
+            self._varpow(exps)
         if sign < 0:
             coeff = -coeff
         if not coeff:
@@ -416,7 +404,7 @@ class _Parser:
         else:
             acc[e] = s + coeff
 
-    def _varpow(self, exps: list[int], required: bool) -> None:
+    def _varpow(self, exps: list[int]) -> None:
         tok = self.take()
         if tok[0] != "name":
             raise ParseError(f"expected a variable, found {tok[1]!r}", self.text, tok[2])

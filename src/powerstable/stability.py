@@ -311,21 +311,17 @@ class RegularImageCertificate:
 
     def verify(self, budget: Budget | None = None) -> bool:
         ring = self.ideal.ring
-        if not ring.is_int_mode:
+        if not ring.is_int_mode or _mccoy_lcm(self.modulus, self.image) != self.modulus:
             return False
-        gens = [self.image]
-        if self.modulus:
-            gens.insert(0, Polynomial.constant(ring, self.modulus))
-        if not self.ideal.equals(Ideal(ring, gens), budget):
-            return False
-        if self.modulus == 0:
-            return not self.image.is_zero()
-        return _mccoy_lcm(self.modulus, self.image) == self.modulus
+        # a zero modulus is the zero polynomial, which Ideal drops
+        presented = Ideal(ring, [Polynomial.constant(ring, self.modulus), self.image])
+        return self.ideal.equals(presented, budget)
 
 
 def _mccoy_lcm(d: int, h: Polynomial) -> int:
     """lcm over the coefficients c of h of d / gcd(d, c); equals d exactly
-    when no nonzero residue annihilates h mod d."""
+    when no nonzero residue annihilates h mod d (for d = 0: when h is
+    nonzero)."""
     out = 1
     for _, c in h.terms():
         out = math.lcm(out, d // math.gcd(d, int(c)))
@@ -340,20 +336,14 @@ def regular_image_certificate(
     ring = ideal.ring
     if not ring.is_int_mode:
         return None
-    constants = [g for g in ideal.generators if g.is_constant()]
+    moduli = [abs(int(g.constant_value())) for g in ideal.generators if g.is_constant()]
     others = [g for g in ideal.generators if not g.is_constant()]
-    for dpoly in constants:
-        d = abs(int(dpoly.constant_value()))
+    for d in [*moduli, 0]:
         for h in others:
-            if _mccoy_lcm(d, h) != d:
-                continue
-            cert = RegularImageCertificate(ideal, d, h, d)
-            if cert.verify(budget):
-                return cert
-    for h in others:
-        cert = RegularImageCertificate(ideal, 0, h, 0)
-        if cert.verify(budget):
-            return cert
+            if _mccoy_lcm(d, h) == d:
+                cert = RegularImageCertificate(ideal, d, h, d)
+                if cert.verify(budget):
+                    return cert
     return None
 
 

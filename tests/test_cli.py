@@ -143,6 +143,16 @@ def test_kernel_of_the_toric_map():
     assert kernel.equals(hochster_P())
 
 
+def test_kernel_when_source_and_target_share_names():
+    argv = ("kernel", "--source", "QQ[X,Y]", "--target", "QQ[X]", "--map", "X=X,Y=X^2")
+    assert run(*argv) == (0, "(X^2 - Y)")
+    code, body = run(*argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(body)
+    assert doc["map"] == {"X": "X", "Y": "X^2"}
+    assert doc["kernel"] == ["X^2 - Y"]
+
+
 def test_certify_verbs():
     code, body = run("certify", "--ring", "ZZ[X]", "--gens", "4, 2*X + 1")
     assert code == 0
@@ -444,6 +454,23 @@ _EXIT_TWO = [
         ("contract", "--ring", "QQ[Y,Z,W]", "--gens", "Y"),
         "ring QQ[Y,Z,W] has no distinguished main variable",
     ),
+    (
+        ("kernel", "--source", "QQ[Y,Z]", "--target", "QQ[T]", "--map", "Y=T^2,Z=T^3,Q=T"),
+        "image given for 'Q', which is not a source variable",
+    ),
+    (
+        ("kernel", "--source", "QQ[Y,Z]", "--target", "QQ[T]", "--map", "Y=T^2,Z=T^3,Y=T"),
+        "variable 'Y' is mapped twice",
+    ),
+    (
+        ("gb", "--ring", "ZZ[X]", "--gens", "X^2-2", "--max-degree", "-1"),
+        "budget max_degree must be non-negative, got -1",
+    ),
+    (
+        ("gb", "--ring", "ZZ[X]", "--gens", "X", "--max-pairs", "-5"),
+        "budget max_pairs must be non-negative, got -5",
+    ),
+    (("corpus", "--list", "--max-degree", "-2"), "budget max_degree must be non-negative, got -2"),
 ]
 
 
@@ -453,7 +480,7 @@ def test_input_errors_exit_two_with_their_message(argv, message):
 
 
 def test_input_errors_in_json():
-    for argv, message in (_EXIT_TWO[2], _EXIT_TWO[9]):
+    for argv, message in (_EXIT_TWO[2], _EXIT_TWO[9], _EXIT_TWO[-4], _EXIT_TWO[-2]):
         code, body = run(*argv, "--format", "json")
         assert code == 2
         assert json.loads(body) == {"error": message}

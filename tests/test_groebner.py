@@ -30,7 +30,7 @@ from powerstable import (
     s_polynomial,
 )
 from powerstable.coefficients import divmod_least
-from powerstable.groebner import _compiled
+from powerstable.groebner import _compiled, _divides, _minimal, _term_divides
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
@@ -214,6 +214,32 @@ def test_pair_budget_counts_processed_pairs_only(pair_calls):
     assert groebner_basis(gens, budget=Budget(max_pairs=n)).elements == expected
     with pytest.raises(BudgetExceededError):
         groebner_basis(gens, budget=Budget(max_pairs=n - 1))
+
+
+_MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@pytest.mark.parametrize(
+    "terms, divides",
+    [(_MONOMIALS, _divides), (st.tuples(_MONOMIALS, st.integers(1, 6)), _term_divides)],
+    ids=["monomials", "ZZ terms"],
+)
+def test_minimal_pair_filter_matches_its_definition(terms, divides):
+    """Each term no other term properly divides keeps all its indices, in
+    order, so a pair update that takes the first index keeps the first
+    pair (criterion F)."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 9), terms), max_size=8))
+    def check(pairs):
+        expected = {}
+        for _, t in pairs:
+            if t not in expected and not any(u != t and divides(u, t) for _, u in pairs):
+                expected[t] = [i for i, u in pairs if u == t]
+        got = _minimal(pairs, divides)
+        assert list(got.items()) == list(expected.items())
+
+    check()
 
 
 # -- strong bases over ZZ ---------------------------------------------------------
@@ -469,6 +495,14 @@ def test_pair_budget_exhaustion():
     gens = rand_gens(rng, QYZW, 4, 3)
     with pytest.raises(BudgetExceededError):
         groebner_basis(gens, budget=Budget(max_pairs=1, max_degree=60))
+
+
+def test_budget_caps_are_non_negative():
+    for caps in ({"max_pairs": -5}, {"max_degree": -1}):
+        with pytest.raises(AlgebraError, match="must be non-negative"):
+            Budget(**caps)
+    # a cap of 0 is valid: X alone needs no pair and has degree 1
+    assert texts(groebner_basis([parse_poly("X", ZX)], budget=Budget(max_pairs=0, max_degree=1))) == ["X"]
 
 
 def test_degree_budget_guards_inputs():

@@ -394,6 +394,18 @@ def test_ring_map_validation():
         RingMap(RingSpec.parse("QQ[Y,W]"), QT, {"Y": t})  # W lacks an image
     with pytest.raises(RingMismatchError):
         RingMap(ZX, QT, {"X": t})  # coefficient domains differ
+    with pytest.raises(AlgebraError, match="'Q', which is not a source variable"):
+        RingMap(RingSpec.parse("QQ[W]"), QT, {"W": t, "Q": t})
     m = RingMap(RingSpec.parse("QQ[W]"), QT, {"W": t**2})
     with pytest.raises(RingMismatchError):
         m.apply(parse_poly("X", QYX))
+
+
+def test_kernel_when_source_and_target_share_names():
+    src, tgt = RingSpec.parse("QQ[X,Y]"), RingSpec.parse("QQ[X]")
+    x = Polynomial.variable(tgt, "X")
+    k = RingMap(src, tgt, {"X": x, "Y": x**2}).kernel()
+    assert [format_poly(g) for g in k.generators] == ["X^2 - Y"]
+    # the target's X is not the source's X: (X, Y) -> (X^2, X)
+    k = RingMap(src, tgt, {"X": x**2, "Y": x}).kernel()
+    assert k.equals(Ideal.from_texts(src, ["Y^2 - X"]))

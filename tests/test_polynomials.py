@@ -280,6 +280,73 @@ def test_parse_error_positions():
         parse_poly("3 $ X", QYX)
 
 
+QYZX = RingSpec.parse("QQ[Y,Z][X]")
+
+# One optional '-' after '+' or '-' (or at the start), implicit
+# multiplication only in a term that opens with a number.
+_PARSE_CASES = [
+    ("2X Y", "2*Y*X"),
+    ("2 X", "2*X"),
+    ("2X*Y Z", "2*Y*Z*X"),
+    ("X - -Y", "Y + X"),
+    ("X + -Y", "-Y + X"),
+    ("2/4X", "1/2*X"),
+    ("+X", "unexpected '+' (line 1, column 1)"),
+    ("--X", "unexpected '-' (line 1, column 2)"),
+    ("X + --Y", "unexpected '-' (line 1, column 6)"),
+    ("2*3", "expected a variable, found '3' (line 1, column 3)"),
+    ("X*2", "expected a variable, found '2' (line 1, column 3)"),
+    ("X Y", "missing '*' between variables (line 1, column 3)"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", _PARSE_CASES, ids=[t for t, _ in _PARSE_CASES])
+def test_parse_outcomes(text, outcome):
+    try:
+        got = format_poly(parse_poly(text, QYZX))
+    except ParseError as err:
+        got = str(err)
+    assert got == outcome
+
+
+@st.composite
+def grammar_texts(draw, ring):
+    """(text, polynomial): a sum written the way the module grammar allows,
+    and the same sum built with Polynomial arithmetic."""
+    dom = ring.domain
+    names = st.sampled_from(ring.variables)
+    text, total = "", Polynomial.zero(ring)
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["", "-"] if k == 0 else ["+", "-", "+ -", "- -"]))
+        text += f" {sign} "
+        negative = sign.count("-") % 2
+        if draw(st.booleans()):  # opens with a number: later factors may be implicit
+            num, den = draw(st.integers(0, 40)), draw(st.sampled_from([None, 1, 2, 3, 5, 6]))
+            text += str(num) if den is None else f"{num}/{den}"
+            term = Polynomial.constant(ring, dom.exact_div(dom.from_int(num), dom.from_int(den or 1)))
+            first, later, factors = ["*", " ", ""], ["*", " "], draw(st.integers(0, 3))
+        else:  # opens with a variable: '*' joins the rest
+            term, first, later, factors = Polynomial.one(ring), [""], ["*"], draw(st.integers(1, 3))
+        for f in range(factors):
+            joiner = draw(st.sampled_from(first if f == 0 else later))
+            name, power = draw(names), draw(st.sampled_from([None, 0, 1, 2, 3]))
+            text += joiner + (name if power is None else f"{name}^{power}")
+            term = term * Polynomial.variable(ring, name) ** (1 if power is None else power)
+        total = total - term if negative else total + term
+    return text, total
+
+
+@pytest.mark.parametrize("ring", [QYZX, RingSpec.parse("Fp(7)[Y][X]")], ids=["QQ[Y,Z][X]", "F7[Y][X]"])
+def test_parse_matches_the_grammar(ring):
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=grammar_texts(ring))
+    def check(case):
+        text, expected = case
+        assert parse_poly(text, ring) == expected
+
+    check()
+
+
 def test_parse_unknown_and_reserved_names():
     with pytest.raises(ParseError):
         parse_poly("Q", QYX)

@@ -12,6 +12,7 @@ from powerstable import (
     Ideal,
     MonicCertificate,
     Polynomial,
+    RegularImageCertificate,
     RingSpec,
     certify_stable,
     check_power_stable,
@@ -371,6 +372,16 @@ def test_regular_image_certificate_rejects_zero_divisors():
     assert cert is not None and cert.modulus == 0
     assert cert.verify()
     assert regular_image_certificate(ideal(QYX, "Y")) is None  # ZZ mode only
+
+
+def test_regular_image_certificate_with_zero_modulus():
+    """d = 0 presents the principal ideal (h), which is regular only when h
+    is nonzero; the zero modulus is the zero polynomial, not a generator."""
+    h = parse_poly("2*X + 4", ZX)
+    principal = Ideal(ZX, [h])
+    assert RegularImageCertificate(principal, 0, h, 0).verify()
+    for I in (principal, Ideal(ZX, [])):
+        assert not RegularImageCertificate(I, 0, Polynomial.zero(ZX), 0).verify()
 
 
 def test_certify_stable_prefers_monic():

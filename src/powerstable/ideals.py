@@ -9,10 +9,11 @@ polynomial parser refuses, so user input can never collide with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebraError, RingMismatchError
+from .errors import AlgebraError, BudgetExceededError, RingMismatchError
 from .groebner import Budget, GroebnerBasis, _check_degree, exact_divide, groebner_basis, normal_form
 from .orders import BlockElim, Grevlex, MonomialOrder
 from .polynomials import Polynomial, evaluate_map, format_poly, transport
@@ -27,13 +28,16 @@ class Ideal:
 
     Zero generators are discarded and duplicates collapse, so the empty
     list is the zero ideal.  Groebner bases and powers are cached on the
-    instance, bases per monomial order.  Elimination (and with it
+    instance, bases per monomial order.  A power I^t keeps its factors
+    I^(t-1) and I instead of its generators: it forms the generators on
+    their first read, and its basis under an order can start from the bases
+    of the factors (see ``groebner``).  Elimination (and with it
     intersection, saturation, kernels and contractions of powers) computes
     its basis through the same per-order cache, and each of these is one
     route over ZZ, QQ and GF(p) alike.
     """
 
-    __slots__ = ("ring", "generators", "_gb", "_powers")
+    __slots__ = ("ring", "_generators", "_last", "_factors", "_gb", "_powers")
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens: list[Polynomial] = []
@@ -44,9 +48,33 @@ class Ideal:
                 continue
             gens.append(g)
         self.ring = ring
-        self.generators: tuple[Polynomial, ...] = tuple(gens)
+        self._generators: tuple[Polynomial, ...] | None = tuple(gens)
+        # of a power: the index of the last factor of each generator, and
+        # (t, I^(t-1) or None for I itself, gens(I), the bases of I)
+        self._last: tuple[int, ...] | None = None
+        self._factors: tuple | None = None
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._powers: dict[int, "Ideal"] = {}
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The generators; of I^t, every distinct product of t generators of
+        I, in the order of ``itertools.combinations_with_replacement``.
+
+        I^t extends each generator of I^(t-1) by the generators of I from
+        its last factor on: a product whose new factor comes earlier equals
+        one that came before it, and equal products collapse.
+        """
+        if self._generators is None:
+            _, prev, base, _ = self._factors
+            lefts = base if prev is None else prev.generators
+            lasts = range(len(base)) if prev is None else prev._last
+            out: dict[Polynomial, int] = {}
+            for f, i in zip(lefts, lasts):
+                for j in range(i, len(base)):
+                    out.setdefault(f * base[j], j)
+            self._generators, self._last = tuple(out), tuple(out.values())
+        return self._generators
 
     # -- construction ------------------------------------------------------
 
@@ -61,26 +89,66 @@ class Ideal:
         return f"Ideal({self.ring}; {inner})"
 
     def is_zero_ideal(self) -> bool:
-        return not self.generators
+        # only a non-zero ideal has powers of its own, and R[X] is a domain
+        return self._factors is None and not self._generators
 
     # -- Groebner machinery --------------------------------------------------
 
     def groebner(
         self, order: MonomialOrder | None = None, budget: Budget | None = None
     ) -> GroebnerBasis:
+        """The reduced (over ZZ strong) basis under ``order``, cached per order.
+
+        A power I^t whose factors have bases cached under ``order``, G_(t-1)
+        of I^(t-1) and G_1 of I, starts Buchberger from their distinct
+        products G_(t-1)·G_1: over ZZ always, over a field when there are
+        fewer of them than the C(n+t-1, t) products of the n generators of I.
+        Every other ideal starts from its generators.  A start from the
+        products that runs over the budget starts again from the generators:
+        the products form other pairs than the generators do, and a budget
+        that fits the generators' route still answers.  Reduced bases are
+        unique, so both starts give the same basis.
+        """
         order = order or Grevlex()
         got = self._gb.get(order)
         if got is None:
-            got = groebner_basis(self.generators, order, budget)
+            seed = self._seed(order)
+            try:
+                got = groebner_basis(seed or self.generators, order, budget)
+            except BudgetExceededError:
+                if seed is None:
+                    raise
+                got = groebner_basis(self.generators, order, budget)
             self._gb[order] = got
         return got
+
+    def _seed(self, order: MonomialOrder) -> list[Polynomial] | None:
+        """The distinct products G_(t-1)·G_1 that ``groebner`` starts a power
+        from, or None where it starts from the generators.
+
+        Over ZZ the products save pairs, because a strong basis already
+        carries the gcds of its leading coefficients.  Over a field they
+        saved pairs on monic ideals and cost pairs on toric primes, which
+        have few generators and large bases; the size rule tells them apart.
+        """
+        if self._factors is None:
+            return None
+        t, prev, base, base_gb = self._factors
+        left = (base_gb if prev is None else prev._gb).get(order)
+        right = base_gb.get(order)
+        if left is None or right is None:
+            return None
+        size = len(left.elements) * len(right.elements)
+        if not self.ring.is_int_mode and size >= math.comb(len(base) + t - 1, t):
+            return None
+        return list(dict.fromkeys(f * g for f in left for g in right))
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         if f.ring != self.ring:
             raise RingMismatchError(f"membership candidate in {f.ring}, expected {self.ring}")
         if f.is_zero():
             return True
-        if not self.generators:
+        if self.is_zero_ideal():
             return False
         gb = self.groebner(budget=budget)
         return normal_form(f, gb, budget=budget).is_zero()
@@ -90,28 +158,25 @@ class Ideal:
     def power(self, t: int, budget: Budget | None = None) -> "Ideal":
         """I^t, generated by all products of t generators (with repetition).
 
-        Built as I^k = I^(k-1) * I, one factor at a time from the highest
-        power already cached, and every I^k is cached.  A product whose new
-        factor comes before the last factor of its I^(k-1) generator has
-        already appeared, and equal products collapse, so the generators come
-        out in the order of ``itertools.combinations_with_replacement``, each
-        distinct product once.  Over domains I^t has a generator of degree t
-        times the top one, which any basis of I^t rejects over the degree
-        budget, so such a power raises before it is formed.
+        Every I^k up to t is cached, each built on I^(k-1) and I and formed
+        lazily: the generators on first read, the basis per order from the
+        bases of the two factors where ``groebner`` can.  Over domains I^t
+        has a generator of degree t times the top one, which any basis of
+        I^t rejects over the degree budget, so such a power raises before it
+        is formed.
         """
         if t < 1:
             raise AlgebraError(f"ideal powers need t >= 1, got {t}")
-        if t == 1 or not self.generators:
+        if t == 1 or self.is_zero_ideal():
             return self
         top = max(g.total_degree() for g in self.generators)
         _check_degree((budget or Budget()).max_degree, t * top)
-        got = self._powers.get(t)
-        if got is None:
-            k = max((s for s in self._powers if s < t), default=1)
-            got = self._powers.get(k, self)
-            for k in range(k + 1, t + 1):
-                got = self._powers[k] = got * self
-        return got
+        for k in range(2, t + 1):
+            if k not in self._powers:
+                # the factors name I by its parts, so that I^k and I form no cycle
+                factors = (k, self._powers.get(k - 1), self.generators, self._gb)
+                self._powers[k] = _lazy_power(self.ring, factors)
+        return self._powers[t]
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._peer(other)
@@ -224,6 +289,16 @@ class Ideal:
         return all(other.contains(g, budget) for g in self.generators) and all(
             self.contains(g, budget) for g in other.generators
         )
+
+
+def _lazy_power(ring: RingSpec, factors: tuple) -> Ideal:
+    power = object.__new__(Ideal)
+    power.ring = ring
+    power._generators = power._last = None
+    power._factors = factors
+    power._gb = {}
+    power._powers = {}
+    return power
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,24 @@
-"""Echo one ACCEPTANCE line per criterion after the run."""
+"""Shared fixtures, and one ACCEPTANCE line per criterion after the run."""
 
+import pytest
+
+import powerstable.groebner
 from acceptance_log import RESULTS
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """A list that grows by one per S- or G-polynomial the engine forms."""
+    calls = []
+    for name in ("s_polynomial", "g_polynomial"):
+        real = getattr(powerstable.groebner, name)
+
+        def counting(f, g, order=None, real=real):
+            calls.append((f, g))
+            return real(f, g, order)
+
+        monkeypatch.setattr(powerstable.groebner, name, counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

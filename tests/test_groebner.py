@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import powerstable.groebner
 from powerstable import (
     AlgebraError,
     BlockElim,
@@ -177,21 +176,6 @@ def test_engine_matches_the_criterion_free_reference(ring):
             assert list(groebner_basis(gens, order).elements) == expected, (spec, seed)
             compared += 1
     assert compared >= 28
-
-
-@pytest.fixture
-def pair_calls(monkeypatch):
-    """A list that grows by one per S- or G-polynomial the engine forms."""
-    calls = []
-    for name in ("s_polynomial", "g_polynomial"):
-        real = getattr(powerstable.groebner, name)
-
-        def counting(f, g, order=None, real=real):
-            calls.append((f, g))
-            return real(f, g, order)
-
-        monkeypatch.setattr(powerstable.groebner, name, counting)
-    return calls
 
 
 def test_chain_criterion_keeps_the_pair_count_down(pair_calls):

@@ -4,6 +4,7 @@ membership, radicals, and kernels of ring maps."""
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -13,12 +14,17 @@ from powerstable import (
     BlockElim,
     Budget,
     BudgetExceededError,
+    Grevlex,
     Ideal,
     Polynomial,
     RingMap,
     RingMismatchError,
     RingSpec,
+    check_power_stable,
+    contract_power,
+    example_3_12,
     format_poly,
+    groebner_basis,
     hochster_P,
     hochster_toric_map,
     parse_poly,
@@ -34,6 +40,7 @@ QYZX = RingSpec.parse("QQ[Y,Z][X]")
 QX = RingSpec.parse("QQ[X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
 QT = RingSpec.parse("QQ[T]")
+F7YX = RingSpec.parse("Fp(7)[Y][X]")
 
 
 def ideal(ring, *texts):
@@ -109,6 +116,82 @@ def test_power_multiplicativity_on_membership():
         left = I.power(s) * I.power(t)
         right = I.power(s + t)
         assert left.equals(right)
+
+
+# -- bases of powers ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=str)
+@pytest.mark.parametrize("ring", [ZX, QYZX, F7YX], ids=str)
+def test_power_basis_from_the_factor_bases_equals_the_generators_basis(ring, order):
+    """Oracle: once I^(t-1) has a basis, I^t's basis, started from the
+    products G_(t-1)·G_1, equals the basis of its generators element for
+    element.  Over ZZ every power starts from the products, over a field
+    only those with fewer products than generators."""
+    seeded = 0
+    for k in range(8):
+        rng = random.Random(f"power-basis:{ring}:{k}")
+        I = Ideal(ring, rand_gens(rng, ring, rng.randint(2, 3), 3, coeff_bound=4))
+        for t in range(2, 5):
+            I.power(t - 1).groebner(order)
+            seeded += I.power(t)._seed(order) is not None
+            got = I.power(t).groebner(order).elements
+            assert got == groebner_basis(I.power(t).generators, order).elements, (k, t)
+    assert seeded == 24 if ring.is_int_mode else seeded > 0
+
+
+def test_contractions_start_each_power_from_the_previous_basis(pair_calls):
+    """Contracting I^1..I^3 reduces 35 pairs when every power starts from
+    its generators; from G_(t-1)·G_1 it reduces 12, and the generators of
+    the powers are never formed."""
+    I = example_3_12(3)
+    for t in (1, 2, 3):
+        contract_power(I, t)
+    assert len(pair_calls) <= 12
+    assert I.power(2)._generators is None and I.power(3)._generators is None
+
+
+def test_power_basis_over_the_budget_from_products_starts_from_generators():
+    """G_1 holds Y^3, so the products G_1·G_1 reach degree 6 and their
+    pairs degree 7.  Under every cap the answer, or the error, is that of
+    the start from the generators of I^2, which reach degree 4."""
+    gens = ("X^2", "Y^2 + 2*Y*X + 2*X^2", "2*X^2", "Y^2 + 2*Y*X + 3*X^2")
+    order = BlockElim(("X",))
+    answered = []
+    for cap in (4, 5, 6, 8):
+        budget = Budget(max_degree=cap)
+        I = ideal(QYX, *gens)
+        assert max(g.total_degree() for g in I.groebner(order, budget)) == 3
+        square = I.power(2, budget)
+        assert square._seed(order) is not None  # 9 products, C(4+2-1, 2) = 10 generators
+        try:
+            want = groebner_basis(square.generators, order, budget).elements
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(exc))}$"):
+                square.groebner(order, budget)
+        else:
+            assert square.groebner(order, budget).elements == want
+            answered.append(cap)
+    assert answered == [6, 8]
+
+
+@pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5, 7), (4, 5, 6)], ids=str)
+def test_toric_prime_powers_over_a_prime_field_start_from_generators(curve):
+    """A toric prime has few generators and a large basis, so over
+    GF(32003) no power starts from the products G_(t-1)·G_1, under the
+    elimination order of its contractions or under grevlex."""
+    source = RingSpec.parse("Fp(32003)[Y,Z,W]")
+    target = RingSpec.parse("Fp(32003)[T]")
+    main = RingSpec.parse("Fp(32003)[Y,Z][W]")
+    t_var = Polynomial.variable(target, "T")
+    images = {v: t_var**e for v, e in zip("WYZ", curve)}
+    kernel = RingMap(source, target, images).kernel()
+    P = Ideal(main, [transport(g, main) for g in kernel.generators])
+    assert check_power_stable(P, 3).records  # bases of P, P^2, P^3 under BlockElim(W)
+    for order in (BlockElim(("W",)), Grevlex()):
+        for t in (2, 3):
+            P.power(t - 1).groebner(order)
+            assert P.power(t)._seed(order) is None, (order, t)
 
 
 # -- sums and products -----------------------------------------------------------

@@ -36,7 +36,6 @@ from .stability import (
 
 @dataclass(frozen=True)
 class OutputDocument:
-    format: str
     body: str
 
 
@@ -71,7 +70,7 @@ def _load_ideal(args, ring: RingSpec) -> Ideal:
     texts = _split_items(blob)
     if not texts:
         raise ParseError("empty generator list")
-    return Ideal(ring, [parse_poly(t, ring) for t in texts])
+    return Ideal.from_texts(ring, texts)
 
 
 def _witness_text(w) -> str | None:
@@ -80,33 +79,20 @@ def _witness_text(w) -> str | None:
     return format_poly(w) if isinstance(w, Polynomial) else str(w)
 
 
-def _certificate_doc(cert) -> dict:
+def _certificate(cert) -> tuple[dict, str | None]:
+    """The json keys of a certificate search's result, and the text line of
+    the certificate it found (None when it found none)."""
+    if cert is None:
+        return {"certificate": None, "certificates": []}, None
     if cert.kind == "monic":
-        return {
-            "kind": "monic",
-            "monic": format_poly(cert.monic),
-            "base_gens": _texts(cert.base_gens),
-        }
-    return {
-        "kind": "regular_image",
-        "modulus": cert.modulus,
-        "image": format_poly(cert.image),
-        "lcm": cert.lcm_value,
-    }
-
-
-def _certificate_keys(cert) -> dict:
-    return {
-        "certificate": None if cert is None else cert.kind,
-        "certificates": [] if cert is None else [_certificate_doc(cert)],
-    }
-
-
-def _certificate_text(cert) -> str:
-    if cert.kind == "monic":
-        base = _paren(_texts(cert.base_gens))
-        return f"certificate: monic; f = {format_poly(cert.monic)}; base ideal {base}"
-    return f"certificate: regular_image; modulus {cert.modulus}; image {format_poly(cert.image)}"
+        base = _texts(cert.base_gens)
+        doc = {"kind": "monic", "monic": format_poly(cert.monic), "base_gens": base}
+        line = f"certificate: monic; f = {doc['monic']}; base ideal {_paren(base)}"
+    else:
+        image = format_poly(cert.image)
+        doc = {"kind": "regular_image", "modulus": cert.modulus, "image": image, "lcm": cert.lcm_value}
+        line = f"certificate: regular_image; modulus {cert.modulus}; image {image}"
+    return {"certificate": cert.kind, "certificates": [doc]}, line
 
 
 # -- verb handlers --------------------------------------------------------------
@@ -145,6 +131,7 @@ def _cmd_contract(args, ideal, budget):
 def _cmd_check_stable(args, ideal, budget):
     report = check_power_stable(ideal, args.max_power, budget)
     cert = certify_stable(ideal, budget) if report.is_stable() else None
+    cert_keys, cert_line = _certificate(cert)
     records = [
         {
             "t": r.t,
@@ -159,7 +146,7 @@ def _cmd_check_stable(args, ideal, budget):
         "verdict": {"kind": report.verdict.kind, "t": report.verdict.t},
         "records": records,
         "witness": _witness_text(report.witness),
-        **_certificate_keys(cert),
+        **cert_keys,
     }
     lines = []
     if not report.is_stable():
@@ -167,7 +154,7 @@ def _cmd_check_stable(args, ideal, budget):
         lines.append(f"witness: {_witness_text(report.witness)}")
     elif cert is not None:
         lines.append(f"certified stable (all t): {cert.kind} certificate")
-        lines.append(_certificate_text(cert))
+        lines.append(cert_line)
     else:
         lines.append(f"stable up to t={args.max_power} (not certified for all t)")
     for r in report.records:
@@ -247,11 +234,10 @@ def _cmd_radical_member(args, ideal, budget):
 
 
 def _cmd_certify(args, ideal, budget):
-    cert = certify_stable(ideal, budget)
-    doc = _certificate_keys(cert)
-    if cert is None:
+    doc, line = _certificate(certify_stable(ideal, budget))
+    if line is None:
         return 1, doc, ["no certificate found (not a refutation)"]
-    return 0, doc, [_certificate_text(cert), "stable for all t"]
+    return 0, doc, [line, "stable for all t"]
 
 
 def _cmd_obstruct(args, ideal, budget):
@@ -377,10 +363,10 @@ _HANDLERS = {
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common(sp, ring: bool = True, gens: bool = True) -> None:
-    if ring:
+def _add_common(sp, ideal: bool = True) -> None:
+    """The options every verb takes; ``ideal`` adds those that read one ideal."""
+    if ideal:
         sp.add_argument("--ring", required=True, help="ring notation, e.g. ZZ[X] or QQ[Y][X]")
-    if gens:
         sp.add_argument("--gens", help="comma-separated generators; '-' reads stdin")
         sp.add_argument("--gens-file", help="file with comma- or newline-separated generators")
     sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -395,7 +381,9 @@ def _add_common(sp, ring: bool = True, gens: bool = True) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ps`` parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ps",
         description="Exact ideal arithmetic in R[X] and power-stability checking.",
@@ -434,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(option, required=True, help=option_help)
 
     sp = sub.add_parser("kernel", help="kernel of a variable-image ring map", exit_on_error=False)
-    _add_common(sp, ring=False, gens=False)
+    _add_common(sp, ideal=False)
     sp.add_argument("--source", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--map", required=True, help='images like "W=T^3,Y=T^4,Z=T^5"')
@@ -453,42 +441,36 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=2, help="prime for example_3_12")
     sp.add_argument("--seed", type=int, default=0, help="seed for the seeded builders")
     sp.add_argument("--pairs", help='radical_zx pairs like "2:X^2+X+1;3:X+1"')
-    _add_common(sp, ring=False, gens=False)
+    _add_common(sp, ideal=False)
 
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The ``ps`` parser, built once per process: parsing keeps no state in it."""
-    return build_parser()
-
-
 def run_command(argv: Sequence[str]) -> tuple[int, OutputDocument]:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except argparse.ArgumentError as err:
-        return 2, OutputDocument("text", f"usage error: {err}")
+        return 2, OutputDocument(f"usage error: {err}")
     except SystemExit as err:  # argparse printed its own message (e.g. --help)
         code = err.code if isinstance(err.code, int) else 2
-        return (0 if code == 0 else 2), OutputDocument("text", "")
+        return (0 if code == 0 else 2), OutputDocument("")
     if args.verb is None:
-        return 2, OutputDocument("text", "usage error: a command verb is required (see ps --help)")
+        return 2, OutputDocument("usage error: a command verb is required (see ps --help)")
     fmt = getattr(args, "format", "text")
     try:
         code, doc, lines = _HANDLERS[args.verb](args)
     except BudgetExceededError as err:
         return 3, _render(fmt, {"error": str(err), "budget_exceeded": True}, [f"budget exceeded: {err}"])
-    except (AlgebraError, OSError) as err:
+    except (AlgebraError, OSError, UnicodeDecodeError) as err:
         return 2, _render(fmt, {"error": str(err)}, [f"error: {err}"])
     return code, _render(fmt, doc, lines)
 
 
 def _render(fmt: str, doc: dict, lines: list[str]) -> OutputDocument:
     if fmt == "json":
-        return OutputDocument("json", json.dumps(doc, indent=2))
-    return OutputDocument("text", "\n".join(lines))
+        return OutputDocument(json.dumps(doc, indent=2))
+    return OutputDocument("\n".join(lines))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

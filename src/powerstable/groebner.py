@@ -230,15 +230,10 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
     else:
         raw = f._terms.items()
     terms = sorted(((key(e), e, c, sum(e)) for e, c in raw), reverse=True)
-    scale = 1
-    if isinstance(dom, RationalDomain) and terms:
-        g = math.gcd(*(t[2] for t in terms))
-        if terms[0][2] < 0:
-            g = -g
-        if g != 1:
-            terms = [(k, e, c // g, d) for k, e, c, d in terms]
-        scale = Fraction(den, g)
-    return terms, scale
+    if not isinstance(dom, RationalDomain) or not terms:
+        return terms, 1
+    prim = _normalized(terms, f.ring)
+    return prim, Fraction(den * prim[0][2], terms[0][2])
 
 
 def _to_polynomial(ring: RingSpec, terms, scale=1) -> Polynomial:
@@ -276,7 +271,10 @@ def _normalized(terms: list, ring: RingSpec) -> list:
 
 
 class _Reducers:
-    """A reducer set that only grows, with the leading data of each element.
+    """A reducer set that only grows.  Head data (key, coefficient, degree)
+    are read off each element's head term, ``polys[i][0]``; only the leading
+    monomials, which the divisor scan reads for every candidate, and over
+    GF(p) the inverses of the leading coefficients are kept beside them.
 
     ``first`` memoizes, per monomial key, the first reducer whose leading
     monomial divides it (an index >= 0), or ~n when none of the first n
@@ -284,7 +282,7 @@ class _Reducers:
     only the new ones.  Only field-mode reduction uses it.
     """
 
-    __slots__ = ("ring", "cord", "p", "qq", "polys", "lms", "lcs", "invs", "k0s", "d0s", "first")
+    __slots__ = ("ring", "cord", "p", "qq", "polys", "lms", "invs", "first")
 
     def __init__(self, ring: RingSpec, cord: _Order):
         self.ring = ring
@@ -293,19 +291,13 @@ class _Reducers:
         self.qq = isinstance(ring.domain, RationalDomain)
         self.polys: list[list] = []
         self.lms: list[Exponents] = []
-        self.lcs: list[int] = []
         self.invs: list[int] = []
-        self.k0s: list[int] = []
-        self.d0s: list[int] = []
         self.first: dict[int, int] = {}
 
     def append(self, f: list) -> None:
-        k, e, c, d = f[0]
+        _, e, c, _ = f[0]
         self.polys.append(f)
         self.lms.append(e)
-        self.lcs.append(c)
-        self.k0s.append(k)
-        self.d0s.append(d)
         if self.p:
             self.invs.append(pow(c, -1, self.p))
 
@@ -335,7 +327,7 @@ def _reduce(
     """
     _check_degree(max_degree, max((t[3] for t in terms), default=-1))
     p, qq, int_mode = red.p, red.qq, red.ring.is_int_mode
-    polys, lms, lcs, invs, k0s, d0s = red.polys, red.lms, red.lcs, red.invs, red.k0s, red.d0s
+    polys, lms, invs = red.polys, red.lms, red.invs
     first = red.first
     nred = len(lms)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -355,7 +347,7 @@ def _reduce(
             if int_mode:
                 for gi in range(nred):
                     if _divides(lms[gi], e):
-                        b = lcs[gi]
+                        b = polys[gi][0][2]
                         q = (c - c % abs(b)) // b
                         if q:
                             break
@@ -372,23 +364,23 @@ def _reduce(
                     first[k] = gi
                     if gi < 0:
                         break
-                if p:
-                    q = c * invs[gi] % p
-                else:
-                    b = lcs[gi]
-                    g0 = math.gcd(c, b)
-                    m = b // g0
-                    q = c // g0
-                    if m != 1:
-                        for kk in work:
-                            work[kk] *= m
-                        M *= m
+            k0, lm, b, d0 = polys[gi][0]
+            if p:
+                q = c * invs[gi] % p
+            elif qq:
+                g0 = math.gcd(c, b)
+                m = b // g0
+                q = c // g0
+                if m != 1:
+                    for kk in work:
+                        work[kk] *= m
+                    M *= m
             # work -= q * x^(e - lm) * g
-            ks = k - k0s[gi]
-            ds = d - d0s[gi]
+            ks = k - k0
+            ds = d - d0
             shift = None
             if quotients is not None:
-                shift = tuple(map(sub, e, lms[gi]))
+                shift = tuple(map(sub, e, lm))
                 quotients[gi].append((shift, q, M))
             for kg, eg, cg, dg in polys[gi]:
                 km = ks + kg
@@ -401,7 +393,7 @@ def _reduce(
                     work[km] = -q * cg % p if p else -q * cg
                     if km not in mono:
                         if shift is None:
-                            shift = tuple(map(sub, e, lms[gi]))
+                            shift = tuple(map(sub, e, lm))
                         mono[km] = (tuple(map(add, shift, eg)), ds + dg)
                     heappush(heap, -km)
                 else:
@@ -689,7 +681,7 @@ def groebner_basis(
         # every term was checked against the degree budget already
         red.append(_normalized(terms, ring))
         if int_mode:
-            lts.append((red.lms[-1], red.lcs[-1]))
+            lts.append(red.polys[-1][0][1:3])  # (monomial, coefficient)
         push_pairs(len(red.polys) - 1)
 
     for g in polys:
@@ -721,13 +713,11 @@ def groebner_basis(
     # earlier one whose monomial divides), and ``push_pairs`` retires each
     # element whose leading term a later one divides.  Active leading
     # monomials are distinct (over ZZ because the G-pairs are settled), so
-    # sorting by key alone orders the basis.
-    minimal = [red.polys[i] for i in sorted(active, key=red.k0s.__getitem__)]
+    # their keys are too, and sorting by head terms compares keys alone.
+    minimal = sorted(red.polys[i] for i in active)
     final = _tail_reduce(minimal, ring, cord, budget)
-    qq = isinstance(ring.domain, RationalDomain)
     elements = tuple(
-        _to_polynomial(ring, [(e, c) for _, e, c, _ in f], f[0][2] if qq else 1)
-        for f in final.polys
+        _to_polynomial(ring, [(e, c) for _, e, c, _ in f], f[0][2]) for f in final.polys
     )
     gb = GroebnerBasis(ring, order, elements, reduced=True, strong=int_mode)
     gb._reducers[(order, budget.max_degree)] = final

@@ -63,17 +63,24 @@ class Ideal:
 
         I^t extends each generator of I^(t-1) by the generators of I from
         its last factor on: a product whose new factor comes earlier equals
-        one that came before it, and equal products collapse.
+        one that came before it, and equal products collapse.  Levels are
+        formed bottom-up, from the highest lower power whose generators are
+        formed, so a long chain of powers costs no recursion.
         """
         if self._generators is None:
-            _, prev, base, _ = self._factors
-            lefts = base if prev is None else prev.generators
-            lasts = range(len(base)) if prev is None else prev._last
-            out: dict[Polynomial, int] = {}
-            for f, i in zip(lefts, lasts):
-                for j in range(i, len(base)):
-                    out.setdefault(f * base[j], j)
-            self._generators, self._last = tuple(out), tuple(out.values())
+            chain, power = [], self
+            while power is not None and power._generators is None:
+                chain.append(power)
+                power = power._factors[1]
+            for power in reversed(chain):
+                _, prev, base, _ = power._factors
+                lefts = base if prev is None else prev._generators
+                lasts = range(len(base)) if prev is None else prev._last
+                out: dict[Polynomial, int] = {}
+                for f, i in zip(lefts, lasts):
+                    for j in range(i, len(base)):
+                        out.setdefault(f * base[j], j)
+                power._generators, power._last = tuple(out), tuple(out.values())
         return self._generators
 
     # -- construction ------------------------------------------------------
@@ -173,9 +180,11 @@ class Ideal:
         _check_degree((budget or Budget()).max_degree, t * top)
         for k in range(2, t + 1):
             if k not in self._powers:
+                power = Ideal(self.ring, ())
+                power._generators = None
                 # the factors name I by its parts, so that I^k and I form no cycle
-                factors = (k, self._powers.get(k - 1), self.generators, self._gb)
-                self._powers[k] = _lazy_power(self.ring, factors)
+                power._factors = (k, self._powers.get(k - 1), self.generators, self._gb)
+                self._powers[k] = power
         return self._powers[t]
 
     def __add__(self, other: "Ideal") -> "Ideal":
@@ -209,8 +218,7 @@ class Ideal:
         one = Polynomial.one(ext)
         gens = [u * transport(g, ext) for g in self.generators]
         gens += [(one - u) * transport(g, ext) for g in other.generators]
-        front_free = Ideal(ext, gens).eliminate((tag,), budget)
-        return Ideal(ring, [transport(g, ring) for g in front_free.generators])
+        return Ideal(ext, gens)._restrict((tag,), ring, budget)
 
     def quotient(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
         """The colon ideal (I : f) = {g : g*f in I}."""
@@ -233,8 +241,7 @@ class Ideal:
         if f.is_zero() or self.is_zero_ideal():
             return self.quotient(f, budget) if f.is_zero() else self
         trick, tag = self._trick(f)
-        front_free = trick.eliminate((tag,), budget)
-        return Ideal(self.ring, [transport(g, self.ring) for g in front_free.generators])
+        return trick._restrict((tag,), self.ring, budget)
 
     def eliminate(self, front: Sequence[str], budget: Budget | None = None) -> "Ideal":
         """I ∩ R', where R' drops the listed variables: generators of the
@@ -250,6 +257,12 @@ class Ideal:
         order = Grevlex() if set(front) >= set(self.ring.variables) else BlockElim(front)
         gb = self.groebner(order, budget)
         return Ideal(self.ring, [g for g in gb.elements if g.free_of(front)])
+
+    def _restrict(self, aux: Sequence[str], ring: RingSpec, budget: Budget | None) -> "Ideal":
+        """Eliminate the auxiliary variables ``aux``, and transport what is
+        left into ``ring``, the ring without them."""
+        kept = self.eliminate(aux, budget)
+        return Ideal(ring, [transport(g, ring) for g in kept.generators])
 
     def radical_contains(self, f: Polynomial, budget: Budget | None = None) -> "RadicalMembership":
         """Is some power of f in I?
@@ -289,16 +302,6 @@ class Ideal:
         return all(other.contains(g, budget) for g in self.generators) and all(
             self.contains(g, budget) for g in other.generators
         )
-
-
-def _lazy_power(ring: RingSpec, factors: tuple) -> Ideal:
-    power = object.__new__(Ideal)
-    power.ring = ring
-    power._generators = power._last = None
-    power._factors = factors
-    power._gb = {}
-    power._powers = {}
-    return power
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,5 +363,4 @@ class RingMap:
             Polynomial.variable(joint, v) - evaluate_map(self.images[v], renamed, joint)
             for v in self.source.variables
         ]
-        kept = Ideal(joint, gens).eliminate(aux, budget)
-        return Ideal(self.source, [transport(g, self.source) for g in kept.generators])
+        return Ideal(joint, gens)._restrict(aux, self.source, budget)

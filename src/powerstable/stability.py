@@ -86,9 +86,8 @@ class BaseIdeal:
         return self.ideal.generators
 
     def texts(self) -> tuple[str, ...]:
-        if self.integer is not None:
-            return () if self.integer == 0 else (str(self.integer),)
-        return tuple(format_poly(g) for g in self.ideal.generators)
+        render = str if self.integer is not None else format_poly
+        return tuple(map(render, self.generators()))
 
 
 # -- contraction ------------------------------------------------------------------

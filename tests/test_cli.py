@@ -676,14 +676,78 @@ def test_readme_library_block_prints_what_its_comments_show():
     assert out.getvalue().splitlines() == shown
 
 
+def _python_m(argv, stdin=None, **env):
+    """``python -m powerstable argv`` in a subprocess that imports this
+    checkout's package, with ``env`` added to the environment."""
+    src = str(Path(powerstable.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run(
+        [sys.executable, "-m", "powerstable", *argv],
+        stdin=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 def test_python_m_powerstable_runs_the_cli():
     argv = ["corpus", "--name", "example_3_12", "--p", "5"]
     (shown,) = [body for args, body in _readme_examples() if args == argv]
-    src = str(Path(powerstable.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "powerstable", *argv], capture_output=True, text=True, env=env
-    )
+    done = _python_m(argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout == shown + "\n"
+
+
+# -- exit contract -------------------------------------------------------------------------
+
+# (argv, exit code, body); a body of None stands for an input-error message.
+# "{bad}" names a file whose bytes are not UTF-8 and "{dir}" a directory; stdin
+# holds the same bytes and decodes strictly, as it does outside the C locale.
+_UNDECODABLE = b"X\xff"
+_EXIT_CONTRACT = [
+    # long chains of powers: only degree-0 generators pass the degree budget
+    (("contract", "--ring", "ZZ[X]", "--gens", "2", "--power", "1200"), 0, f"({2**1200})"),
+    (
+        ("obstruct", "--ring", "ZZ[X]", "--gens", "2", "--power", "1200"),
+        0,
+        "no obstruction found (not a primality proof)",
+    ),
+    (("contract", "--ring", "QQ[Y][X]", "--gens", "3", "--power", "2000"), 0, "(1)"),
+    (("gb", "--ring", "ZZ[X]", "--gens-file", "{bad}"), 2, None),
+    (("gb", "--ring", "ZZ[X]", "--gens", "-"), 2, None),
+    (("gb", "--ring", "ZZ[X]", "--gens-file", "{dir}"), 2, None),
+]
+_CONTRACT_IDS = [" ".join(argv) for argv, _, _ in _EXIT_CONTRACT]
+
+
+def _contract_argv(argv, tmp_path):
+    """argv with "{bad}" and "{dir}" filled in, the file written."""
+    bad = tmp_path / "gens.txt"
+    bad.write_bytes(_UNDECODABLE)
+    return [a.format(bad=bad, dir=tmp_path) for a in argv]
+
+
+def _check_contract(code, body, want_code, want_body):
+    assert code == want_code, body
+    if want_body is None:
+        assert body.startswith("error: "), body
+    else:
+        assert body == want_body
+
+
+@pytest.mark.parametrize("argv, code, body", _EXIT_CONTRACT, ids=_CONTRACT_IDS)
+def test_exit_contract_through_run_command(argv, code, body, tmp_path, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(_UNDECODABLE), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    _check_contract(*run(*_contract_argv(argv, tmp_path)), code, body)
+
+
+@pytest.mark.parametrize("argv, code, body", _EXIT_CONTRACT, ids=_CONTRACT_IDS)
+def test_exit_contract_through_python_m(argv, code, body, tmp_path):
+    argv = _contract_argv(argv, tmp_path)
+    with open(tmp_path / "gens.txt", "rb") as stdin:
+        done = _python_m(argv, stdin, PYTHONIOENCODING="utf-8:strict")
+    assert done.stderr == ""  # no traceback
+    assert done.stdout.endswith("\n")
+    _check_contract(done.returncode, done.stdout[:-1], code, body)

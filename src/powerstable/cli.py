@@ -460,11 +460,21 @@ def run_command(argv: Sequence[str]) -> tuple[int, OutputDocument]:
     fmt = getattr(args, "format", "text")
     try:
         code, doc, lines = _HANDLERS[args.verb](args)
+        return code, _render(fmt, doc, lines)
     except BudgetExceededError as err:
         return 3, _render(fmt, {"error": str(err), "budget_exceeded": True}, [f"budget exceeded: {err}"])
     except (AlgebraError, OSError, UnicodeDecodeError) as err:
         return 2, _render(fmt, {"error": str(err)}, [f"error: {err}"])
-    return code, _render(fmt, doc, lines)
+    except ValueError as err:
+        # Python's cap on the digits of an int read from or written as text;
+        # the process-wide cap stays, since callers may run commands in-process
+        if "integer string conversion" not in str(err):
+            raise
+        msg = (
+            f"an integer exceeds Python's limit of {sys.get_int_max_str_digits()} digits"
+            " for conversion to or from text"
+        )
+        return 2, _render(fmt, {"error": msg}, [f"error: {msg}"])
 
 
 def _render(fmt: str, doc: dict, lines: list[str]) -> OutputDocument:

@@ -43,12 +43,27 @@ polynomial the engine forms within a degree budget of D, and every pair lcm
 of two of them.  D is the budget's ``max_degree`` (in ``divide``,
 ``normal_form`` and ``is_groebner`` at least the degree of each divisor);
 a term above the budget raises before its key is used.  An engine
-polynomial is a plain list of terms (key, exponents, coefficient, degree)
+polynomial is a plain list of terms (key, monomial, coefficient, degree)
 sorted by descending key, so its leading term is the first and a shifted
 term's key and degree are integer sums; the ring, modulus and compiled order
 live once per computation, in its reducer set.  Buchberger forms every pair
 through the public ``s_polynomial``/``g_polynomial`` on two term lists, with
 that reducer set in place of the order, and gets a term list back.
+
+A monomial inside the engine is packed into one int (Bachmann and
+Schoenemann, "Monomial representations for Groebner bases computations",
+1998): each variable owns a field of w bits whose top bit, the guard, is 0.
+w is 8 while 2*D <= 127, which covers the default budget of 60, and
+otherwise the least of 16, 32, 64, 128, ... with 2*D < 2**(w - 1), so every
+exponent of a pair lcm or a pair term fits below its guard.  Then a shifted
+monomial is an int sum, x^a divides x^b exactly when b - a has no guard bit
+set (a borrow sets the guard of the first field where a exceeds b), and
+b - a is the shift; lcm and coprimality are a few word operations on the
+guards.  The packed monomial is also the low bits of its key, so one dot
+product computes both.  Exponent tuples appear only where polynomials enter
+and leave the engine (``_engine_poly``, ``_to_polynomial`` and, through it,
+the quotients of ``divide``); fields of up to 64 bits are unpacked with
+``struct``, wider ones by shifts.
 
 Coefficients are plain ints: residues in [0, p) over GF(p), the integers
 themselves over ZZ, and over QQ a primitive integer polynomial that stands
@@ -64,10 +79,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, le, mul, sub
+from operator import mul
 from typing import Sequence
 
 from .coefficients import FpElement, PrimeField, RationalDomain, ext_gcd
@@ -79,7 +95,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .orders import Grevlex, MonomialOrder, key_function
-from .polynomials import Exponents, Polynomial, format_poly
+from .polynomials import Polynomial, format_poly
 from .rings import RingSpec
 
 
@@ -134,73 +150,113 @@ def _check_degree(max_degree: int, degree: int) -> None:
         raise BudgetExceededError(f"degree budget {max_degree} exceeded (term of degree {degree})")
 
 
-def _divides(lm: Exponents, e: Exponents) -> bool:
-    return all(map(le, lm, e))
-
-
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
-def _coprime(a: Exponents, b: Exponents) -> bool:
-    return not any(x and y for x, y in zip(a, b))
-
-
-# Over ZZ the pair criteria work on leading terms (monomial, coefficient),
-# coefficients positive; c*x^a divides d*x^b when c | d and x^a | x^b.
-
-
-def _term_lcm(s: tuple, t: tuple) -> tuple:
-    return _lcm(s[0], t[0]), math.lcm(s[1], t[1])
-
-
-def _term_divides(s: tuple, t: tuple) -> bool:
-    return t[1] % s[1] == 0 and _divides(s[0], t[0])
-
-
-def _term_coprime(s: tuple, t: tuple) -> bool:
-    return math.gcd(s[1], t[1]) == 1 and _coprime(s[0], t[0])
-
-
-def _g_term(s: tuple, t: tuple) -> tuple:
-    """Leading term of the G-polynomial of elements with leading terms s, t."""
-    return _lcm(s[0], t[0]), math.gcd(s[1], t[1])
-
-
-def _minimal(pairs: list, divides) -> dict:
+def _minimal(pairs: list, cord: _Order, zz: bool) -> dict:
     """The minimal-pair filter of both pair updates: each term of the
     (index, term) pairs that no other term among them properly divides,
-    mapped to the indices that carry it, in order."""
+    mapped to the indices that carry it, in order.  A term is a packed
+    monomial, or over ZZ a leading term (packed monomial, coefficient),
+    coefficients positive; c*x^a divides d*x^b when c | d and x^a | x^b.
+
+    A proper divisor of a term has a lower degree or, over ZZ, the same
+    monomial and a smaller coefficient, and divisibility is transitive.  So
+    in ascending (degree, term) order each term is tested only against the
+    minimal terms of lower degree, and over ZZ those of its own monomial.
+    """
     groups: dict = {}
     for i, t in pairs:
         groups.setdefault(t, []).append(i)
-    return {t: g for t, g in groups.items() if not any(u != t and divides(u, t) for u in groups)}
+    if len(groups) < 2:
+        return groups
+    G, degree = cord.guard, cord.degree
+    below: list = []  # the minimal terms of lower degree
+    level: list = []  # the minimal terms of the current degree
+    top = -1
+    for d, t in sorted([(degree(t[0] if zz else t), t) for t in groups]):
+        if d != top:
+            below += level
+            level = []
+            top = d
+        if zz:
+            m, c = t
+            if any(not c % v and not (m - u) & G for u, v in below) or any(
+                u == m and not c % v for u, v in level
+            ):
+                continue
+        elif any(not (t - u) & G for u in below):
+            continue
+        level.append(t)
+    keep = {*below, *level}
+    return {t: g for t, g in groups.items() if t in keep}
 
 
 # -- the engine representation ---------------------------------------------------
 
 
 class _Order:
-    """A monomial order compiled for degree bound D: for monomials of total
-    degree up to 2*D, ``key(e)`` is one int, and a larger key is a larger
-    monomial."""
+    """A monomial order and a monomial packing, compiled for degree bound D.
 
-    __slots__ = ("weights",)
+    Variable i owns bits [i*w, (i+1)*w) of a packed monomial, and the top
+    bit of each field, its guard, is 0 (see the module docstring for w).
+    For an exponent tuple e of total degree up to 2*D, ``key(e)`` is one int,
+    a larger key is a larger monomial, and the low bits of the key, under
+    ``mask``, are the packed monomial: each weight is the order's weight of
+    its variable shifted above the packed fields, plus the variable's unit
+    in its field, so one dot product yields both.  ``fields(m)`` is the
+    exponent tuple of a packed monomial m.
+    """
+
+    __slots__ = ("weights", "mask", "width", "guard", "low", "ones", "top", "field", "fields")
 
     def __init__(self, order: MonomialOrder, ring: RingSpec, bound: int):
         keyf = key_function(order, ring)
         n = len(ring.variables)
+        w = 8
+        while 2 * bound >= 1 << (w - 1):
+            w *= 2
         base = 4 * bound + 1
         weights = []
         for j in range(n):
-            w = 0
+            k = 0
             for c in keyf(tuple(int(i == j) for i in range(n))):
-                w = w * base + c
-            weights.append(w)
+                k = k * base + c
+            weights.append((k << (w * n)) + (1 << (w * j)))
         self.weights = tuple(weights)
+        self.mask = (1 << (w * n)) - 1
+        self.width = w
+        self.ones = ones = sum(1 << (w * i) for i in range(n))
+        self.guard = ones << (w - 1)
+        self.low = self.guard - ones  # the bits below each guard
+        self.top = w * (n - 1)
+        self.field = field = (1 << w) - 1
+        if w <= 64:
+            # fields of 8, 16, 32 or 64 bits are struct's B, H, I and Q
+            fmt = struct.Struct(f"<{n}{'BHIQ'[w.bit_length() - 4]}")
+            unpack, nbytes = fmt.unpack, fmt.size
+            self.fields = lambda m: unpack(m.to_bytes(nbytes, "little"))
+        else:
+            shifts = range(0, w * n, w)
+            self.fields = lambda m: tuple([m >> s & field for s in shifts])
 
-    def key(self, e: Exponents) -> int:
+    def key(self, e) -> int:
         return sum(map(mul, self.weights, e))
+
+    def degree(self, m: int) -> int:
+        # the top field of m * ones sums every field; no field below it
+        # carries, since a total degree up to 2*D fits in one field
+        return m * self.ones >> self.top & self.field
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        G = self.guard
+        t = ((a | G) - b) & G  # the guard of each field where a >= b
+        t -= t >> (self.width - 1)  # ... spread over the bits below it
+        return b ^ ((a ^ b) & t)
+
+    def coprime(self, a: int, b: int) -> bool:
+        # adding ``low`` sets the guard of each nonzero field
+        return not (a + self.low) & (b + self.low) & self.guard
 
 
 @lru_cache(maxsize=64)
@@ -217,10 +273,11 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
     """f as an engine term list, and the scalar s with engine form = s*f.
 
     Over QQ the engine form is the primitive integer multiple of f with a
-    positive leading coefficient; elsewhere it is f itself and s is 1.
+    positive leading coefficient; elsewhere it is f itself and s is 1.  A
+    term above the compiled bound has a meaningless key and monomial, which
+    ``_reduce`` rejects on entry, by its degree, before reading them.
     """
     dom = f.ring.domain
-    key = cord.key
     den = 1
     if isinstance(dom, PrimeField):
         raw = [(e, c.residue) for e, c in f._terms.items()]
@@ -229,24 +286,27 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
         raw = [(e, c.numerator * (den // c.denominator)) for e, c in f._terms.items()]
     else:
         raw = f._terms.items()
-    terms = sorted(((key(e), e, c, sum(e)) for e, c in raw), reverse=True)
+    weights, mask = cord.weights, cord.mask
+    terms = [(k := sum(map(mul, weights, e)), k & mask, c, sum(e)) for e, c in raw]
+    terms.sort(reverse=True)
     if not isinstance(dom, RationalDomain) or not terms:
         return terms, 1
     prim = _normalized(terms, f.ring)
     return prim, Fraction(den * prim[0][2], terms[0][2])
 
 
-def _to_polynomial(ring: RingSpec, terms, scale=1) -> Polynomial:
-    """The Polynomial with coefficients c / scale for the (exponents,
-    coefficient) pairs given; scale is 1 except over QQ."""
+def _to_polynomial(ring: RingSpec, cord: _Order, terms: list, scale=1) -> Polynomial:
+    """The Polynomial with coefficients c / scale for the engine terms
+    (key, monomial, coefficient, degree) given; scale is 1 except over QQ."""
     dom = ring.domain
+    fields = cord.fields
     if isinstance(dom, PrimeField):
         p = dom.p
-        return Polynomial._make(ring, {e: FpElement(c, p) for e, c in terms})
+        return Polynomial._make(ring, {fields(m): FpElement(c, p) for _, m, c, _ in terms})
     if isinstance(dom, RationalDomain):
         num, den = scale.denominator, scale.numerator
-        return Polynomial._make(ring, {e: Fraction(c * num, den) for e, c in terms})
-    return Polynomial._make(ring, dict(terms))
+        return Polynomial._make(ring, {fields(m): Fraction(c * num, den) for _, m, c, _ in terms})
+    return Polynomial._make(ring, {fields(m): c for _, m, c, _ in terms})
 
 
 def _normalized(terms: list, ring: RingSpec) -> list:
@@ -290,7 +350,7 @@ class _Reducers:
         self.p = _modulus(ring)
         self.qq = isinstance(ring.domain, RationalDomain)
         self.polys: list[list] = []
-        self.lms: list[Exponents] = []
+        self.lms: list[int] = []
         self.invs: list[int] = []
         self.first: dict[int, int] = {}
 
@@ -317,18 +377,20 @@ def _reduce(
 
     Returns (remainder, M), M the product of those multipliers (1 except over
     QQ), such that M*f = sum(q_i*g_i) + remainder.  ``quotients``, when
-    given, receives q_i per reducer as a list of (shift, coefficient, M at
-    that step); the coefficient of q_i at x^shift is coefficient * (M // M at
-    step).  No reducer acts twice on one monomial (a field step cancels the
-    term; over ZZ a reducer that acted leaves a residue it cannot divide), so
-    the shifts in one list are distinct and every coefficient is nonzero.
-    The engine checks the degree budget here only: on entry, and on each
-    term a reduction step forms ("during reduction").
+    given, receives q_i per reducer as a list of (key, shift, coefficient,
+    degree, M at that step); the coefficient of q_i at x^shift is
+    coefficient * (M // M at step).  No reducer acts twice on one monomial (a
+    field step cancels the term; over ZZ a reducer that acted leaves a
+    residue it cannot divide), so the shifts in one list are distinct and
+    every coefficient is nonzero.  The engine checks the degree budget here
+    only: on entry, and on each term a reduction step forms ("during
+    reduction").
     """
     _check_degree(max_degree, max((t[3] for t in terms), default=-1))
     p, qq, int_mode = red.p, red.qq, red.ring.is_int_mode
     polys, lms, invs = red.polys, red.lms, red.invs
     first = red.first
+    G = red.cord.guard
     nred = len(lms)
     heappush, heappop = heapq.heappush, heapq.heappop
     work = {t[0]: t[2] for t in terms}
@@ -346,7 +408,7 @@ def _reduce(
         while True:
             if int_mode:
                 for gi in range(nred):
-                    if _divides(lms[gi], e):
+                    if not (e - lms[gi]) & G:
                         b = polys[gi][0][2]
                         q = (c - c % abs(b)) // b
                         if q:
@@ -357,7 +419,7 @@ def _reduce(
                 gi = first.get(k, -1)
                 if gi < 0:
                     for gi in range(~gi, nred):
-                        if _divides(lms[gi], e):
+                        if not (e - lms[gi]) & G:
                             break
                     else:
                         gi = ~nred
@@ -378,10 +440,9 @@ def _reduce(
             # work -= q * x^(e - lm) * g
             ks = k - k0
             ds = d - d0
-            shift = None
+            shift = e - lm
             if quotients is not None:
-                shift = tuple(map(sub, e, lm))
-                quotients[gi].append((shift, q, M))
+                quotients[gi].append((ks, shift, q, ds, M))
             for kg, eg, cg, dg in polys[gi]:
                 km = ks + kg
                 s = work.get(km)
@@ -392,9 +453,7 @@ def _reduce(
                         )
                     work[km] = -q * cg % p if p else -q * cg
                     if km not in mono:
-                        if shift is None:
-                            shift = tuple(map(sub, e, lm))
-                        mono[km] = (tuple(map(add, shift, eg)), ds + dg)
+                        mono[km] = (shift + eg, ds + dg)
                     heappush(heap, -km)
                 else:
                     s -= q * cg
@@ -462,12 +521,13 @@ def divide(
     qs = [
         _to_polynomial(
             ring,
-            [(shift, q * (M // at)) for shift, q, at in steps],
+            red.cord,
+            [(k, shift, q * (M // at), d) for k, shift, q, d, at in steps],
             M * mu / lam if qq else 1,
         )
         for steps, lam in zip(quotients, scales)
     ]
-    return qs, _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
+    return qs, _to_polynomial(ring, red.cord, rem, M * mu)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -517,7 +577,7 @@ def normal_form(
             cache[(order, budget.max_degree)] = red
     h, mu = _engine_poly(f, red.cord)
     rem, M = _reduce(h, red, budget.max_degree)
-    return _to_polynomial(ring, [(e, c) for _, e, c, _ in rem], M * mu)
+    return _to_polynomial(ring, red.cord, rem, M * mu)
 
 
 # -- S and G polynomials ---------------------------------------------------------
@@ -527,11 +587,11 @@ def _pair(f: list, g: list, red: _Reducers, gpoly: bool) -> list:
     """S- or G-polynomial of two engine polynomials, with the modulus and
     compiled order of ``red``.  Over a field it is the S-polynomial up to a
     nonzero scalar; over ZZ it is exact."""
-    p = red.p
+    p, cord = red.p, red.cord
     lf, lg = f[0], g[0]
     a, b = lf[2], lg[2]
-    m = _lcm(lf[1], lg[1])
-    km, dm = red.cord.key(m), sum(m)
+    m = cord.lcm(lf[1], lg[1])
+    km, dm = cord.key(cord.fields(m)), cord.degree(m)
     if gpoly:
         _, u, v = ext_gcd(a, b)
         skip = 0
@@ -543,10 +603,10 @@ def _pair(f: list, g: list, red: _Reducers, gpoly: bool) -> list:
     # degree budget then rejects) still combines exactly
     acc: dict = {}
     for (k0, lm, _, d0), terms, w in ((lf, f, u), (lg, g, v)):
-        shift = tuple(map(sub, m, lm))
+        shift = m - lm
         ks, ds = km - k0, dm - d0
         for k, e, c, d in terms[skip:]:
-            em = tuple(map(add, e, shift))
+            em = e + shift
             t = acc.get(em)
             if t is None:
                 acc[em] = [ks + k, w * c, ds + d]
@@ -574,7 +634,7 @@ def _exact_pair(f: Polynomial, g: Polynomial, order: MonomialOrder | None, gpoly
     elif not ring.is_int_mode:
         fe, ge = _normalized(fe, ring), _normalized(ge, ring)
     out = _pair(fe, ge, _Reducers(ring, cord), gpoly)
-    return _to_polynomial(ring, [(e, c) for _, e, c, _ in out], scale)
+    return _to_polynomial(ring, cord, out, scale)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -630,7 +690,7 @@ def groebner_basis(
     ring = _check_same_ring(polys)
     int_mode = ring.is_int_mode
     cord = _compiled(order, ring, budget.max_degree)
-    key = cord.key
+    key, fields = cord.key, cord.fields
 
     red = _Reducers(ring, cord)
     heap: list = []
@@ -642,16 +702,33 @@ def groebner_basis(
     # in ``lts``.
     live: dict[tuple[int, int], object] = {}
     active: list[int] = []
+    G, lcm, coprime = cord.guard, cord.lcm, cord.coprime
     if int_mode:
+        # coefficients are positive; c*x^a divides d*x^b when c | d and x^a | x^b
         lts: list = []
-        t_lcm, t_divides, t_coprime = _term_lcm, _term_divides, _term_coprime
+
+        def t_lcm(s, t):
+            return lcm(s[0], t[0]), math.lcm(s[1], t[1])
+
+        def t_divides(s, t):
+            return not t[1] % s[1] and not (t[0] - s[0]) & G
+
+        def t_coprime(s, t):
+            return math.gcd(s[1], t[1]) == 1 and coprime(s[0], t[0])
 
         def t_key(t):
-            return key(t[0])
+            return key(fields(t[0]))
+
+        def g_term(s, t):
+            # the leading term of the G-polynomial of elements with leading terms s, t
+            return lcm(s[0], t[0]), math.gcd(s[1], t[1])
 
     else:
         lts = red.lms
-        t_lcm, t_divides, t_coprime, t_key = _lcm, _divides, _coprime, key
+        t_lcm, t_divides, t_coprime = lcm, cord.divides, coprime
+
+        def t_key(m):
+            return key(fields(m))
 
     def push_pairs(j: int) -> None:
         tj = lts[j]
@@ -662,7 +739,7 @@ def groebner_basis(
                 del live[(a, b)]
         # (M) and (F): one new pair per minimal lcm; the product criterion
         # then drops every group that has a coprime member
-        for m, group in _minimal([(i, t_lcm(lts[i], tj)) for i in active], t_divides).items():
+        for m, group in _minimal([(i, t_lcm(lts[i], tj)) for i in active], cord, int_mode).items():
             if not any(t_coprime(lts[i], tj) for i in group):
                 live[(group[0], j)] = m
                 heapq.heappush(heap, (t_key(m), group[0], j, 0))
@@ -671,8 +748,8 @@ def groebner_basis(
             # x^a_j), which some leading term must divide: one pair per
             # minimal term, with active elements only; a pair whose term a
             # leading term divides is skipped when popped
-            gnew = [(i, _g_term(lts[i], tj)) for i in active]
-            for t, group in _minimal(gnew, _term_divides).items():
+            gnew = [(i, g_term(lts[i], tj)) for i in active]
+            for t, group in _minimal(gnew, cord, True).items():
                 heapq.heappush(heap, (t_key(t), group[0], j, 1))
         active[:] = [i for i in active if not t_divides(tj, lts[i])]
         active.append(j)
@@ -693,8 +770,8 @@ def groebner_basis(
     while heap:
         _, i, j, kind = heapq.heappop(heap)
         if kind:
-            t = _g_term(lts[i], lts[j])
-            if any(_term_divides(lts[k], t) for k in active):
+            m, c = g_term(lts[i], lts[j])
+            if any(not c % lts[k][1] and not (m - lts[k][0]) & G for k in active):
                 continue
         elif live.pop((i, j), None) is None:
             continue
@@ -717,7 +794,7 @@ def groebner_basis(
     minimal = sorted(red.polys[i] for i in active)
     final = _tail_reduce(minimal, ring, cord, budget)
     elements = tuple(
-        _to_polynomial(ring, [(e, c) for _, e, c, _ in f], f[0][2]) for f in final.polys
+        _to_polynomial(ring, cord, f, f[0][2]) for f in final.polys
     )
     gb = GroebnerBasis(ring, order, elements, reduced=True, strong=int_mode)
     gb._reducers[(order, budget.max_degree)] = final

@@ -718,7 +718,26 @@ _EXIT_CONTRACT = [
     (("gb", "--ring", "ZZ[X]", "--gens", "-"), 2, None),
     (("gb", "--ring", "ZZ[X]", "--gens-file", "{dir}"), 2, None),
 ]
-_CONTRACT_IDS = [" ".join(argv) for argv, _, _ in _EXIT_CONTRACT]
+# Python's cap on the digits of an int read from or written as text (0: none)
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+if _DIGITS:
+    _TOO_LONG = (
+        f"an integer exceeds Python's limit of {_DIGITS} digits for conversion to or from text"
+    )
+    _EXIT_CONTRACT += [
+        # rendering 2^15000, and parsing a literal of 5000 digits
+        (("contract", "--ring", "ZZ[X]", "--gens", "2", "--power", "15000"), 2, f"error: {_TOO_LONG}"),
+        (("gb", "--ring", "ZZ[X]", "--gens", "9" * 5000 + "*X"), 2, f"error: {_TOO_LONG}"),
+        (
+            ("gb", "--ring", "ZZ[X]", "--gens", "9" * 5000 + "*X", "--format", "json"),
+            2,
+            json.dumps({"error": _TOO_LONG}, indent=2),
+        ),
+    ]
+_CONTRACT_IDS = [
+    " ".join(a if len(a) <= 40 else f"<{len(a)} characters>" for a in argv)
+    for argv, _, _ in _EXIT_CONTRACT
+]
 
 
 def _contract_argv(argv, tmp_path):

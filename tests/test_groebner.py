@@ -29,7 +29,7 @@ from powerstable import (
     s_polynomial,
 )
 from powerstable.coefficients import divmod_least
-from powerstable.groebner import _compiled, _divides, _minimal, _term_divides
+from powerstable.groebner import _compiled, _minimal
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
@@ -200,27 +200,36 @@ def test_pair_budget_counts_processed_pairs_only(pair_calls):
         groebner_basis(gens, budget=Budget(max_pairs=n - 1))
 
 
-_MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+def _tuple_divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize(
-    "terms, divides",
-    [(_MONOMIALS, _divides), (st.tuples(_MONOMIALS, st.integers(1, 6)), _term_divides)],
-    ids=["monomials", "ZZ terms"],
-)
-def test_minimal_pair_filter_matches_its_definition(terms, divides):
-    """Each term no other term properly divides keeps all its indices, in
-    order, so a pair update that takes the first index keeps the first
-    pair (criterion F)."""
+@pytest.mark.parametrize("zz", [False, True], ids=["monomials", "ZZ terms"])
+def test_minimal_pair_filter_matches_its_definition(zz):
+    """On packed terms: each term no other term properly divides keeps all
+    its indices, in order, so a pair update that takes the first index keeps
+    the first pair (criterion F).  Over ZZ a term is (monomial, coefficient),
+    and c*x^a divides d*x^b when c | d and x^a | x^b."""
+    cord = _compiled(Grevlex(), QYZW, 60)
+    monomial = st.tuples(*[st.integers(0, 2)] * 3)
+    terms = st.tuples(monomial, st.integers(1, 6)) if zz else monomial
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(pairs=st.lists(st.tuples(st.integers(0, 9), terms), max_size=8))
+    def divides(u, t):
+        if zz:
+            return t[1] % u[1] == 0 and _tuple_divides(u[0], t[0])
+        return _tuple_divides(u, t)
+
+    def packed(t):
+        return (cord.key(t[0]) & cord.mask, t[1]) if zz else cord.key(t) & cord.mask
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 9), terms), max_size=10))
     def check(pairs):
         expected = {}
         for _, t in pairs:
-            if t not in expected and not any(u != t and divides(u, t) for _, u in pairs):
-                expected[t] = [i for i, u in pairs if u == t]
-        got = _minimal(pairs, divides)
+            if packed(t) not in expected and not any(u != t and divides(u, t) for _, u in pairs):
+                expected[packed(t)] = [i for i, u in pairs if u == t]
+        got = _minimal([(i, packed(t)) for i, t in pairs], cord, zz)
         assert list(got.items()) == list(expected.items())
 
     check()
@@ -579,6 +588,129 @@ def test_compiled_keys_order_monomials_like_the_key_tuples(order):
         assert (key(a) == key(b)) == (a == b)
 
     check()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 63, 64, 10**6, 2**62], ids=str)
+def test_packed_monomials_match_the_exponent_tuples(bound):
+    """Packed divides, lcm, coprime, degree and the pack/unpack round trip
+    (a packed monomial is the low bits of its key) equal their exponent-tuple
+    definitions for 1..6 variables and every exponent up to 2*D, on both
+    sides of the switch from 8-bit fields and of the one from struct to
+    shifts above 64 bits."""
+    names = "ABCDEF"
+    top = 2 * max(bound, 1)  # the compiled bound is at least 1
+    exponent = st.one_of(st.sampled_from([0, 1, top - 1, top]), st.integers(0, top))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), order=st.sampled_from([Grevlex(), Lex()]))
+    def check(data, n, order):
+        cord = _compiled(order, RingSpec.parse(f"QQ[{','.join(names[:n])}]"), bound)
+        assert (cord.width == 8) == (bound <= 63)
+        a, b = (data.draw(st.tuples(*[exponent] * n)) for _ in "ab")
+        pa, pb = cord.key(a) & cord.mask, cord.key(b) & cord.mask
+        assert cord.fields(pa) == a and cord.fields(pb) == b
+        assert cord.divides(pa, pb) == _tuple_divides(a, b)
+        assert cord.divides(pb, pa) == _tuple_divides(b, a)
+        assert cord.fields(cord.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert cord.coprime(pa, pb) == (not any(x and y for x, y in zip(a, b)))
+        if _tuple_divides(a, b):
+            assert cord.fields(pb - pa) == tuple(y - x for x, y in zip(a, b))
+        if sum(a) <= top:
+            assert cord.degree(pa) == sum(a)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "ring, tag",
+    [(QYZW, "QQ"), (F7YZX, "F7"), (ZX.extend_aux("_T0"), "ZZ")],
+    ids=["QQ[Y,Z,W]", "F7[Y,Z][X]", "ZZ[X,_T0]"],
+)
+def test_engine_answers_do_not_depend_on_the_field_width(ring, tag):
+    """groebner_basis, divide and normal_form under budgets on both sides of
+    the 8-bit field switch give the default budget's answers and the
+    references'."""
+    v = ring.variables
+    compared = 0
+    for spec in ("grevlex", f"elim:{v[0]}"):
+        order = parse_order(spec, ring)
+        for seed in range(4):
+            rng = random.Random(f"width:{tag}:{spec}:{seed}")
+            gens = rand_gens(rng, ring, rng.randint(2, 3), 3)
+            f = rand_gens(rng, ring, 1, 5)[0]
+            try:
+                if ring.is_int_mode:
+                    expected = reference_strong_groebner(gens, order, max_pairs=150)
+                else:
+                    expected = reference_groebner(gens, order, max_pairs=150)
+            except PairLimit:
+                continue
+            default = groebner_basis(gens, order)
+            assert list(default.elements) == expected, (spec, seed)
+            division = divide(f, gens, order)
+            assert division[1] == reference_normal_form(f, gens, order)
+            for cap in (63, 64, 500):
+                budget = Budget(max_degree=cap)
+                gb = groebner_basis(gens, order, budget)
+                assert gb.elements == default.elements, (spec, seed, cap)
+                assert divide(f, gens, order, budget) == division
+                assert normal_form(f, gb, budget=budget) == normal_form(f, default)
+                assert normal_form(f, gb, budget=budget) == reference_normal_form(
+                    f, list(gb.elements), order
+                )
+                assert normal_form(f, gens, order, budget) == division[1]
+            compared += 1
+    assert compared >= 6
+
+
+@pytest.mark.parametrize("cap", [60, 63, 64, 500])
+def test_a_divisor_above_the_budget_widens_the_fields(cap):
+    """A divisor of degree 64 or more raises the compiled bound, so its
+    exponents need 16-bit fields; under grevlex it divides no term of degree
+    <= cap below 64, and every answer matches the textbook reference."""
+    order = Grevlex()
+    big = parse_poly("Y^64*Z^3 + 2*Z - 1", QYZ)
+    rng = random.Random(f"wide divisor:{cap}")
+    for _ in range(6):
+        small = rand_gens(rng, QYZ, 2, 2)
+        f = rand_gens(rng, QYZ, 1, 6)[0] * parse_poly("Y^2 + Z", QYZ)
+        basis = [*small, big]
+        qs, r = divide(f, basis, order, Budget(max_degree=cap))
+        assert r == reference_normal_form(f, basis, order)
+        assert sum((q * g for q, g in zip(qs, basis)), r) == f
+        assert (qs, r) == divide(f, basis, order)
+        assert normal_form(f, basis, order, Budget(max_degree=cap)) == r
+        assert qs[-1].is_zero()
+
+
+@pytest.mark.parametrize("degree", [63, 64])
+def test_pairs_whose_tails_reach_twice_the_bound(degree):
+    """Under an elimination order an S- or G-polynomial of two polynomials of
+    degree D carries the exponent 2*D in one variable: it matches the
+    textbook one, the engine rejects it under the budget D with its degree,
+    and computes the basis under a budget of 2*D."""
+    D = degree
+    zt = ZX.extend_aux("_T0")
+    order = BlockElim(("_T0",))
+    # variables (X, _T0): f = 2*_T0 + X^D, g = 2*X^D
+    f, g = Polynomial(zt, {(0, 1): 2, (D, 0): 1}), Polynomial(zt, {(D, 0): 2})
+    assert s_polynomial(f, g, order) == reference_s_polynomial(f, g, order)
+    assert g_polynomial(f, g, order) == reference_g_polynomial(f, g, order)
+    assert s_polynomial(f, g, order).total_degree() == 2 * D
+    with pytest.raises(BudgetExceededError, match=rf"^degree budget {D} exceeded \(term of degree {2 * D}\)$"):
+        groebner_basis([f, g], order, Budget(max_degree=D))
+    for cap in (2 * D, 500):
+        gb = groebner_basis([f, g], order, Budget(max_degree=cap))
+        assert list(gb.elements) == reference_strong_groebner([f, g], order)
+    # over QQ the leading monomials are coprime, so the engine drops the pair
+    qt = QYZ.extend_aux("_T0")
+    # variables (Y, Z, _T0): f = _T0 - Z^D, g = Z^D
+    one = qt.domain.one
+    f, g = Polynomial(qt, {(0, 0, 1): one, (0, D, 0): -one}), Polynomial(qt, {(0, D, 0): one})
+    assert s_polynomial(f, g, order) == reference_s_polynomial(f, g, order)
+    assert s_polynomial(f, g, order).total_degree() == 2 * D
+    gb = groebner_basis([f, g], order, Budget(max_degree=D))
+    assert list(gb.elements) == reference_groebner([f, g], order)
 
 
 @st.composite

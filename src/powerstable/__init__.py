@@ -29,7 +29,7 @@ from .groebner import (
     s_polynomial,
     g_polynomial,
 )
-from .ideals import Ideal, RadicalMembership, RingMap
+from .ideals import Ideal, RingMap
 from .orders import BlockElim, Grevlex, Lex, parse_order
 from .polynomials import (
     Polynomial,
@@ -93,7 +93,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "QQ",
-    "RadicalMembership",
     "RegularImageCertificate",
     "RingMap",
     "RingMismatchError",

@@ -21,7 +21,7 @@ from typing import Sequence
 from .corpus import REGISTRY, corpus
 from .errors import AlgebraError, BudgetExceededError, ParseError
 from .groebner import Budget, groebner_basis
-from .ideals import _RADICAL_POWER_CAP, Ideal, RingMap
+from .ideals import Ideal, RingMap
 from .orders import parse_order
 from .polynomials import Polynomial, format_poly, parse_poly
 from .rings import RingSpec
@@ -61,6 +61,8 @@ def _budget(args) -> Budget:
 
 
 def _load_ideal(args, ring: RingSpec) -> Ideal:
+    if args.gens is not None and args.gens_file is not None:
+        raise ParseError("give the generators once: --gens or --gens-file, not both")
     if args.gens is not None:
         blob = sys.stdin.read() if args.gens == "-" else args.gens
     elif args.gens_file is not None:
@@ -214,23 +216,12 @@ def _cmd_colon(args, ideal, budget):
 
 
 def _cmd_member(args, ideal, budget):
+    """member (f in I) and radical-member (some power of f in I)."""
     f = parse_poly(args.poly, ideal.ring)
-    val = ideal.contains(f, budget)
+    test = ideal.contains if args.verb == "member" else ideal.radical_contains
+    val = test(f, budget)
     doc = {"poly": format_poly(f), "member": val}
     return (0 if val else 1), doc, ["true" if val else "false"]
-
-
-def _cmd_radical_member(args, ideal, budget):
-    f = parse_poly(args.poly, ideal.ring)
-    rm = ideal.radical_contains(f, budget)
-    doc = {"poly": format_poly(f), "member": rm.value, "capped": rm.capped, "power": rm.power}
-    if rm.value:
-        line = "true" if rm.power is None else f"true (power {rm.power})"
-    elif rm.capped:
-        line = f"false (bounded search, no power up to k={_RADICAL_POWER_CAP})"
-    else:
-        line = "false"
-    return (0 if rm.value else 1), doc, [line]
 
 
 def _cmd_certify(args, ideal, budget):
@@ -349,7 +340,7 @@ _IDEAL_VERBS = {
     "quotient": _cmd_colon,
     "saturate": _cmd_colon,
     "member": _cmd_member,
-    "radical-member": _cmd_radical_member,
+    "radical-member": _cmd_member,
     "certify": _cmd_certify,
     "obstruct": _cmd_obstruct,
 }

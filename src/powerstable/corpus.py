@@ -82,7 +82,7 @@ def extension_JX(seed: int = 0) -> Ideal:
 def example_3_12(p: int = 2) -> Ideal:
     """(X^2 - p, X^3) over ZZ[X] for a prime p: contracts to (p^2) at t = 1
     but p^3 already lies in I^2, so stability fails at t = 2."""
-    if p < 2 or not is_prime_u64(p):
+    if not is_prime_u64(p):
         raise CorpusError(f"example_3_12 needs a prime p, got {p}")
     x = Polynomial.variable(_ZX, "X")
     return Ideal(_ZX, [x * x - Polynomial.constant(_ZX, p), x**3])
@@ -185,7 +185,7 @@ def radical_zx(pairs: Sequence[tuple[int, object]], budget: Budget | None = None
         raise CorpusError("radical_zx needs at least one (p, f) pair")
     parts: list[Ideal] = []
     for p, f in pairs:
-        if p < 2 or not is_prime_u64(p):
+        if not is_prime_u64(p):
             raise CorpusError(f"radical_zx modulus must be prime, got {p}")
         poly = f if isinstance(f, Polynomial) else parse_poly(str(f), _ZX)
         if poly.is_zero() or int(poly.leading_term()[1]) % p == 0:

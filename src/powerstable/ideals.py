@@ -19,9 +19,6 @@ from .orders import BlockElim, Grevlex, MonomialOrder
 from .polynomials import Polynomial, evaluate_map, format_poly, transport
 from .rings import RingSpec
 
-# Over ZZ, radical membership tries the powers f, f^2, ..., f^cap.
-_RADICAL_POWER_CAP = 12
-
 
 class Ideal:
     """An ideal of R[X] given by a finite generating set.
@@ -264,29 +261,18 @@ class Ideal:
         kept = self.eliminate(aux, budget)
         return Ideal(ring, [transport(g, ring) for g in kept.generators])
 
-    def radical_contains(self, f: Polynomial, budget: Budget | None = None) -> "RadicalMembership":
-        """Is some power of f in I?
-
-        Over a field coefficient ring the answer is exact: f is in the
-        radical iff 1 lies in I + (1 - y*f).  Over ZZ powers f, f^2, ... are
-        tested up to _RADICAL_POWER_CAP; a negative answer is then marked capped.
-        """
+    def radical_contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
+        """Is some power of f in I?  Exactly when 1 lies in I + (1 - y*f):
+        that ideal is the unit ideal iff f is nilpotent modulo I, over any
+        coefficient ring, by the localization identity ``saturate`` uses."""
         if f.ring != self.ring:
             raise RingMismatchError(f"radical candidate in {f.ring}, expected {self.ring}")
         if f.is_zero():
-            return RadicalMembership(True, capped=False, power=1)
+            return True
         if self.is_zero_ideal():
-            return RadicalMembership(False, capped=False)
-        ring = self.ring
-        if ring.is_int_mode:
-            fk = f
-            for k in range(1, _RADICAL_POWER_CAP + 1):
-                if self.contains(fk, budget):
-                    return RadicalMembership(True, capped=False, power=k)
-                fk = fk * f
-            return RadicalMembership(False, capped=True)
+            return False
         trick, _ = self._trick(f)
-        return RadicalMembership(trick.contains(Polynomial.one(trick.ring), budget), capped=False)
+        return trick.contains(Polynomial.one(trick.ring), budget)
 
     def _trick(self, f: Polynomial) -> tuple["Ideal", str]:
         """I + (1 - y*f) in the ring extended by a fresh auxiliary y; returns y too."""
@@ -302,19 +288,6 @@ class Ideal:
         return all(other.contains(g, budget) for g in self.generators) and all(
             self.contains(g, budget) for g in other.generators
         )
-
-
-@dataclass(frozen=True, slots=True)
-class RadicalMembership:
-    """Answer to a radical membership query.  ``capped`` marks a negative
-    that only rules out powers up to the search cap (ZZ mode)."""
-
-    value: bool
-    capped: bool
-    power: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.value
 
 
 # -- ring maps ----------------------------------------------------------------

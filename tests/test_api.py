@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "ParseError",
     "Polynomial",
     "QQ",
-    "RadicalMembership",
     "RegularImageCertificate",
     "RingMap",
     "RingMismatchError",

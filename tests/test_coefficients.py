@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powerstable import GF, QQ, ZZ, CoefficientError, FpElement, ext_gcd, is_prime_u64
+from powerstable import (
+    GF,
+    QQ,
+    ZZ,
+    CoefficientError,
+    FpElement,
+    example_3_12,
+    ext_gcd,
+    is_prime_u64,
+)
 from powerstable.coefficients import divmod_least
 
 from oracles import euclid_gcd
@@ -73,6 +82,20 @@ class TestPrimality:
     def test_carmichael_numbers_rejected(self):
         for n in (561, 1105, 1729, 2465, 2821, 6601, 8911):
             assert not is_prime_u64(n)
+
+    def test_refuses_numbers_beyond_its_proven_range(self):
+        assert is_prime_u64(2**64 - 59)  # the largest prime below 2^64
+        assert not is_prime_u64(2**64 - 1)
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to all 12
+        # bases; example_3_12 and GF, which call the test, refuse it too
+        psi_12 = 318665857834031151167461
+        for n in (2**64, psi_12):
+            with pytest.raises(CoefficientError, match="exceeds the 2\\^64 bound"):
+                is_prime_u64(n)
+        with pytest.raises(CoefficientError):
+            example_3_12(psi_12)
+        with pytest.raises(CoefficientError):
+            GF(psi_12)
 
 
 coeff_domains = pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from powerstable import (
     parse_poly,
     transport,
 )
+from powerstable.corpus import prime_corpus
 
 from helpers import rand_gens
 from oracles import reference_saturation
@@ -412,20 +413,48 @@ def test_membership_edges():
 
 def test_radical_membership_over_zz():
     I = ideal(ZX, "X^2 - 2", "X^3")
-    r = I.radical_contains(parse_poly("2", ZX))
-    assert r and r.power == 2 and not r.capped
-    r = I.radical_contains(parse_poly("X", ZX))
-    assert r and r.power == 3
-    r = I.radical_contains(parse_poly("3", ZX))
-    assert not r and r.capped  # only a bounded search over ZZ
+    assert I.radical_contains(parse_poly("2", ZX)) is True  # 2^2 = X^4 - (X^2 - 2)(X^2 + 2)
+    assert I.radical_contains(parse_poly("X", ZX)) is True
+    assert I.radical_contains(parse_poly("3", ZX)) is False  # exact: 3 is a unit mod sqrt(I) = (2, X)
 
 
 def test_radical_membership_over_field():
     I = ideal(QYX, "X^2")
-    assert I.radical_contains(parse_poly("X", QYX))
-    r = ideal(QYX, "X").radical_contains(parse_poly("Y", QYX))
-    assert not r and not r.capped  # field mode is exact, not capped
-    assert ideal(QYX, "Y^3*X^2").radical_contains(parse_poly("Y*X", QYX))
+    assert I.radical_contains(parse_poly("X", QYX)) is True
+    assert ideal(QYX, "X").radical_contains(parse_poly("Y", QYX)) is False
+    assert ideal(QYX, "Y^3*X^2").radical_contains(parse_poly("Y*X", QYX)) is True
+
+
+def test_radical_membership_finds_high_nilpotency_orders():
+    # powers far beyond a small search: X^13 in (X^13), 2^20 in (2^20)
+    assert ideal(ZX, "X^13").radical_contains(parse_poly("X", ZX))
+    assert ideal(ZX, str(2**20)).radical_contains(parse_poly("2", ZX))
+    assert not ideal(ZX, str(2**20)).radical_contains(parse_poly("X", ZX))
+    assert ideal(F7YX, "Y^15", "X^2 - Y").radical_contains(parse_poly("X", F7YX))
+
+
+# Candidates for the oracle test below: units, primes of ZZ, linear and
+# quadratic forms, and products of them.
+_RADICAL_CANDIDATES = [
+    "1", "2", "3", "6", "X", "X + 1", "X^2 + 1", "X^2 - 2", "2*X + 3", "X^2 + X + 1", "5*X^2 + 10",
+]
+
+
+def test_radical_membership_matches_known_radicals():
+    # sqrt(P^k) = P for a prime P, and sqrt(P*Q) = P ∩ Q for primes P, Q, so
+    # f lies in the radical iff f lies in P (in P and in Q); membership in a
+    # prime is plain ideal membership, decided by a strong basis
+    primes = [P for _, P in prime_corpus()]
+    fs = [parse_poly(t, ZX) for t in _RADICAL_CANDIDATES]
+    for P in primes:
+        inside = [P.contains(f) for f in fs]
+        for k in (1, 2, 3):
+            Pk = P.power(k)
+            assert [Pk.radical_contains(f) for f in fs] == inside, (P.generators, k)
+    for P, Q in itertools.combinations(primes[::3], 2):
+        PQ = P * Q
+        expected = [P.contains(f) and Q.contains(f) for f in fs]
+        assert [PQ.radical_contains(f) for f in fs] == expected, (P.generators, Q.generators)
 
 
 def test_radical_membership_edges():

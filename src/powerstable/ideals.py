@@ -148,12 +148,22 @@ class Ideal:
         return list(dict.fromkeys(f * g for f in left for g in right))
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
+        """Whether f lies in the ideal: the normal form of f by the grevlex
+        basis is zero.
+
+        One of the generators, within the degree budget, is a member at
+        once, with no basis and no normal form; reading the generators forms
+        those of a lazy power.  A generator above ``budget.max_degree`` takes
+        the basis route, and so raises as any candidate over the cap does.
+        """
         if f.ring != self.ring:
             raise RingMismatchError(f"membership candidate in {f.ring}, expected {self.ring}")
         if f.is_zero():
             return True
         if self.is_zero_ideal():
             return False
+        if f in self.generators and f.total_degree() <= (budget or Budget()).max_degree:
+            return True
         gb = self.groebner(budget=budget)
         return normal_form(f, gb, budget=budget).is_zero()
 

@@ -3,6 +3,7 @@
 import pytest
 
 import powerstable.groebner
+import powerstable.ideals
 from acceptance_log import RESULTS
 
 
@@ -19,6 +20,21 @@ def pair_calls(monkeypatch):
 
         monkeypatch.setattr(powerstable.groebner, name, counting)
     return calls
+
+
+@pytest.fixture
+def bases(monkeypatch):
+    """A list that grows by the ring of each Groebner basis the ideal layer
+    computes."""
+    computed = []
+    real = powerstable.ideals.groebner_basis
+
+    def counting(gens, order=None, budget=None):
+        computed.append(gens[0].ring)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(powerstable.ideals, "groebner_basis", counting)
+    return computed
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

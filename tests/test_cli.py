@@ -418,6 +418,28 @@ def test_degree_budget_flag():
     assert code == 3
 
 
+_LISTED = ("--ring", "QQ[Y][X]", "--gens", "X^2 + Y*X + 1, Y^3 - X*Y, Y^2*X - 1")
+
+
+def test_a_listed_generator_spends_no_pairs():
+    assert run("member", *_LISTED, "--poly", "Y^3 - X*Y", "--max-pairs", "0") == (0, "true")
+    code, body = run("certify", "--ring", "QQ[Y][X]", "--gens", "Y^2, X^2 + Y*X + 1", "--max-pairs", "0")
+    assert code == 0
+    assert body.splitlines() == [
+        "certificate: monic; f = Y*X + X^2 + 1; base ideal (Y^2)",
+        "stable for all t",
+    ]
+
+
+def test_a_listed_generator_keeps_the_budget_exits():
+    # a member that is not listed needs a basis, and so pairs
+    result = run("member", *_LISTED, "--poly", "Y^3*X - Y*X^2", "--max-pairs", "0")
+    assert result == (3, "budget exceeded: pair budget 0 exhausted")
+    # a listed generator above --max-degree is refused like any candidate
+    result = run("member", *_LISTED, "--poly", "X^2 + Y*X + 1", "--max-degree", "1")
+    assert result == (3, "budget exceeded: degree budget 1 exceeded (term of degree 2)")
+
+
 def test_power_over_the_degree_budget_exits_three_before_it_is_formed():
     # (X + Y + Z + 1)^100 has 176,851 terms; the budget refuses it unformed
     argv = ("contract", "--ring", "QQ[Y,Z][X]", "--gens", "X + Y + Z + 1", "--power", "100")

@@ -27,6 +27,8 @@ from powerstable import (
     groebner_basis,
     hochster_P,
     hochster_toric_map,
+    monic_certificate,
+    normal_form,
     parse_poly,
     transport,
 )
@@ -406,6 +408,62 @@ def test_membership_edges():
     zero = Ideal(QYX, [])
     assert zero.contains(Polynomial.zero(QYX))
     assert not zero.contains(parse_poly("X", QYX))
+
+
+_LISTED = ("X^2 + Y*X + 1", "Y^3 - X*Y", "Y^2*X - 1")
+
+
+def test_a_generator_is_a_member_without_a_basis(bases):
+    I = ideal(QYX, *_LISTED)
+    assert all(I.contains(parse_poly(t, QYX)) for t in _LISTED)
+    assert bases == []
+    # any other candidate, a multiple of a generator too, takes the basis route
+    assert I.contains(parse_poly("Y^3*X - Y*X^2", QYX))
+    assert bases == [QYX]
+
+
+def test_a_monic_presentation_by_the_own_generators_verifies_without_a_basis(bases):
+    I = ideal(QYX, "Y^2", "X^2 + Y*X + 1")
+    cert = monic_certificate(I)
+    assert cert is not None and cert.verify()
+    assert bases == []
+
+
+def test_a_lazy_power_answers_for_one_of_its_products(bases):
+    I = ideal(F7YX, "X^2 - Y", "Y*X + 1", "Y^3")
+    f, g, h = I.generators
+    cube = I.power(3)
+    assert cube.contains(f * g * h) and cube.contains(g**3)
+    assert bases == []
+
+
+def test_a_generator_answers_under_a_zero_pair_budget():
+    I = ideal(QYX, *_LISTED)
+    none = Budget(max_pairs=0)
+    assert I.contains(parse_poly("Y^3 - X*Y", QYX), none)
+    with pytest.raises(BudgetExceededError, match="pair budget 0"):
+        I.contains(parse_poly("Y^3*X - Y*X^2", QYX), none)
+
+
+def test_a_generator_over_the_degree_budget_raises():
+    I = ideal(QYX, *_LISTED)
+    message = re.escape("degree budget 1 exceeded (term of degree 2)")
+    with pytest.raises(BudgetExceededError, match=message):
+        I.contains(parse_poly("X^2 + Y*X + 1", QYX), Budget(max_degree=1))
+
+
+@pytest.mark.parametrize("ring", [ZX, QYX, F7YX], ids=str)
+def test_every_generator_reduces_to_zero_by_the_basis(ring):
+    # membership of a generator no longer runs the engine, so the engine's
+    # normal form of each generator, of an ideal and of its square, is
+    # checked here
+    rng = random.Random(f"generators:{ring}")
+    for _ in range(8):
+        I = Ideal(ring, rand_gens(rng, ring, rng.randint(1, 3), 3))
+        for J in (I, I.power(2)):
+            gb = J.groebner()
+            for g in J.generators:
+                assert normal_form(g, gb).is_zero(), (ring, J.generators, g)
 
 
 # -- radical membership ---------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command line front end.
 
-One executable, ``ps``, with verb subcommands.  Exit codes are part of the
-interface: 0 success (stable / certified / member / computed), 1 a
-successful negative finding (unstable, non-member, obstruction found, no
-certificate), 2 usage or input errors, 3 budget exhausted.  Output is
-deterministic for identical argv: fixed templates in text mode, fixed key
-order in json mode.
+One executable, ``ps``, with verb subcommands.  A verb is one row of
+``_VERBS`` (help, handler, options in order): the parser is built from the
+table and dispatches to the handler of the row.  A handler formats each
+output polynomial once and builds its text lines from the strings in its
+json document.  Exit codes are part of the interface: 0 success (stable /
+certified / member / computed), 1 a successful negative finding (unstable,
+non-member, obstruction found, no certificate), 2 usage or input errors,
+3 budget exhausted.  Output is deterministic for identical argv: fixed
+templates in text mode, fixed key order in json mode.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 from .corpus import REGISTRY, corpus
 from .errors import AlgebraError, BudgetExceededError, ParseError
-from .groebner import Budget, groebner_basis
+from .groebner import Budget
 from .ideals import Ideal, RingMap
 from .orders import parse_order
 from .polynomials import Polynomial, format_poly, parse_poly
@@ -114,15 +117,10 @@ def _ideal_doc(ideal: Ideal) -> dict:
 
 
 def _cmd_gb(args, ideal, budget):
-    order = parse_order(args.order, ideal.ring)
-    gb = groebner_basis(ideal.generators, order, budget)
-    doc = {
-        "order": args.order,
-        "basis": _texts(gb.elements),
-        "reduced": gb.reduced,
-        "strong": gb.strong,
-    }
-    return 0, doc, [_paren(_texts(gb.elements))]
+    gb = ideal.groebner(parse_order(args.order, ideal.ring), budget)
+    basis = _texts(gb.elements)
+    doc = {"order": args.order, "basis": basis, "reduced": gb.reduced, "strong": gb.strong}
+    return 0, doc, [_paren(basis)]
 
 
 def _cmd_contract(args, ideal, budget):
@@ -143,26 +141,24 @@ def _cmd_check_stable(args, ideal, budget):
         }
         for r in report.records
     ]
+    witness = _witness_text(report.witness)
     doc = {
         "bound": args.max_power,
         "verdict": {"kind": report.verdict.kind, "t": report.verdict.t},
         "records": records,
-        "witness": _witness_text(report.witness),
+        "witness": witness,
         **cert_keys,
     }
-    lines = []
     if not report.is_stable():
-        lines.append(f"unstable at t={report.verdict.t}")
-        lines.append(f"witness: {_witness_text(report.witness)}")
+        lines = [f"unstable at t={report.verdict.t}", f"witness: {witness}"]
     elif cert is not None:
-        lines.append(f"certified stable (all t): {cert.kind} certificate")
-        lines.append(cert_line)
+        lines = [f"certified stable (all t): {cert.kind} certificate", cert_line]
     else:
-        lines.append(f"stable up to t={args.max_power} (not certified for all t)")
-    for r in report.records:
+        lines = [f"stable up to t={args.max_power} (not certified for all t)"]
+    for r in records:
         lines.append(
-            f"t={r.t}: contraction {_paren(r.contraction.texts())}, "
-            f"base power {_paren(r.expected.texts())}, equal {'yes' if r.equal else 'no'}"
+            f"t={r['t']}: contraction {_paren(r['contraction'])}, "
+            f"base power {_paren(r['base_power'])}, equal {'yes' if r['equal'] else 'no'}"
         )
     return (0 if report.is_stable() else 1), doc, lines
 
@@ -178,48 +174,43 @@ def _cmd_criterion(args, ideal, budget):
         }
         for r in rep.records
     ]
+    witness = _witness_text(rep.witness)
     doc = {
         "bound": args.max_level,
         "holds": rep.holds,
         "failure_n": rep.failure_n,
         "records": records,
-        "witness": _witness_text(rep.witness),
+        "witness": witness,
     }
-    lines = []
     if rep.holds:
-        lines.append(f"criterion holds for all n <= {args.max_level}")
+        lines = [f"criterion holds for all n <= {args.max_level}"]
     else:
-        lines.append(f"criterion fails at n={rep.failure_n}")
-        lines.append(f"witness: {_witness_text(rep.witness)}")
-    for r in rep.records:
+        lines = [f"criterion fails at n={rep.failure_n}", f"witness: {witness}"]
+    for r in records:
         lines.append(
-            f"n={r.n}: meet {_paren(r.meet.texts())}, "
-            f"target {_paren(r.target.texts())}, holds {'yes' if r.holds else 'no'}"
+            f"n={r['n']}: meet {_paren(r['meet'])}, "
+            f"target {_paren(r['target'])}, holds {'yes' if r['holds'] else 'no'}"
         )
     return (0 if rep.holds else 1), doc, lines
 
 
 def _cmd_eliminate(args, ideal, budget):
     names = tuple(_split_items(args.vars))
-    out = ideal.eliminate(names, budget)
-    doc = {"vars": list(names), "result": _texts(out.generators)}
-    return 0, doc, [_paren(_texts(out.generators))]
+    result = _texts(ideal.eliminate(names, budget).generators)
+    return 0, {"vars": list(names), "result": result}, [_paren(result)]
 
 
-def _cmd_colon(args, ideal, budget):
+def _cmd_colon(method, args, ideal, budget):
     """quotient (I : f) and saturate (I : f^infinity)."""
     f = parse_poly(args.by, ideal.ring)
-    colon = ideal.quotient if args.verb == "quotient" else ideal.saturate
-    out = colon(f, budget)
-    doc = {"by": format_poly(f), "result": _texts(out.generators)}
-    return 0, doc, [_paren(_texts(out.generators))]
+    result = _texts(getattr(ideal, method)(f, budget).generators)
+    return 0, {"by": format_poly(f), "result": result}, [_paren(result)]
 
 
-def _cmd_member(args, ideal, budget):
+def _cmd_member(method, args, ideal, budget):
     """member (f in I) and radical-member (some power of f in I)."""
     f = parse_poly(args.poly, ideal.ring)
-    test = ideal.contains if args.verb == "member" else ideal.radical_contains
-    val = test(f, budget)
+    val = getattr(ideal, method)(f, budget)
     doc = {"poly": format_poly(f), "member": val}
     return (0 if val else 1), doc, ["true" if val else "false"]
 
@@ -238,19 +229,12 @@ def _cmd_obstruct(args, ideal, budget):
         if not wits:
             raise ParseError("empty witness list")
     cert = primary_obstruction(ideal, args.power, wits, budget)
-    doc = {
-        "power": args.power,
-        "found": cert is not None,
-        "witness": None if cert is None else format_poly(cert.witness),
-        "cofactor": None if cert is None else format_poly(cert.cofactor),
-    }
     if cert is None:
+        doc = {"power": args.power, "found": False, "witness": None, "cofactor": None}
         return 0, doc, ["no obstruction found (not a primality proof)"]
-    lines = [
-        f"obstruction at t={args.power}: "
-        f"witness {format_poly(cert.witness)}, cofactor {format_poly(cert.cofactor)}"
-    ]
-    return 1, doc, lines
+    witness, cofactor = _texts((cert.witness, cert.cofactor))
+    doc = {"power": args.power, "found": True, "witness": witness, "cofactor": cofactor}
+    return 1, doc, [f"obstruction at t={args.power}: witness {witness}, cofactor {cofactor}"]
 
 
 def _cmd_kernel(args):
@@ -266,14 +250,14 @@ def _cmd_kernel(args):
             raise ParseError(f"variable {var!r} is mapped twice")
         images[var] = parse_poly(expr.strip(), target)
     ring_map = RingMap(source, target, images)
-    out = ring_map.kernel(_budget(args))
+    kernel = _texts(ring_map.kernel(_budget(args)).generators)
     doc = {
         "source": source.to_json(),
         "target": target.to_json(),
         "map": {v: format_poly(images[v]) for v in source.variables},
-        "kernel": _texts(out.generators),
+        "kernel": kernel,
     }
-    return 0, doc, [_paren(_texts(out.generators))]
+    return 0, doc, [_paren(kernel)]
 
 
 def _cmd_corpus(args):
@@ -310,8 +294,7 @@ def _cmd_corpus(args):
     result = corpus(args.name, params)
     if isinstance(result, Ideal):
         doc = {"name": args.name, **_ideal_doc(result)}
-        lines = [str(result.ring), _paren(_texts(result.generators))]
-        return 0, doc, lines
+        return 0, doc, [str(result.ring), _paren(doc["generators"])]
     if isinstance(result, RingMap):
         images = {v: format_poly(result.images[v]) for v in result.source.variables}
         doc = {
@@ -325,51 +308,108 @@ def _cmd_corpus(args):
     left, right = result
     doc = {"name": args.name, "left": _ideal_doc(left), "right": _ideal_doc(right)}
     lines = [
-        f"left: {left.ring} {_paren(_texts(left.generators))}",
-        f"right: {right.ring} {_paren(_texts(right.generators))}",
+        f"left: {left.ring} {_paren(doc['left']['generators'])}",
+        f"right: {right.ring} {_paren(doc['right']['generators'])}",
     ]
     return 0, doc, lines
 
 
-_IDEAL_VERBS = {
-    "gb": _cmd_gb,
-    "contract": _cmd_contract,
-    "check-stable": _cmd_check_stable,
-    "criterion": _cmd_criterion,
-    "eliminate": _cmd_eliminate,
-    "quotient": _cmd_colon,
-    "saturate": _cmd_colon,
-    "member": _cmd_member,
-    "radical-member": _cmd_member,
-    "certify": _cmd_certify,
-    "obstruct": _cmd_obstruct,
-}
-_HANDLERS = {
-    **{verb: partial(_with_ideal, cmd) for verb, cmd in _IDEAL_VERBS.items()},
-    "kernel": _cmd_kernel,
-    "corpus": _cmd_corpus,
-}
+# -- verb table -----------------------------------------------------------------
 
 
-# -- parser ---------------------------------------------------------------------
-
-
-def _add_common(sp, ideal: bool = True) -> None:
-    """The options every verb takes; ``ideal`` adds those that read one ideal."""
-    if ideal:
-        sp.add_argument("--ring", required=True, help="ring notation, e.g. ZZ[X] or QQ[Y][X]")
-        sp.add_argument("--gens", help="comma-separated generators; '-' reads stdin")
-        sp.add_argument("--gens-file", help="file with comma- or newline-separated generators")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument(
+# an option is (flag, add_argument keywords); these are shared by rows
+_IDEAL_OPTIONS = (
+    ("--ring", dict(required=True, help="ring notation, e.g. ZZ[X] or QQ[Y][X]")),
+    ("--gens", dict(help="comma-separated generators; '-' reads stdin")),
+    ("--gens-file", dict(help="file with comma- or newline-separated generators")),
+)
+_COMMON_OPTIONS = (
+    ("--format", dict(choices=("text", "json"), default="text")),
+    (
         "--max-pairs",
-        type=int,
-        default=Budget().max_pairs,
-        help="cap on the S- and G-pairs reduced, per Groebner computation",
-    )
-    sp.add_argument(
-        "--max-degree", type=int, default=Budget().max_degree, help="total degree budget"
-    )
+        dict(
+            type=int,
+            default=Budget().max_pairs,
+            help="cap on the S- and G-pairs reduced, per Groebner computation",
+        ),
+    ),
+    ("--max-degree", dict(type=int, default=Budget().max_degree, help="total degree budget")),
+)
+_BY = ("--by", dict(required=True, help="the divisor polynomial f"))
+_POLY = ("--poly", dict(required=True))
+
+
+def _ideal_verb(verb_help: str, handler, *options) -> tuple:
+    """The row of a verb that reads one ideal: its handler wrapped by
+    ``_with_ideal``, and its own options after the shared ones."""
+    return verb_help, partial(_with_ideal, handler), (*_IDEAL_OPTIONS, *_COMMON_OPTIONS, *options)
+
+
+# verb -> (help, handler, options in order), in the order ``ps --help`` lists
+# them; the colon and membership handlers take the name of the Ideal method
+# they call, looked up on the ideal at each call
+_VERBS = {
+    "gb": _ideal_verb(
+        "reduced Groebner basis (strong over ZZ)",
+        _cmd_gb,
+        ("--order", dict(default="grevlex", help="lex | grevlex | lex:X,Y | elim:X,Y")),
+    ),
+    "contract": _ideal_verb(
+        "generators of I^t intersected with R",
+        _cmd_contract,
+        ("--power", dict(type=int, default=1)),
+    ),
+    "check-stable": _ideal_verb(
+        "bounded power-stability verdict",
+        _cmd_check_stable,
+        ("--max-power", dict(type=int, default=4)),
+    ),
+    "criterion": _ideal_verb(
+        "graded criterion levels n = 0..N",
+        _cmd_criterion,
+        ("--max-level", dict(type=int, default=3)),
+    ),
+    "eliminate": _ideal_verb(
+        "drop variables from the ideal",
+        _cmd_eliminate,
+        ("--vars", dict(required=True, help="comma-separated variables to eliminate")),
+    ),
+    "quotient": _ideal_verb("colon ideal (I : f)", partial(_cmd_colon, "quotient"), _BY),
+    "saturate": _ideal_verb("saturation (I : f^infinity)", partial(_cmd_colon, "saturate"), _BY),
+    "member": _ideal_verb("ideal membership test", partial(_cmd_member, "contains"), _POLY),
+    "radical-member": _ideal_verb(
+        "radical membership test", partial(_cmd_member, "radical_contains"), _POLY
+    ),
+    "kernel": (
+        "kernel of a variable-image ring map",
+        _cmd_kernel,
+        (
+            *_COMMON_OPTIONS,
+            ("--source", dict(required=True)),
+            ("--target", dict(required=True)),
+            ("--map", dict(required=True, help='images like "W=T^3,Y=T^4,Z=T^5"')),
+        ),
+    ),
+    "certify": _ideal_verb("search for an all-t stability certificate", _cmd_certify),
+    "obstruct": _ideal_verb(
+        "search for a primary obstruction of P^t",
+        _cmd_obstruct,
+        ("--power", dict(type=int, default=2)),
+        ("--witnesses", dict(help="comma-separated candidate witnesses (default: variables)")),
+    ),
+    "corpus": (
+        "built-in example ideals",
+        _cmd_corpus,
+        (
+            ("--list", dict(action="store_true")),
+            ("--name", dict()),
+            ("--p", dict(type=int, default=2, help="prime for example_3_12")),
+            ("--seed", dict(type=int, default=0, help="seed for the seeded builders")),
+            ("--pairs", dict(help='radical_zx pairs like "2:X^2+X+1;3:X+1"')),
+            *_COMMON_OPTIONS,
+        ),
+    ),
+}
 
 
 @lru_cache(maxsize=1)
@@ -381,59 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
         exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="verb")
-
-    sp = sub.add_parser("gb", help="reduced Groebner basis (strong over ZZ)", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--order", default="grevlex", help="lex | grevlex | lex:X,Y | elim:X,Y")
-
-    sp = sub.add_parser("contract", help="generators of I^t intersected with R", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--power", type=int, default=1)
-
-    sp = sub.add_parser("check-stable", help="bounded power-stability verdict", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--max-power", type=int, default=4)
-
-    sp = sub.add_parser("criterion", help="graded criterion levels n = 0..N", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--max-level", type=int, default=3)
-
-    sp = sub.add_parser("eliminate", help="drop variables from the ideal", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--vars", required=True, help="comma-separated variables to eliminate")
-
-    for verb, verb_help, option, option_help in (
-        ("quotient", "colon ideal (I : f)", "--by", "the divisor polynomial f"),
-        ("saturate", "saturation (I : f^infinity)", "--by", "the divisor polynomial f"),
-        ("member", "ideal membership test", "--poly", None),
-        ("radical-member", "radical membership test", "--poly", None),
-    ):
+    for verb, (verb_help, handler, options) in _VERBS.items():
         sp = sub.add_parser(verb, help=verb_help, exit_on_error=False)
-        _add_common(sp)
-        sp.add_argument(option, required=True, help=option_help)
-
-    sp = sub.add_parser("kernel", help="kernel of a variable-image ring map", exit_on_error=False)
-    _add_common(sp, ideal=False)
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--map", required=True, help='images like "W=T^3,Y=T^4,Z=T^5"')
-
-    sp = sub.add_parser("certify", help="search for an all-t stability certificate", exit_on_error=False)
-    _add_common(sp)
-
-    sp = sub.add_parser("obstruct", help="search for a primary obstruction of P^t", exit_on_error=False)
-    _add_common(sp)
-    sp.add_argument("--power", type=int, default=2)
-    sp.add_argument("--witnesses", help="comma-separated candidate witnesses (default: variables)")
-
-    sp = sub.add_parser("corpus", help="built-in example ideals", exit_on_error=False)
-    sp.add_argument("--list", action="store_true")
-    sp.add_argument("--name")
-    sp.add_argument("--p", type=int, default=2, help="prime for example_3_12")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the seeded builders")
-    sp.add_argument("--pairs", help='radical_zx pairs like "2:X^2+X+1;3:X+1"')
-    _add_common(sp, ideal=False)
-
+        for flag, spec in options:
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -448,9 +440,9 @@ def run_command(argv: Sequence[str]) -> tuple[int, OutputDocument]:
         return (0 if code == 0 else 2), OutputDocument("")
     if args.verb is None:
         return 2, OutputDocument("usage error: a command verb is required (see ps --help)")
-    fmt = getattr(args, "format", "text")
+    fmt = args.format
     try:
-        code, doc, lines = _HANDLERS[args.verb](args)
+        code, doc, lines = args.handler(args)
         return code, _render(fmt, doc, lines)
     except BudgetExceededError as err:
         return 3, _render(fmt, {"error": str(err), "budget_exceeded": True}, [f"budget exceeded: {err}"])

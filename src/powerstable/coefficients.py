@@ -32,14 +32,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def divmod_least(a: int, b: int) -> tuple[int, int]:
-    """Division with least non-negative remainder: a = q*b + r, 0 <= r < |b|."""
-    if b == 0:
-        raise CoefficientError("division by zero")
-    r = a % abs(b)
-    return (a - r) // b, r
-
-
 # Deterministic Miller-Rabin witness set: the first 12 primes as bases are
 # proven sufficient below psi_12 ~ 3.18e23, hence for every n < 2**64
 # (3.3e24 is the bound for the first 13).
@@ -135,15 +127,12 @@ class CoefficientDomain:
     def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
         q = self.exact_div(a, b)
         if q is None:
-            raise CoefficientError(f"{self.format(a)} is not divisible by {self.format(b)}")
+            raise CoefficientError(f"{a!s} is not divisible by {b!s}")
         return q
 
     def is_negative(self, c: Coefficient) -> bool:
         """Display-level sign; prime fields have no signs."""
         return False
-
-    def format(self, c: Coefficient) -> str:
-        return str(c)
 
     def to_json(self):
         raise NotImplementedError

@@ -245,8 +245,10 @@ class Ideal:
         eliminate over ZZ as Groebner bases do over a field."""
         if f.ring != self.ring:
             raise RingMismatchError(f"saturation divisor in {f.ring}, expected {self.ring}")
-        if f.is_zero() or self.is_zero_ideal():
-            return self.quotient(f, budget) if f.is_zero() else self
+        if f.is_zero():
+            return self.quotient(f, budget)
+        if self.is_zero_ideal():
+            return self
         trick, tag = self._trick(f)
         return trick._restrict((tag,), self.ring, budget)
 

@@ -445,11 +445,11 @@ def format_poly(f: Polynomial) -> str:
         neg = dom.is_negative(c)
         mag = -c if neg else c
         if not mono:
-            body = dom.format(mag)
+            body = str(mag)
         elif mag == dom.one:
             body = mono
         else:
-            body = f"{dom.format(mag)}*{mono}"
+            body = f"{mag!s}*{mono}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

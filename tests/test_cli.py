@@ -1,5 +1,6 @@
 """The ps command line: exit codes, fixed text templates, json documents."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import powerstable
 from powerstable import Ideal, RingMap, RingSpec, hochster_P, parse_poly
-from powerstable.cli import main, run_command
+from powerstable.cli import build_parser, main, run_command
 
 
 def run(*argv):
@@ -537,6 +538,133 @@ def test_help_is_printed_the_same_every_time(capsys):
     assert "cap on the S- and G-pairs reduced, per Groebner" in outputs[0]
 
 
+# -- parser shape -------------------------------------------------------------------------
+
+# Every verb's options, in order, as (flag, the fields of the option that are
+# not None or False); compared field by field, not through argparse's help
+# layout, which differs between Python versions.
+_IDEAL_OPTIONS = [
+    ("--ring", {"required": True, "help": "ring notation, e.g. ZZ[X] or QQ[Y][X]"}),
+    ("--gens", {"help": "comma-separated generators; '-' reads stdin"}),
+    ("--gens-file", {"help": "file with comma- or newline-separated generators"}),
+]
+_COMMON_OPTIONS = [
+    ("--format", {"default": "text", "choices": ("text", "json")}),
+    (
+        "--max-pairs",
+        {
+            "default": 100000,
+            "type": int,
+            "help": "cap on the S- and G-pairs reduced, per Groebner computation",
+        },
+    ),
+    ("--max-degree", {"default": 60, "type": int, "help": "total degree budget"}),
+]
+_BY = ("--by", {"required": True, "help": "the divisor polynomial f"})
+_POLY = ("--poly", {"required": True})
+_PARSER_SHAPE = [
+    (
+        "gb",
+        "reduced Groebner basis (strong over ZZ)",
+        [*_IDEAL_OPTIONS, *_COMMON_OPTIONS,
+         ("--order", {"default": "grevlex", "help": "lex | grevlex | lex:X,Y | elim:X,Y"})],
+    ),
+    (
+        "contract",
+        "generators of I^t intersected with R",
+        [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, ("--power", {"default": 1, "type": int})],
+    ),
+    (
+        "check-stable",
+        "bounded power-stability verdict",
+        [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, ("--max-power", {"default": 4, "type": int})],
+    ),
+    (
+        "criterion",
+        "graded criterion levels n = 0..N",
+        [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, ("--max-level", {"default": 3, "type": int})],
+    ),
+    (
+        "eliminate",
+        "drop variables from the ideal",
+        [*_IDEAL_OPTIONS, *_COMMON_OPTIONS,
+         ("--vars", {"required": True, "help": "comma-separated variables to eliminate"})],
+    ),
+    ("quotient", "colon ideal (I : f)", [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, _BY]),
+    ("saturate", "saturation (I : f^infinity)", [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, _BY]),
+    ("member", "ideal membership test", [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, _POLY]),
+    ("radical-member", "radical membership test", [*_IDEAL_OPTIONS, *_COMMON_OPTIONS, _POLY]),
+    (
+        "kernel",
+        "kernel of a variable-image ring map",
+        [
+            *_COMMON_OPTIONS,
+            ("--source", {"required": True}),
+            ("--target", {"required": True}),
+            ("--map", {"required": True, "help": 'images like "W=T^3,Y=T^4,Z=T^5"'}),
+        ],
+    ),
+    ("certify", "search for an all-t stability certificate", [*_IDEAL_OPTIONS, *_COMMON_OPTIONS]),
+    (
+        "obstruct",
+        "search for a primary obstruction of P^t",
+        [
+            *_IDEAL_OPTIONS,
+            *_COMMON_OPTIONS,
+            ("--power", {"default": 2, "type": int}),
+            ("--witnesses", {"help": "comma-separated candidate witnesses (default: variables)"}),
+        ],
+    ),
+    (
+        "corpus",
+        "built-in example ideals",
+        [
+            ("--list", {"nargs": 0}),
+            ("--name", {}),
+            ("--p", {"default": 2, "type": int, "help": "prime for example_3_12"}),
+            ("--seed", {"default": 0, "type": int, "help": "seed for the seeded builders"}),
+            ("--pairs", {"help": 'radical_zx pairs like "2:X^2+X+1;3:X+1"'}),
+            *_COMMON_OPTIONS,
+        ],
+    ),
+]
+
+
+def _verb_parsers():
+    """(verb, help, subparser) for each verb of ``ps``, in order."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = [a.help for a in sub._choices_actions]
+    return [(verb, h, sp) for (verb, sp), h in zip(sub.choices.items(), helps, strict=True)]
+
+
+def _option_shape(action):
+    fields = {
+        "default": action.default,
+        "type": action.type,
+        "nargs": action.nargs,
+        "required": action.required,
+        "choices": action.choices,
+        "help": action.help,
+    }
+    (flag,) = action.option_strings
+    return flag, {k: v for k, v in fields.items() if v is not None and v is not False}
+
+
+def test_parser_shape():
+    parsers = _verb_parsers()
+    got = [
+        (
+            verb,
+            verb_help,
+            [_option_shape(a) for a in sp._actions if not isinstance(a, argparse._HelpAction)],
+        )
+        for verb, verb_help, sp in parsers
+    ]
+    assert got == _PARSER_SHAPE
+    assert all(sp.exit_on_error is False for _, _, sp in parsers)
+
+
 # -- argv fuzz ----------------------------------------------------------------------------
 
 
@@ -701,6 +829,12 @@ def test_readme_examples_print_what_they_show():
     assert len(examples) == 6
     for argv, shown in examples:
         assert run(*argv)[1] == shown, argv
+
+
+def test_readme_verb_table_lists_the_parser_verbs_in_order():
+    table = README.read_text().split("| verb | purpose |", 1)[1]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", table.split("\n\n", 1)[0], re.M)
+    assert listed == [verb for verb, _, _ in _verb_parsers()]
 
 
 def test_readme_library_block_prints_what_its_comments_show():

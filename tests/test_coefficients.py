@@ -13,11 +13,13 @@ from powerstable import (
     ZZ,
     CoefficientError,
     FpElement,
+    Polynomial,
+    RingSpec,
     example_3_12,
     ext_gcd,
+    format_poly,
     is_prime_u64,
 )
-from powerstable.coefficients import divmod_least
 
 from oracles import euclid_gcd
 
@@ -47,24 +49,6 @@ class TestExtGcd:
         assert ext_gcd(0, 7)[0] == 7
         assert ext_gcd(-7, 0)[0] == 7
         assert ext_gcd(6, 4)[0] == 2
-
-
-class TestDivmodLeast:
-    @given(st.integers(), st.integers().filter(bool))
-    def test_least_non_negative_remainder(self, a, b):
-        q, r = divmod_least(a, b)
-        assert a == q * b + r
-        assert 0 <= r < abs(b)
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(CoefficientError):
-            divmod_least(5, 0)
-
-    def test_signs(self):
-        assert divmod_least(7, 3) == (2, 1)
-        assert divmod_least(-7, 3) == (-3, 2)
-        assert divmod_least(7, -3) == (-2, 1)
-        assert divmod_least(-7, -3) == (3, 2)
 
 
 class TestPrimality:
@@ -182,9 +166,12 @@ def test_gf_validates_modulus():
 
 
 def test_domain_formatting():
-    assert ZZ.format(-3) == "-3"
-    assert QQ.format(Fraction(1, 2)) == "1/2"
-    assert GF(7).format(FpElement(5, 7)) == "5"
+    def constant(ring, c):
+        return format_poly(Polynomial.constant(RingSpec.parse(ring), c))
+
+    assert constant("ZZ[X]", -3) == "-3"
+    assert constant("QQ[X]", Fraction(1, 2)) == "1/2"
+    assert constant("Fp(7)[X]", FpElement(5, 7)) == "5"
     assert ZZ.is_negative(-1) and not ZZ.is_negative(1)
     assert QQ.is_negative(Fraction(-1, 2))
     assert not GF(7).is_negative(FpElement(5, 7))  # prime fields carry no sign

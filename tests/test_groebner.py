@@ -28,7 +28,6 @@ from powerstable import (
     parse_poly,
     s_polynomial,
 )
-from powerstable.coefficients import divmod_least
 from powerstable.groebner import _compiled, _minimal
 from powerstable.orders import key_function, parse_order
 
@@ -147,7 +146,7 @@ def test_no_tail_term_is_reducible_by_another_element(ring):
                         if j == i or any(x > y for x, y in zip(lm, e)):
                             continue
                         assert ring.is_int_mode, (spec, format_poly(p))
-                        assert divmod_least(c, lc)[0] == 0, (spec, format_poly(p))
+                        assert 0 <= c < abs(lc), (spec, format_poly(p))
 
 
 # -- pair criteria (field mode) ---------------------------------------------------

@@ -268,6 +268,18 @@ def test_quotient_examples():
     assert unit.contains(Polynomial.one(QYX))
 
 
+@pytest.mark.parametrize("ring", [ZX, QYX], ids=["ZZ[X]", "QQ[Y][X]"])
+def test_colons_of_the_zero_ideal_and_by_zero(ring):
+    """(0 : f) and (0 : f^infinity) stay zero for f != 0; saturating by 0
+    gives the unit ideal, as (I : 0) does, for I = 0 too."""
+    zero = Ideal(ring, [])
+    f = parse_poly("X + 2", ring)
+    assert zero.quotient(f).is_zero_ideal()
+    assert zero.saturate(f).is_zero_ideal()
+    for I in (ideal(ring, "X^2 - 2"), zero):
+        assert I.saturate(Polynomial.zero(ring)).contains(Polynomial.one(ring))
+
+
 def test_quotient_laws():
     rng = random.Random("colon:1")
     for _ in range(6):

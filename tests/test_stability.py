@@ -10,6 +10,7 @@ from powerstable import (
     BaseIdeal,
     Ideal,
     MonicCertificate,
+    ObstructionCertificate,
     Polynomial,
     RegularImageCertificate,
     RingSpec,
@@ -140,9 +141,8 @@ def test_contractions_come_from_the_ideal_caches(bases, ring, texts, check_bases
     graded_criterion(I, 2)
     # over QQ[Y] each graded level adds the elimination basis of its
     # intersection; the gadget fails at level 1, where finding its witness
-    # Y^3 outside J^2 = (Y^4) needs the basis of J^2, and re-verifying the
-    # witness in the meet, whose generator it is, needs none; over ZZ the
-    # grevlex bases of the powers are cached on I, so no basis at all
+    # Y^3 outside J^2 = (Y^4) needs the basis of J^2; over ZZ the grevlex
+    # bases of the powers are cached on I, so no basis at all
     new = bases[before:]
     assert len(new) == new_bases
     assert ring not in new
@@ -337,6 +337,13 @@ def test_monic_certificate_requires_ideal_equality():
     assert not nonmonic.verify()
 
 
+def test_monic_certificate_base_generators_avoid_the_main_variable():
+    # the presented ideal equals I, but its base part Y*X uses X
+    I = ideal(QYX, "Y*X", "X^2 + 1")
+    cert = MonicCertificate(I, parse_poly("X^2 + 1", QYX), (parse_poly("Y*X", QYX),))
+    assert not cert.verify()
+
+
 def test_monic_certificate_over_zz():
     cert = monic_certificate(ideal(ZX, "4", "X^2 + X + 1"))
     assert cert is not None
@@ -407,6 +414,15 @@ def test_obstruction_for_the_toric_prime_with_explicit_witnesses():
     assert P.power(2).contains(cert.witness * cert.cofactor)
     assert not P.power(2).contains(cert.cofactor)
     assert not P.contains(cert.witness)
+
+
+def test_obstruction_certificate_rejects_a_witness_in_p_or_a_cofactor_in_p_t():
+    # each product lies in P^2, so only the witness or cofactor check rejects
+    P = hochster_P()
+    inside = parse_poly("Y^2 - W*Z", QYZW)
+    w = parse_poly("W", QYZW)
+    assert not ObstructionCertificate(P, 2, inside, inside).verify()
+    assert not ObstructionCertificate(P, 2, w, inside**2).verify()
 
 
 def test_obstruction_default_witnesses_are_the_variables():

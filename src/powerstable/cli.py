@@ -106,10 +106,13 @@ def _certificate(cert) -> tuple[dict, str | None]:
 def _with_ideal(handler, args):
     """The opening shared by the verbs that read one ideal.  ``handler`` gets
     (args, ideal, budget) and returns only its own doc keys, which follow
-    "ring" and "generators"."""
+    "ring" and "generators".  Text output shows neither, so they are
+    formatted for JSON output only."""
     ideal = _load_ideal(args, RingSpec.parse(args.ring))
     code, doc, lines = handler(args, ideal, _budget(args))
-    return code, {**_ideal_doc(ideal), **doc}, lines
+    if args.format == "json":
+        doc = {**_ideal_doc(ideal), **doc}
+    return code, doc, lines
 
 
 def _ideal_doc(ideal: Ideal) -> dict:

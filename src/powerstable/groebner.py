@@ -49,6 +49,15 @@ term's key and degree are integer sums; the ring, modulus and compiled order
 live once per computation, in its reducer set.  Buchberger forms every pair
 through the public ``s_polynomial``/``g_polynomial`` on two term lists, with
 that reducer set in place of the order, and gets a term list back.
+Products are formed inside the engine too: ``_product`` multiplies two term
+lists under one compiled order, and the ideal layer builds the generators of
+a power I^t, and the products of the bases of its factors, with it.
+``groebner_basis`` accepts such a start in place of Polynomials, a private
+``_Start`` (ring, compiled order, term lists); Polynomials are converted into
+the same start, so one Buchberger body serves both.  A returned basis keeps
+its final reducers and forms ``elements`` on their first read:
+``normal_form`` against it reads the reducers alone, and elimination
+converts only the elements it keeps.
 
 A monomial inside the engine is packed into one int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
@@ -60,10 +69,11 @@ monomial is an int sum, x^a divides x^b exactly when b - a has no guard bit
 set (a borrow sets the guard of the first field where a exceeds b), and
 b - a is the shift; lcm and coprimality are a few word operations on the
 guards.  The packed monomial is also the low bits of its key, so one dot
-product computes both.  Exponent tuples appear only where polynomials enter
-and leave the engine (``_engine_poly``, ``_to_polynomial`` and, through it,
-the quotients of ``divide``); fields of up to 64 bits are unpacked with
-``struct``, wider ones by shifts.
+product computes both.  Exponent tuples appear where polynomials enter and
+leave the engine (``_engine_poly``, and ``_to_polynomial`` for quotients,
+remainders, basis elements and power generators), and where the key of a
+pair lcm is computed (``_pair`` and the pair queue); fields of up to 64 bits
+are unpacked with ``struct``, wider ones by shifts.
 
 Coefficients are plain ints: residues in [0, p) over GF(p), the integers
 themselves over ZZ, and over QQ a primitive integer polynomial that stands
@@ -84,7 +94,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coefficients import FpElement, PrimeField, RationalDomain, ext_gcd
 from .errors import (
@@ -132,6 +142,55 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @classmethod
+    def _of(
+        cls, ring: RingSpec, order: MonomialOrder, final: _Reducers, max_degree: int, strong: bool
+    ) -> GroebnerBasis:
+        """The reduced basis whose elements are the reducers ``final``,
+        compiled for ``max_degree``.  ``elements`` is formed on its first
+        read (see ``__getattr__``); until then the basis holds term lists."""
+        gb = object.__new__(cls)
+        for name, value in (
+            ("ring", ring), ("order", order), ("reduced", True), ("strong", strong),
+            ("_reducers", {(order, max_degree): final}), ("_final", final),
+        ):
+            object.__setattr__(gb, name, value)
+        return gb
+
+    def __getattr__(self, name: str):
+        # reached only while ``elements`` is unset: a basis made by ``_of``
+        if name != "elements":
+            raise AttributeError(name)
+        elements = tuple(map(self._convert, self._final.polys))
+        object.__setattr__(self, "elements", elements)
+        return elements
+
+    def _convert(self, f: list) -> Polynomial:
+        # reduced elements are monic over fields: scale by the leading coefficient
+        return _to_polynomial(self.ring, self._final.cord, f, f[0][2])
+
+    def _polys(self, order: MonomialOrder, max_degree: int) -> list[list] | None:
+        """The elements as term lists under ``order`` compiled for
+        ``max_degree``: the cached reducers where they were compiled for it
+        (``normal_form`` compiles for a divisor above the budget), else the
+        elements converted; None when an element is above ``max_degree``."""
+        cord = _compiled(order, self.ring, max_degree)
+        red = self._reducers.get((order, max_degree))
+        if red is not None and red.cord is cord:
+            return red.polys
+        if any(g.total_degree() > max_degree for g in self.elements):
+            return None
+        return [_engine_poly(g, cord)[0] for g in self.elements]
+
+    def _free_heads(self, names: Sequence[str]) -> list[Polynomial]:
+        """The elements whose leading monomial involves none of ``names``,
+        converted alone: one AND with a mask of the names' fields.  Under an
+        order that eliminates ``names`` these are the elements free of them."""
+        final = self._final
+        cord = final.cord
+        mask = sum(cord.field << cord.width * self.ring.index(v) for v in names)
+        return [self._convert(f) for f in final.polys if not f[0][1] & mask]
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -557,27 +616,29 @@ def normal_form(
     budget: Budget | None = None,
 ) -> Polynomial:
     """The remainder of ``divide``.  Against a GroebnerBasis the reducers
-    are built once and kept on the basis object."""
-    cache = None
-    if isinstance(basis, GroebnerBasis):
-        if order is None:
-            order = basis.order
-        cache = basis._reducers
-        basis = basis.elements
-    polys = list(basis)
-    if not polys:
-        return f
-    ring = _check_same_ring([f, *polys])
+    are built once and kept on the basis object, and a basis that already
+    holds them (every basis ``groebner_basis`` returns, under its own order
+    and degree budget) is read through them alone."""
     budget = budget or Budget()
-    order = order or Grevlex()
-    red = cache.get((order, budget.max_degree)) if cache is not None else None
-    if red is None:
+    red = None
+    if isinstance(basis, GroebnerBasis):
+        order = order or basis.order
+        red = basis._reducers.get((order, budget.max_degree))
+    if red is not None:
+        if f.ring != basis.ring:
+            raise RingMismatchError(f"mixed rings {f.ring} and {basis.ring}")
+    else:
+        polys = list(basis)
+        if not polys:
+            return f
+        _check_same_ring([f, *polys])
+        order = order or Grevlex()
         red, _ = _divisors(polys, order, budget)
-        if cache is not None:
-            cache[(order, budget.max_degree)] = red
+        if isinstance(basis, GroebnerBasis):
+            basis._reducers[(order, budget.max_degree)] = red
     h, mu = _engine_poly(f, red.cord)
     rem, M = _reduce(h, red, budget.max_degree)
-    return _to_polynomial(ring, red.cord, rem, M * mu)
+    return _to_polynomial(f.ring, red.cord, rem, M * mu)
 
 
 # -- S and G polynomials ---------------------------------------------------------
@@ -612,6 +673,30 @@ def _pair(f: list, g: list, red: _Reducers, gpoly: bool) -> list:
                 acc[em] = [ks + k, w * c, ds + d]
             else:
                 t[1] += w * c
+    return _collected(acc, p)
+
+
+def _product(f: list, g: list, p: int) -> list:
+    """f*g of two term lists under one compiled order, coefficients mod p
+    when p: keys and packed monomials add, and terms accumulate by packed
+    monomial, as in ``_pair``.  Exact for every product term of degree up to
+    twice the compiled bound.  Over QQ the product of two primitive lists is
+    primitive (Gauss's lemma), and over GF(p) monic times monic is monic."""
+    acc: dict = {}
+    for k, e, c, d in f:
+        for kg, eg, cg, dg in g:
+            m = e + eg
+            t = acc.get(m)
+            if t is None:
+                acc[m] = [k + kg, c * cg, d + dg]
+            else:
+                t[1] += c * cg
+    return _collected(acc, p)
+
+
+def _collected(acc: dict, p: int) -> list:
+    """The term list of {packed monomial: [key, coefficient, degree]}, zero
+    coefficients dropped, sorted by descending key."""
     if p:
         out = [(k, e, c % p, d) for e, (k, c, d) in acc.items() if c % p]
     else:
@@ -669,6 +754,15 @@ def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 # -- Buchberger ----------------------------------------------------------------------
 
 
+class _Start(NamedTuple):
+    """A start of ``groebner_basis`` already inside the engine: nonzero term
+    lists under ``cord``, the order compiled for the budget's degree bound."""
+
+    ring: RingSpec
+    cord: _Order
+    terms: list
+
+
 def groebner_basis(
     gens: Sequence[Polynomial],
     order: MonomialOrder | None = None,
@@ -678,18 +772,23 @@ def groebner_basis(
 
     Deterministic: fixed input order implies identical output, and over a
     field any generating set of the same ideal yields the identical reduced
-    basis.
+    basis.  ``gens`` may also be a private ``_Start``; the Polynomials are
+    converted into the same start, so both run one Buchberger body.
     """
     order = order or Grevlex()
     budget = budget or Budget()
-    # A repeated generator reduces to zero against its first copy, so it
-    # adds no element and no pair.
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise AlgebraError("cannot compute a basis for an empty or all-zero generating set")
-    ring = _check_same_ring(polys)
+    if isinstance(gens, _Start):
+        ring, cord, start = gens
+    else:
+        # A repeated generator reduces to zero against its first copy, so it
+        # adds no element and no pair.
+        polys = [g for g in gens if not g.is_zero()]
+        if not polys:
+            raise AlgebraError("cannot compute a basis for an empty or all-zero generating set")
+        ring = _check_same_ring(polys)
+        cord = _compiled(order, ring, budget.max_degree)
+        start = [_engine_poly(g, cord)[0] for g in polys]
     int_mode = ring.is_int_mode
-    cord = _compiled(order, ring, budget.max_degree)
     key, fields = cord.key, cord.fields
 
     red = _Reducers(ring, cord)
@@ -761,8 +860,8 @@ def groebner_basis(
             lts.append(red.polys[-1][0][1:3])  # (monomial, coefficient)
         push_pairs(len(red.polys) - 1)
 
-    for g in polys:
-        r, _ = _reduce(_engine_poly(g, cord)[0], red, budget.max_degree)
+    for g in start:
+        r, _ = _reduce(g, red, budget.max_degree)
         if r:
             add(r)
 
@@ -793,12 +892,7 @@ def groebner_basis(
     # their keys are too, and sorting by head terms compares keys alone.
     minimal = sorted(red.polys[i] for i in active)
     final = _tail_reduce(minimal, ring, cord, budget)
-    elements = tuple(
-        _to_polynomial(ring, cord, f, f[0][2]) for f in final.polys
-    )
-    gb = GroebnerBasis(ring, order, elements, reduced=True, strong=int_mode)
-    gb._reducers[(order, budget.max_degree)] = final
-    return gb
+    return GroebnerBasis._of(ring, order, final, budget.max_degree, int_mode)
 
 
 def _tail_reduce(basis: list[list], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:

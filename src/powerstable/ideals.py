@@ -13,8 +13,22 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .coefficients import RationalDomain
 from .errors import AlgebraError, BudgetExceededError, RingMismatchError
-from .groebner import Budget, GroebnerBasis, _check_degree, exact_divide, groebner_basis, normal_form
+from .groebner import (
+    Budget,
+    GroebnerBasis,
+    _check_degree,
+    _compiled,
+    _engine_poly,
+    _modulus,
+    _product,
+    _Start,
+    _to_polynomial,
+    exact_divide,
+    groebner_basis,
+    normal_form,
+)
 from .orders import BlockElim, Grevlex, MonomialOrder
 from .polynomials import Polynomial, evaluate_map, format_poly, transport
 from .rings import RingSpec
@@ -26,15 +40,17 @@ class Ideal:
     Zero generators are discarded and duplicates collapse, so the empty
     list is the zero ideal.  Groebner bases and powers are cached on the
     instance, bases per monomial order.  A power I^t keeps its factors
-    I^(t-1) and I instead of its generators: it forms the generators on
-    their first read, and its basis under an order can start from the bases
-    of the factors (see ``groebner``).  Elimination (and with it
-    intersection, saturation, kernels and contractions of powers) computes
-    its basis through the same per-order cache, and each of these is one
-    route over ZZ, QQ and GF(p) alike.
+    I^(t-1) and I instead of its generators.  Its products of t generators
+    of I are formed on term lists inside the engine (``_walk``), once per
+    compiled order; the generators are converted from them on their first
+    read, and its basis under an order starts from the walk's term lists or
+    from the bases of the factors (see ``groebner``).  Elimination (and with
+    it intersection, saturation, kernels and contractions of powers)
+    computes its basis through the same per-order cache, and each of these
+    is one route over ZZ, QQ and GF(p) alike.
     """
 
-    __slots__ = ("ring", "_generators", "_last", "_factors", "_gb", "_powers")
+    __slots__ = ("ring", "_generators", "_factors", "_walks", "_gb", "_powers")
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens: list[Polynomial] = []
@@ -46,10 +62,11 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self._generators: tuple[Polynomial, ...] | None = tuple(gens)
-        # of a power: the index of the last factor of each generator, and
-        # (t, I^(t-1) or None for I itself, gens(I), the bases of I)
-        self._last: tuple[int, ...] | None = None
+        # of a power: (t, I^(t-1) or None for I itself, gens(I), the bases
+        # of I, t times the top degree of gens(I))
         self._factors: tuple | None = None
+        # of a power: its product walk per compiled order
+        self._walks: dict = {}
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._powers: dict[int, "Ideal"] = {}
 
@@ -58,27 +75,55 @@ class Ideal:
         """The generators; of I^t, every distinct product of t generators of
         I, in the order of ``itertools.combinations_with_replacement``.
 
-        I^t extends each generator of I^(t-1) by the generators of I from
-        its last factor on: a product whose new factor comes earlier equals
-        one that came before it, and equal products collapse.  Levels are
-        formed bottom-up, from the highest lower power whose generators are
-        formed, so a long chain of powers costs no recursion.
+        A power's generators are the products of its walk under grevlex,
+        compiled for the power's own degree t·top, converted on first read.
         """
         if self._generators is None:
-            chain, power = [], self
-            while power is not None and power._generators is None:
-                chain.append(power)
-                power = power._factors[1]
-            for power in reversed(chain):
-                _, prev, base, _ = power._factors
-                lefts = base if prev is None else prev._generators
-                lasts = range(len(base)) if prev is None else prev._last
-                out: dict[Polynomial, int] = {}
-                for f, i in zip(lefts, lasts):
-                    for j in range(i, len(base)):
-                        out.setdefault(f * base[j], j)
-                power._generators, power._last = tuple(out), tuple(out.values())
+            cord = _compiled(Grevlex(), self.ring, self._factors[4])
+            products, _, _ = self._walk(cord)
+            self._generators = tuple(_to_polynomial(self.ring, cord, h, s) for h, s in products)
         return self._generators
+
+    def _walk(self, cord) -> tuple[list, list, list]:
+        """The distinct products of a power I^t as term lists under ``cord``,
+        cached per compiled order: (products, last factors, factors).  A
+        product or a factor is a pair (terms, s), terms the engine form of
+        the Polynomial times s (see ``_engine_poly``); the factors are the
+        generators of I, and a last factor is an index into them.
+
+        I^t extends each product of I^(t-1) by the generators of I from its
+        last factor on: a product whose new factor comes earlier equals one
+        that came before it, and equal products collapse.  Over QQ two
+        products are equal when their terms and scales are, which is exact,
+        since the engine form is primitive and, by Gauss's lemma, so is a
+        product of engine forms.  Levels are formed bottom-up, from the
+        highest lower power walked under ``cord``, so a long chain of powers
+        costs no recursion.  Products are exact up to degree twice the bound
+        ``cord`` is compiled for.
+        """
+        chain, power = [], self
+        while power is not None and cord not in power._walks:
+            chain.append(power)
+            power = power._factors[1]
+        p = _modulus(self.ring)
+        qq = isinstance(self.ring.domain, RationalDomain)
+        for power in reversed(chain):
+            _, prev, base, _, _ = power._factors
+            if prev is None:
+                factors = [_engine_poly(g, cord) for g in base]
+                lefts, lasts = factors, range(len(factors))
+            else:
+                lefts, lasts, factors = prev._walks[cord]
+            out: dict = {}
+            for (f, s), i in zip(lefts, lasts):
+                for j in range(i, len(factors)):
+                    g, r = factors[j]
+                    h = _product(f, g, p)
+                    scale = s * r if qq else 1
+                    out.setdefault((tuple(h), scale), (h, scale, j))
+            products = [(h, scale) for h, scale, _ in out.values()]
+            power._walks[cord] = (products, [j for _, _, j in out.values()], factors)
+        return self._walks[cord]
 
     # -- construction ------------------------------------------------------
 
@@ -105,28 +150,42 @@ class Ideal:
 
         A power I^t whose factors have bases cached under ``order``, G_(t-1)
         of I^(t-1) and G_1 of I, starts Buchberger from their distinct
-        products G_(t-1)·G_1: over ZZ always, over a field when there are
-        fewer of them than the C(n+t-1, t) products of the n generators of I.
-        Every other ideal starts from its generators.  A start from the
-        products that runs over the budget starts again from the generators:
-        the products form other pairs than the generators do, and a budget
-        that fits the generators' route still answers.  Reduced bases are
-        unique, so both starts give the same basis.
+        products G_(t-1)·G_1 (``_seed``): over ZZ always, over a field when
+        there are fewer of them than the C(n+t-1, t) products of the n
+        generators of I.  Every other ideal starts from its generators, a
+        power from the term lists of its walk under the order compiled for
+        the budget (``_start``).  A start from the products that runs over
+        the budget starts again from the generators: the products form other
+        pairs than the generators do, and a budget that fits the generators'
+        route still answers.  Reduced bases are unique, so both starts give
+        the same basis.
         """
         order = order or Grevlex()
         got = self._gb.get(order)
         if got is None:
-            seed = self._seed(order)
+            budget = budget or Budget()
+            seed = self._seed(order, budget)
             try:
-                got = groebner_basis(seed or self.generators, order, budget)
+                got = groebner_basis(seed or self._start(order, budget), order, budget)
             except BudgetExceededError:
                 if seed is None:
                     raise
-                got = groebner_basis(self.generators, order, budget)
+                got = groebner_basis(self._start(order, budget), order, budget)
             self._gb[order] = got
         return got
 
-    def _seed(self, order: MonomialOrder) -> list[Polynomial] | None:
+    def _start(self, order: MonomialOrder, budget: Budget) -> _Start | tuple[Polynomial, ...]:
+        """The generators, as ``groebner`` starts from them.  Of a power
+        within the degree budget they are the walk's term lists under
+        ``order`` compiled for the budget; above the budget, which the start
+        then exceeds, the Polynomials, so that the error reads as for any
+        generating set."""
+        if self._factors is None or self._factors[4] > budget.max_degree:
+            return self.generators
+        cord = _compiled(order, self.ring, budget.max_degree)
+        return _Start(self.ring, cord, [h for h, _ in self._walk(cord)[0]])
+
+    def _seed(self, order: MonomialOrder, budget: Budget) -> _Start | None:
         """The distinct products G_(t-1)·G_1 that ``groebner`` starts a power
         from, or None where it starts from the generators.
 
@@ -134,18 +193,28 @@ class Ideal:
         carries the gcds of its leading coefficients.  Over a field they
         saved pairs on monic ideals and cost pairs on toric primes, which
         have few generators and large bases; the size rule tells them apart.
+        The factors are the final reducers of G_(t-1) and G_1 where they were
+        compiled for the budget, else their elements converted.  A factor
+        basis with an element above the budget would make products that the
+        budget rejects, so such a power starts from its generators at once.
         """
         if self._factors is None:
             return None
-        t, prev, base, base_gb = self._factors
+        t, prev, base, base_gb, _ = self._factors
         left = (base_gb if prev is None else prev._gb).get(order)
         right = base_gb.get(order)
         if left is None or right is None:
             return None
-        size = len(left.elements) * len(right.elements)
+        bound = budget.max_degree
+        lefts, rights = left._polys(order, bound), right._polys(order, bound)
+        if lefts is None or rights is None:
+            return None
+        size = len(lefts) * len(rights)
         if not self.ring.is_int_mode and size >= math.comb(len(base) + t - 1, t):
             return None
-        return list(dict.fromkeys(f * g for f in left for g in right))
+        p = _modulus(self.ring)
+        products = dict.fromkeys(tuple(_product(f, g, p)) for f in lefts for g in rights)
+        return _Start(self.ring, _compiled(order, self.ring, bound), list(products))
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex
@@ -190,7 +259,7 @@ class Ideal:
                 power = Ideal(self.ring, ())
                 power._generators = None
                 # the factors name I by its parts, so that I^k and I form no cycle
-                power._factors = (k, self._powers.get(k - 1), self.generators, self._gb)
+                power._factors = (k, self._powers.get(k - 1), self.generators, self._gb, k * top)
                 self._powers[k] = power
         return self._powers[t]
 
@@ -265,7 +334,7 @@ class Ideal:
         # without variables left, the constants of any basis generate it.
         order = Grevlex() if set(front) >= set(self.ring.variables) else BlockElim(front)
         gb = self.groebner(order, budget)
-        return Ideal(self.ring, [g for g in gb.elements if g.free_of(front)])
+        return Ideal(self.ring, gb._free_heads(front))
 
     def _restrict(self, aux: Sequence[str], ring: RingSpec, budget: Budget | None) -> "Ideal":
         """Eliminate the auxiliary variables ``aux``, and transport what is

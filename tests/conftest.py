@@ -30,8 +30,9 @@ def bases(monkeypatch):
     real = powerstable.ideals.groebner_basis
 
     def counting(gens, order=None, budget=None):
-        computed.append(gens[0].ring)
-        return real(gens, order, budget)
+        gb = real(gens, order, budget)
+        computed.append(gb.ring)
+        return gb
 
     monkeypatch.setattr(powerstable.ideals, "groebner_basis", counting)
     return computed

@@ -113,6 +113,23 @@ def test_member_exit_codes():
     assert (code, body) == (1, "false")
 
 
+def test_text_output_formats_only_what_it_prints(monkeypatch):
+    """Text output shows no "ring" or "generators" key, so the input
+    generators are not formatted for it: ``member`` formats its candidate
+    alone, where it formatted the three generators too.  JSON output still
+    carries both keys."""
+    calls = []
+    real = powerstable.cli.format_poly
+    monkeypatch.setattr(powerstable.cli, "format_poly", lambda f: calls.append(f) or real(f))
+    argv = ("member", "--ring", "QQ[Y,Z,W]", "--gens", "Y^2 - Z*W, Y*Z - W^3, Z^2 - Y*W^2", "--poly", "W")
+    assert run(*argv) == (1, "false")
+    assert len(calls) == 1
+    code, body = run(*argv, "--format", "json")
+    doc = json.loads(body)
+    assert code == 1 and list(doc) == ["ring", "generators", "poly", "member"]
+    assert doc["generators"] == ["Y^2 - Z*W", "-W^3 + Y*Z", "-Y*W^2 + Z^2"]
+
+
 def test_radical_member_lines():
     code, body = run(
         "radical-member", "--ring", "ZZ[X]", "--gens", "X^2 - 2, X^3", "--poly", "2"

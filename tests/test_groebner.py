@@ -28,7 +28,7 @@ from powerstable import (
     parse_poly,
     s_polynomial,
 )
-from powerstable.groebner import _compiled, _minimal
+from powerstable.groebner import _compiled, _engine_poly, _minimal, _modulus, _product, _to_polynomial
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
@@ -807,3 +807,61 @@ def test_normal_form_reuses_the_reducers_kept_on_a_basis():
     assert gb._reducers == kept
     normal_form(gens[0], gb, budget=Budget(max_degree=20))
     assert len(gb._reducers) == 2
+
+
+# -- the engine's product walk and lazy bases ---------------------------------------
+
+
+@pytest.mark.parametrize("bound", [60, 200], ids=["8-bit fields", "16-bit fields"])
+@pytest.mark.parametrize("ring", [ZX, QYZW, F7YZX], ids=str)
+def test_term_list_products_equal_polynomial_products(ring, bound):
+    """Oracle: the product of two engine term lists is the engine form of
+    the Polynomial product, and over QQ its scale is the product of the
+    factors' scales.  Factors reach degree ``bound``, so the products reach
+    twice the bound the order is compiled for."""
+    cord = _compiled(Grevlex(), ring, bound)
+    assert cord.width == (8 if bound == 60 else 16)
+    p = _modulus(ring)
+    top = 0
+    for k in range(25):
+        rng = random.Random(f"product:{ring}:{bound}:{k}")
+        f, g = rand_gens(rng, ring, 2, bound, 9, max_den=1 if ring.is_int_mode else 3)
+        (fe, s), (ge, r) = _engine_poly(f, cord), _engine_poly(g, cord)
+        h = _product(fe, ge, p)
+        assert h == _engine_poly(f * g, cord)[0], k
+        assert _to_polynomial(ring, cord, h, s * r) == f * g, k
+        top = max(top, (f * g).total_degree())
+    assert top > 3 * bound // 2
+
+
+@pytest.mark.parametrize("ring", [ZX, QYX, F7], ids=str)
+def test_a_basis_forms_its_elements_on_first_read(ring):
+    """Oracle: a basis holds term lists until ``elements`` is first read.
+    Read first by equality, repr, hash or iteration, it equals a basis built
+    eagerly from the reference's Polynomials; ``normal_form`` against it
+    reads the reducers alone and forms no element."""
+    reference = reference_strong_groebner if ring.is_int_mode else reference_groebner
+    compared = 0
+    for seed in range(6):
+        rng = random.Random(f"lazy-elements:{ring}:{seed}")
+        gens = rand_gens(rng, ring, rng.randint(2, 3), 3, 5, max_den=1 if ring.is_int_mode else 3)
+        try:
+            expected = reference(gens, Grevlex(), max_pairs=150)
+        except PairLimit:
+            continue
+        eager = GroebnerBasis(ring, Grevlex(), tuple(expected), reduced=True, strong=ring.is_int_mode)
+        for read in (
+            lambda gb: gb == eager,
+            lambda gb: repr(gb) == repr(eager),
+            lambda gb: hash(gb) == hash(eager),
+            lambda gb: list(gb) == expected,
+        ):
+            lazy = groebner_basis(gens)
+            assert "elements" not in vars(lazy)
+            assert read(lazy)
+        lazy = groebner_basis(gens)
+        assert all(normal_form(g, lazy).is_zero() for g in gens)
+        assert "elements" not in vars(lazy)
+        assert lazy.elements == eager.elements
+        compared += 1
+    assert compared >= 4

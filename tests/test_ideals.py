@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import powerstable.groebner
 from powerstable import (
     AlgebraError,
     BlockElim,
@@ -69,16 +70,26 @@ def test_power_generators_are_all_products():
         parse_poly("Y^2*X^2", QYX),
     }
     assert set(gadget.power(2).generators) == expected
-    # X * X*Y = X^2 * Y: equal products collapse, first occurrences in order
-    coincide = ideal(QYX, "X", "Y", "X^2", "X*Y")
-    for t in (2, 3, 4):
-        distinct = []
-        for combo in itertools.combinations_with_replacement(coincide.generators, t):
-            prod = math.prod(combo[1:], start=combo[0])
-            if prod not in distinct:
-                distinct.append(prod)
-        assert coincide.power(t).generators == tuple(distinct), t
-        assert len(distinct) < math.comb(len(coincide.generators) + t - 1, t)
+    # X * X*Y = X^2 * Y: equal products collapse, first occurrences in order;
+    # over QQ the engine multiplies primitive forms and keeps their scales,
+    # so 2*X * Y and X * 2*Y collapse, and X * Y stays beside them
+    coincide = [ideal(QYX, "X", "Y", "X^2", "X*Y"), ideal(QYZX, "X", "2*X", "Y", "2*Y")]
+    for ring in (ZX, QYZX, F7YX):
+        for k in range(3):
+            rng = random.Random(f"power-gens:{ring}:{k}")
+            gens = rand_gens(rng, ring, 3, 2, 4, max_den=1 if ring.is_int_mode else 3)
+            coincide.append(Ideal(ring, gens))
+    for I in coincide:
+        for t in (2, 3, 4):
+            distinct = []
+            for combo in itertools.combinations_with_replacement(I.generators, t):
+                prod = math.prod(combo[1:], start=combo[0])
+                if prod not in distinct:
+                    distinct.append(prod)
+            assert I.power(t).generators == tuple(distinct), (I, t)
+    for I in coincide[:2]:
+        for t in (2, 3, 4):
+            assert len(I.power(t).generators) < math.comb(len(I.generators) + t - 1, t)
 
 
 def test_power_basics():
@@ -137,10 +148,40 @@ def test_power_basis_from_the_factor_bases_equals_the_generators_basis(ring, ord
         I = Ideal(ring, rand_gens(rng, ring, rng.randint(2, 3), 3, coeff_bound=4))
         for t in range(2, 5):
             I.power(t - 1).groebner(order)
-            seeded += I.power(t)._seed(order) is not None
+            seeded += I.power(t)._seed(order, Budget()) is not None
             got = I.power(t).groebner(order).elements
             assert got == groebner_basis(I.power(t).generators, order).elements, (k, t)
     assert seeded == 24 if ring.is_int_mode else seeded > 0
+
+
+@pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=str)
+@pytest.mark.parametrize("ring", [ZX, QYZX, F7YX], ids=str)
+def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(ring, order, pair_calls):
+    """Oracle: a power's basis, started inside the engine from the term
+    lists of its walk or from the products of the reducers of G_(t-1) and
+    G_1, equals the basis ``groebner_basis`` computes from the Polynomials
+    of the same start, its generators or the products of the elements of
+    G_(t-1) and G_1, and reduces the same pairs."""
+    starts = {"seeded": 0, "generators": 0}
+    for k in range(6):
+        rng = random.Random(f"engine-start:{ring}:{order}:{k}")
+        I = Ideal(ring, rand_gens(rng, ring, rng.randint(2, 4), 2, coeff_bound=4))
+        if k % 2:
+            I.groebner(order)  # odd k: G_1 lets powers start from G_(t-1)·G_1
+        for t in (2, 3, 4):
+            power = I.power(t)
+            if power._seed(order, Budget()) is None:
+                start, kind = power.generators, "generators"
+            else:
+                left, right = I.power(t - 1).groebner(order), I.groebner(order)
+                start, kind = list(dict.fromkeys(f * g for f in left for g in right)), "seeded"
+            before = len(pair_calls)
+            got = power.groebner(order).elements
+            middle = len(pair_calls)
+            assert got == groebner_basis(start, order).elements, (k, t)
+            assert len(pair_calls) - middle == middle - before, (k, t)
+            starts[kind] += 1
+    assert starts["generators"] >= 9 and starts["seeded"] >= (9 if ring.is_int_mode else 1), starts
 
 
 def test_contractions_start_each_power_from_the_previous_basis(pair_calls):
@@ -166,7 +207,7 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
         I = ideal(QYX, *gens)
         assert max(g.total_degree() for g in I.groebner(order, budget)) == 3
         square = I.power(2, budget)
-        assert square._seed(order) is not None  # 9 products, C(4+2-1, 2) = 10 generators
+        assert square._seed(order, budget) is not None  # 9 products, C(4+2-1, 2) = 10 generators
         try:
             want = groebner_basis(square.generators, order, budget).elements
         except BudgetExceededError as exc:
@@ -176,6 +217,32 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
             assert square.groebner(order, budget).elements == want
             answered.append(cap)
     assert answered == [6, 8]
+
+
+def test_power_basis_from_factor_bases_of_a_larger_budget():
+    """G_1, computed under a degree budget of 200, has no reducers compiled
+    for the smaller budget of its square's basis (those ``normal_form``
+    keeps are compiled for the degree of G_1 where that is larger): the
+    products G_1·G_1 are formed from its elements, converted.  Under a cap
+    below an element of G_1 the square starts from its generators.  Either
+    way the answer, or the error, is that of the start from the generators
+    of I^2."""
+    gens = ("X^2", "Y^2 + 2*Y*X + 2*X^2", "2*X^2", "Y^2 + 2*Y*X + 3*X^2")
+    order = BlockElim(("X",))
+    for cap in (2, 4, 6, 8):
+        budget = Budget(max_degree=cap)
+        I = ideal(QYX, *gens)
+        gb = I.groebner(order, Budget(max_degree=200))
+        normal_form(parse_poly("Y*X", QYX), gb, budget=budget)
+        square = I.power(2)
+        assert (square._seed(order, budget) is None) == (cap < 3)  # G_1 has degree 3
+        try:
+            want = groebner_basis(square.generators, order, budget).elements
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(exc))}$"):
+                square.groebner(order, budget)
+        else:
+            assert square.groebner(order, budget).elements == want
 
 
 @pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5, 7), (4, 5, 6)], ids=str)
@@ -194,7 +261,7 @@ def test_toric_prime_powers_over_a_prime_field_start_from_generators(curve):
     for order in (BlockElim(("W",)), Grevlex()):
         for t in (2, 3):
             P.power(t - 1).groebner(order)
-            assert P.power(t)._seed(order) is None, (order, t)
+            assert P.power(t)._seed(order, Budget()) is None, (order, t)
 
 
 # -- sums and products -----------------------------------------------------------
@@ -393,6 +460,38 @@ def test_eliminate_keeps_only_front_free_members():
         for g in down.generators:
             assert g.free_of(["W"])
             assert I.contains(g)
+
+
+@pytest.mark.parametrize(
+    "ring, texts, front",
+    [
+        (ZX, ("X^2 - 2", "X^3", "6*X"), ("X",)),
+        (QYZX, ("X^2 - Y", "Y*X - Z", "Z*X^2 + 1"), ("X",)),
+        (F7YX, ("X^3 - Y", "Y^2*X - 1"), ("X",)),
+        (QYZW, ("Y^2 - Z*W", "Y*Z - W^3", "Z^2 - Y*W^2"), ("W",)),
+    ],
+    ids=str,
+)
+def test_elimination_converts_only_the_elements_it_keeps(monkeypatch, ring, texts, front):
+    """Oracle: ``eliminate`` keeps the basis elements whose leading monomial
+    is free of the eliminated variables, which are the elements free of
+    them, and converts those alone out of the engine."""
+    converted = []
+    real = powerstable.groebner._to_polynomial
+
+    def counting(ring, cord, terms, scale=1):
+        converted.append(terms)
+        return real(ring, cord, terms, scale)
+
+    monkeypatch.setattr(powerstable.groebner, "_to_polynomial", counting)
+    I = ideal(ring, *texts)
+    order = Grevlex() if set(front) >= set(ring.variables) else BlockElim(front)
+    gb = I.groebner(order)
+    kept = I.eliminate(front).generators
+    assert "elements" not in vars(gb)
+    assert len(converted) == len(kept)
+    assert kept == tuple(g for g in gb.elements if g.free_of(front))
+    assert 0 < len(kept) < len(gb.elements)
 
 
 # -- membership --------------------------------------------------------------------------

@@ -34,15 +34,16 @@ partial answer.  ``is_groebner`` applies no criterion, so it checks a basis
 independently of how it was built.
 
 Representation.  ``Polynomial`` is the public boundary; inside, the engine
-works on term lists.  A monomial order, a ring and a degree bound D are
-compiled once into integer weights w, one per variable, so that the key of
-a monomial e is the single int dot(w, e).  The order's key tuples are linear
-in e, so w holds those tuples written in base 4*D + 1, and comparing keys
-compares monomials exactly up to total degree 2*D.  That covers every
-polynomial the engine forms within a degree budget of D, and every pair lcm
-of two of them.  D is the budget's ``max_degree`` (in ``divide``,
-``normal_form`` and ``is_groebner`` at least the degree of each divisor);
-a term above the budget raises before its key is used.  An engine
+works on term lists.  A monomial order and a ring are compiled, once per
+field width (see below), into integer weights w, one per variable, so that
+the key of a monomial e is the single int dot(w, e).  The order's key tuples
+are linear in e, so w holds those tuples written in base 4*D + 1, and
+comparing keys compares monomials exactly up to total degree 2*D.  D is the
+largest bound the width holds, and a computation uses the width whose bound
+covers its budget's ``max_degree`` (in ``divide``, ``normal_form`` and
+``is_groebner`` also the degree of each divisor).  That covers every
+polynomial the engine forms within the budget, and every pair lcm of two of
+them; a term above the budget raises before its key is used.  An engine
 polynomial is a plain list of terms (key, monomial, coefficient, degree)
 sorted by descending key, so its leading term is the first and a shifted
 term's key and degree are integer sums; the ring, modulus and compiled order
@@ -56,15 +57,17 @@ a power I^t, and the products of the bases of its factors, with it.
 ``_Start`` (ring, compiled order, term lists); Polynomials are converted into
 the same start, so one Buchberger body serves both.  A returned basis keeps
 its final reducers and forms ``elements`` on their first read:
-``normal_form`` against it reads the reducers alone, and elimination
-converts only the elements it keeps.
+``normal_form`` against it, under every budget its width's bound covers,
+reads the reducers alone, and elimination converts only the elements it
+keeps.
 
 A monomial inside the engine is packed into one int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
 1998): each variable owns a field of w bits whose top bit, the guard, is 0.
-w is 8 while 2*D <= 127, which covers the default budget of 60, and
-otherwise the least of 16, 32, 64, 128, ... with 2*D < 2**(w - 1), so every
-exponent of a pair lcm or a pair term fits below its guard.  Then a shifted
+w is 8, 16, 32, 64, 128, ..., and its bound D is the largest with
+2*D < 2**(w - 1): 63 for 8-bit fields, which covers the default budget of
+60, and 16383 for 16-bit ones.  So every exponent of a pair lcm or a pair
+term fits below its guard.  Then a shifted
 monomial is an int sum, x^a divides x^b exactly when b - a has no guard bit
 set (a borrow sets the guard of the first field where a exceeds b), and
 b - a is the shift; lcm and coprimality are a few word operations on the
@@ -137,23 +140,20 @@ class GroebnerBasis:
     elements: tuple[Polynomial, ...]
     reduced: bool
     strong: bool
-    # engine reducers of the elements per (order, max_degree), for normal_form
-    _reducers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the final reducers of a basis ``groebner_basis`` returns; None otherwise
+    _final: _Reducers | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
 
     @classmethod
-    def _of(
-        cls, ring: RingSpec, order: MonomialOrder, final: _Reducers, max_degree: int, strong: bool
-    ) -> GroebnerBasis:
-        """The reduced basis whose elements are the reducers ``final``,
-        compiled for ``max_degree``.  ``elements`` is formed on its first
-        read (see ``__getattr__``); until then the basis holds term lists."""
+    def _of(cls, ring: RingSpec, order: MonomialOrder, final: _Reducers, strong: bool) -> GroebnerBasis:
+        """The reduced basis whose elements are the reducers ``final``.
+        ``elements`` is formed on its first read (see ``__getattr__``); until
+        then the basis holds term lists."""
         gb = object.__new__(cls)
         for name, value in (
-            ("ring", ring), ("order", order), ("reduced", True), ("strong", strong),
-            ("_reducers", {(order, max_degree): final}), ("_final", final),
+            ("ring", ring), ("order", order), ("reduced", True), ("strong", strong), ("_final", final),
         ):
             object.__setattr__(gb, name, value)
         return gb
@@ -169,19 +169,6 @@ class GroebnerBasis:
     def _convert(self, f: list) -> Polynomial:
         # reduced elements are monic over fields: scale by the leading coefficient
         return _to_polynomial(self.ring, self._final.cord, f, f[0][2])
-
-    def _polys(self, order: MonomialOrder, max_degree: int) -> list[list] | None:
-        """The elements as term lists under ``order`` compiled for
-        ``max_degree``: the cached reducers where they were compiled for it
-        (``normal_form`` compiles for a divisor above the budget), else the
-        elements converted; None when an element is above ``max_degree``."""
-        cord = _compiled(order, self.ring, max_degree)
-        red = self._reducers.get((order, max_degree))
-        if red is not None and red.cord is cord:
-            return red.polys
-        if any(g.total_degree() > max_degree for g in self.elements):
-            return None
-        return [_engine_poly(g, cord)[0] for g in self.elements]
 
     def _free_heads(self, names: Sequence[str]) -> list[Polynomial]:
         """The elements whose leading monomial involves none of ``names``,
@@ -252,7 +239,8 @@ def _minimal(pairs: list, cord: _Order, zz: bool) -> dict:
 
 
 class _Order:
-    """A monomial order and a monomial packing, compiled for degree bound D.
+    """A monomial order and a monomial packing, compiled for a field width w
+    and the largest degree bound D it holds, ``bound``.
 
     Variable i owns bits [i*w, (i+1)*w) of a packed monomial, and the top
     bit of each field, its guard, is 0 (see the module docstring for w).
@@ -264,14 +252,12 @@ class _Order:
     exponent tuple of a packed monomial m.
     """
 
-    __slots__ = ("weights", "mask", "width", "guard", "low", "ones", "top", "field", "fields")
+    __slots__ = ("bound", "weights", "mask", "width", "guard", "low", "ones", "top", "field", "fields")
 
-    def __init__(self, order: MonomialOrder, ring: RingSpec, bound: int):
+    def __init__(self, order: MonomialOrder, ring: RingSpec, w: int):
         keyf = key_function(order, ring)
         n = len(ring.variables)
-        w = 8
-        while 2 * bound >= 1 << (w - 1):
-            w *= 2
+        self.bound = bound = (1 << (w - 2)) - 1  # the largest D with 2*D < 2**(w - 1)
         base = 4 * bound + 1
         weights = []
         for j in range(n):
@@ -318,9 +304,18 @@ class _Order:
         return not (a + self.low) & (b + self.low) & self.guard
 
 
-@lru_cache(maxsize=64)
 def _compiled(order: MonomialOrder, ring: RingSpec, bound: int) -> _Order:
-    return _Order(order, ring, max(bound, 1))
+    """The order compiled for the least field width whose bound covers
+    ``bound``: one ``_Order`` serves every budget of a width."""
+    w = 8
+    while bound >= 1 << (w - 2):
+        w *= 2
+    return _compiled_width(order, ring, w)
+
+
+@lru_cache(maxsize=64)
+def _compiled_width(order: MonomialOrder, ring: RingSpec, w: int) -> _Order:
+    return _Order(order, ring, w)
 
 
 def _modulus(ring: RingSpec) -> int:
@@ -539,8 +534,8 @@ def _divisors(
     polys: Sequence[Polynomial], order: MonomialOrder, budget: Budget
 ) -> tuple[_Reducers, list]:
     """The divisors of a division as engine reducers, and the scalar of each
-    engine form.  The order is compiled for the budget's degree bound, raised
-    to the degree of each divisor."""
+    engine form.  The order is compiled for the width whose bound covers the
+    budget's degree bound and the degree of each divisor."""
     for g in polys:
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor in division basis")
@@ -615,15 +610,17 @@ def normal_form(
     order: MonomialOrder | None = None,
     budget: Budget | None = None,
 ) -> Polynomial:
-    """The remainder of ``divide``.  Against a GroebnerBasis the reducers
-    are built once and kept on the basis object, and a basis that already
-    holds them (every basis ``groebner_basis`` returns, under its own order
-    and degree budget) is read through them alone."""
+    """The remainder of ``divide``.  A basis ``groebner_basis`` returned is
+    read through its final reducers alone, under its own order and every
+    degree budget the bound of their compiled order covers; any other
+    divisors are built into reducers for this one call."""
     budget = budget or Budget()
     red = None
     if isinstance(basis, GroebnerBasis):
         order = order or basis.order
-        red = basis._reducers.get((order, budget.max_degree))
+        final = basis._final
+        if final is not None and order == basis.order and final.cord.bound >= budget.max_degree:
+            red = final
     if red is not None:
         if f.ring != basis.ring:
             raise RingMismatchError(f"mixed rings {f.ring} and {basis.ring}")
@@ -632,10 +629,7 @@ def normal_form(
         if not polys:
             return f
         _check_same_ring([f, *polys])
-        order = order or Grevlex()
-        red, _ = _divisors(polys, order, budget)
-        if isinstance(basis, GroebnerBasis):
-            basis._reducers[(order, budget.max_degree)] = red
+        red, _ = _divisors(polys, order or Grevlex(), budget)
     h, mu = _engine_poly(f, red.cord)
     rem, M = _reduce(h, red, budget.max_degree)
     return _to_polynomial(f.ring, red.cord, rem, M * mu)
@@ -756,7 +750,9 @@ def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 class _Start(NamedTuple):
     """A start of ``groebner_basis`` already inside the engine: nonzero term
-    lists under ``cord``, the order compiled for the budget's degree bound."""
+    lists under ``cord``, an order compiled for a width whose bound covers
+    the budget's degree bound.  A term above the budget raises on entry to
+    ``_reduce``, as it would from a Polynomial."""
 
     ring: RingSpec
     cord: _Order
@@ -892,7 +888,7 @@ def groebner_basis(
     # their keys are too, and sorting by head terms compares keys alone.
     minimal = sorted(red.polys[i] for i in active)
     final = _tail_reduce(minimal, ring, cord, budget)
-    return GroebnerBasis._of(ring, order, final, budget.max_degree, int_mode)
+    return GroebnerBasis._of(ring, order, final, int_mode)
 
 
 def _tail_reduce(basis: list[list], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:

@@ -77,6 +77,7 @@ class Ideal:
 
         A power's generators are the products of its walk under grevlex,
         compiled for the power's own degree t·top, converted on first read.
+        Within the budget that is the walk a grevlex basis starts from.
         """
         if self._generators is None:
             cord = _compiled(Grevlex(), self.ring, self._factors[4])
@@ -153,12 +154,12 @@ class Ideal:
         products G_(t-1)·G_1 (``_seed``): over ZZ always, over a field when
         there are fewer of them than the C(n+t-1, t) products of the n
         generators of I.  Every other ideal starts from its generators, a
-        power from the term lists of its walk under the order compiled for
-        the budget (``_start``).  A start from the products that runs over
-        the budget starts again from the generators: the products form other
-        pairs than the generators do, and a budget that fits the generators'
-        route still answers.  Reduced bases are unique, so both starts give
-        the same basis.
+        power from the term lists of its walk (``_start``).  A start from the
+        products that runs over the budget starts again from the generators:
+        the products form other pairs than the generators do, and factor
+        bases that a larger budget computed may hold terms above this one,
+        while a budget that fits the generators' route still answers.
+        Reduced bases are unique, so both starts give the same basis.
         """
         order = order or Grevlex()
         got = self._gb.get(order)
@@ -176,13 +177,13 @@ class Ideal:
 
     def _start(self, order: MonomialOrder, budget: Budget) -> _Start | tuple[Polynomial, ...]:
         """The generators, as ``groebner`` starts from them.  Of a power
-        within the degree budget they are the walk's term lists under
-        ``order`` compiled for the budget; above the budget, which the start
-        then exceeds, the Polynomials, so that the error reads as for any
-        generating set."""
-        if self._factors is None or self._factors[4] > budget.max_degree:
+        they are the walk's term lists under ``order`` compiled for the
+        budget or, when the power's degree t·top is above the budget, for
+        t·top; ``groebner_basis`` then rejects the start with the error of
+        any generating set over the budget."""
+        if self._factors is None:
             return self.generators
-        cord = _compiled(order, self.ring, budget.max_degree)
+        cord = _compiled(order, self.ring, max(budget.max_degree, self._factors[4]))
         return _Start(self.ring, cord, [h for h, _ in self._walk(cord)[0]])
 
     def _seed(self, order: MonomialOrder, budget: Budget) -> _Start | None:
@@ -193,10 +194,8 @@ class Ideal:
         carries the gcds of its leading coefficients.  Over a field they
         saved pairs on monic ideals and cost pairs on toric primes, which
         have few generators and large bases; the size rule tells them apart.
-        The factors are the final reducers of G_(t-1) and G_1 where they were
-        compiled for the budget, else their elements converted.  A factor
-        basis with an element above the budget would make products that the
-        budget rejects, so such a power starts from its generators at once.
+        The factors are the final reducers of G_(t-1) and G_1, multiplied
+        when both share one compiled order whose bound covers the budget.
         """
         if self._factors is None:
             return None
@@ -205,16 +204,15 @@ class Ideal:
         right = base_gb.get(order)
         if left is None or right is None:
             return None
-        bound = budget.max_degree
-        lefts, rights = left._polys(order, bound), right._polys(order, bound)
-        if lefts is None or rights is None:
+        lefts, rights = left._final.polys, right._final.polys
+        cord = left._final.cord
+        if right._final.cord is not cord or cord.bound < budget.max_degree:
             return None
-        size = len(lefts) * len(rights)
-        if not self.ring.is_int_mode and size >= math.comb(len(base) + t - 1, t):
+        if not self.ring.is_int_mode and len(lefts) * len(rights) >= math.comb(len(base) + t - 1, t):
             return None
         p = _modulus(self.ring)
         products = dict.fromkeys(tuple(_product(f, g, p)) for f in lefts for g in rights)
-        return _Start(self.ring, _compiled(order, self.ring, bound), list(products))
+        return _Start(self.ring, cord, list(products))
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import powerstable.groebner
 from powerstable import (
     AlgebraError,
     BlockElim,
@@ -795,18 +796,41 @@ def test_engine_matches_the_reference_on_rational_generators(ring):
     assert compared >= 20 and fractional >= 18
 
 
-def test_normal_form_reuses_the_reducers_kept_on_a_basis():
+def test_normal_form_reads_a_basis_through_its_reducers_within_their_bound(monkeypatch):
+    """A basis computed under the default budget keeps reducers compiled for
+    the 8-bit bound 63.  ``normal_form`` against it builds no reducers under
+    any budget up to 63; under 64 and 200, and under another order, it
+    builds them for each call.  Every answer, or error, is that of the
+    same division by the list of the elements."""
     rng = random.Random("reducers:9")
     gens = rand_gens(rng, QYZW, 3, 3, 5, max_den=4)
     gb = groebner_basis(gens)
-    kept = dict(gb._reducers)
-    assert len(kept) == 1
-    for _ in range(10):
-        probe = rand_gens(rng, QYZW, 1, 4, 5, max_den=4)[0]
-        assert normal_form(probe, gb) == normal_form(probe, list(gb.elements))
-    assert gb._reducers == kept
-    normal_form(gens[0], gb, budget=Budget(max_degree=20))
-    assert len(gb._reducers) == 2
+    probes = [rand_gens(rng, QYZW, 1, 4, 5, max_den=4)[0] for _ in range(10)]
+    builds = []
+    real = powerstable.groebner._divisors
+
+    def counting(polys, order, budget):
+        builds.append(order)
+        return real(polys, order, budget)
+
+    monkeypatch.setattr(powerstable.groebner, "_divisors", counting)
+
+    def answer(f, basis, order, budget):
+        try:
+            return normal_form(f, basis, order, budget)
+        except BudgetExceededError as exc:
+            return str(exc)
+
+    outcomes = set()
+    for cap, order in [(0, None), (6, None), (60, None), (63, None), (64, None), (200, None), (60, Lex())]:
+        budget = Budget(max_degree=cap)
+        for f in probes:
+            builds.clear()
+            got = answer(f, gb, order, budget)
+            assert len(builds) == (cap > 63 or order is not None), (cap, order)
+            assert got == answer(f, list(gb.elements), order, budget), (cap, order)
+            outcomes.add(type(got))
+    assert outcomes == {str, Polynomial}
 
 
 # -- the engine's product walk and lazy bases ---------------------------------------

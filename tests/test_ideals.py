@@ -220,29 +220,59 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
 
 
 def test_power_basis_from_factor_bases_of_a_larger_budget():
-    """G_1, computed under a degree budget of 200, has no reducers compiled
-    for the smaller budget of its square's basis (those ``normal_form``
-    keeps are compiled for the degree of G_1 where that is larger): the
-    products G_1·G_1 are formed from its elements, converted.  Under a cap
-    below an element of G_1 the square starts from its generators.  Either
+    """G_1, computed under a degree budget of 200 (16-bit fields) or 60
+    (8-bit fields), has reducers whose compiled bound covers every smaller
+    cap, so its square's basis starts from the products G_1·G_1 of those
+    reducers.  G_1 has degree 3, so under a cap of 2 the products hold terms
+    above the cap and the square starts again from its generators.  Either
     way the answer, or the error, is that of the start from the generators
     of I^2."""
     gens = ("X^2", "Y^2 + 2*Y*X + 2*X^2", "2*X^2", "Y^2 + 2*Y*X + 3*X^2")
     order = BlockElim(("X",))
-    for cap in (2, 4, 6, 8):
-        budget = Budget(max_degree=cap)
-        I = ideal(QYX, *gens)
-        gb = I.groebner(order, Budget(max_degree=200))
-        normal_form(parse_poly("Y*X", QYX), gb, budget=budget)
-        square = I.power(2)
-        assert (square._seed(order, budget) is None) == (cap < 3)  # G_1 has degree 3
-        try:
-            want = groebner_basis(square.generators, order, budget).elements
-        except BudgetExceededError as exc:
-            with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(exc))}$"):
-                square.groebner(order, budget)
-        else:
-            assert square.groebner(order, budget).elements == want
+    answered = []
+    for factor_cap in (200, 60):
+        for cap in (2, 4, 6, 8):
+            budget = Budget(max_degree=cap)
+            I = ideal(QYX, *gens)
+            assert max(g.total_degree() for g in I.groebner(order, Budget(max_degree=factor_cap))) == 3
+            square = I.power(2)
+            assert square._seed(order, budget) is not None
+            try:
+                want = groebner_basis(square.generators, order, budget).elements
+            except BudgetExceededError as exc:
+                with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(exc))}$"):
+                    square.groebner(order, budget)
+            else:
+                assert square.groebner(order, budget).elements == want
+                answered.append((factor_cap, cap))
+    assert answered == [(200, 6), (200, 8), (60, 6), (60, 8)]
+
+
+def test_budgets_of_one_field_width_share_one_compiled_order():
+    """Every budget of a field width shares one compiled order, compiled for
+    the largest bound the width holds: 63 for 8-bit fields and 16383 for
+    16-bit ones.  So a power whose generators are read, and whose grevlex
+    basis is then computed under the default budget, walks its products
+    once.  Factor bases on 8-bit fields seed no basis under a budget of 64,
+    which starts from the generators instead."""
+    compiled = powerstable.groebner._compiled
+    for ring in (ZX, QYZX, F7YX):
+        for order in (Grevlex(), BlockElim(("X",))):
+            narrow, wide = compiled(order, ring, 0), compiled(order, ring, 64)
+            assert narrow.bound == 63 and wide.bound == 16383
+            assert all(compiled(order, ring, b) is narrow for b in range(64))
+            assert compiled(order, ring, 200) is wide
+    power = ideal(QYX, "Y^2 - X*Y", "X^2 + 2*Y").power(3)
+    assert len(power.generators) == 4
+    power.groebner()
+    assert len(power._walks) == 1
+    I = ideal(ZX, "X^2 - 6", "4*X")
+    I.groebner()
+    square, wide_budget = I.power(2), Budget(max_degree=64)
+    assert square._seed(Grevlex(), Budget()) is not None
+    assert square._seed(Grevlex(), wide_budget) is None
+    want = groebner_basis(square.generators, Grevlex(), wide_budget).elements
+    assert square.groebner(Grevlex(), wide_budget).elements == want
 
 
 @pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5, 7), (4, 5, 6)], ids=str)

@@ -199,6 +199,8 @@ def _cmd_criterion(args, ideal, budget):
 
 def _cmd_eliminate(args, ideal, budget):
     names = tuple(_split_items(args.vars))
+    if not names:
+        raise ParseError("empty variable list")
     result = _texts(ideal.eliminate(names, budget).generators)
     return 0, {"vars": list(names), "result": result}, [_paren(result)]
 

@@ -46,15 +46,17 @@ polynomial the engine forms within the budget, and every pair lcm of two of
 them; a term above the budget raises before its key is used.  An engine
 polynomial is a plain list of terms (key, monomial, coefficient, degree)
 sorted by descending key, so its leading term is the first and a shifted
-term's key and degree are integer sums; the ring, modulus and compiled order
-live once per computation, in its reducer set.  Buchberger forms every pair
-through the public ``s_polynomial``/``g_polynomial`` on two term lists, with
-that reducer set in place of the order, and gets a term list back.
+term's key and degree are integer sums.  The compiled order is the engine's
+whole context: it also records the ring, its modulus and whether it is QQ or
+ZZ, and every engine function reads them off the compiled order it receives.
+Buchberger forms every pair through the public ``s_polynomial``/
+``g_polynomial`` on two term lists, with its compiled order in place of the
+order, and gets a term list back.
 Products are formed inside the engine too: ``_product`` multiplies two term
 lists under one compiled order, and the ideal layer builds the generators of
 a power I^t, and the products of the bases of its factors, with it.
 ``groebner_basis`` accepts such a start in place of Polynomials, a private
-``_Start`` (ring, compiled order, term lists); Polynomials are converted into
+``_Start`` (compiled order, term lists); Polynomials are converted into
 the same start, so one Buchberger body serves both.  A returned basis keeps
 its final reducers and forms ``elements`` on their first read:
 ``normal_form`` against it, under every budget its width's bound covers,
@@ -147,13 +149,16 @@ class GroebnerBasis:
         return iter(self.elements)
 
     @classmethod
-    def _of(cls, ring: RingSpec, order: MonomialOrder, final: _Reducers, strong: bool) -> GroebnerBasis:
-        """The reduced basis whose elements are the reducers ``final``.
+    def _of(cls, final: _Reducers) -> GroebnerBasis:
+        """The reduced basis whose elements are the reducers ``final``, with
+        the ring and order of their compiled order; it is strong over ZZ.
         ``elements`` is formed on its first read (see ``__getattr__``); until
         then the basis holds term lists."""
+        cord = final.cord
         gb = object.__new__(cls)
         for name, value in (
-            ("ring", ring), ("order", order), ("reduced", True), ("strong", strong), ("_final", final),
+            ("ring", cord.ring), ("order", cord.order), ("reduced", True), ("strong", cord.zz),
+            ("_final", final),
         ):
             object.__setattr__(gb, name, value)
         return gb
@@ -168,7 +173,7 @@ class GroebnerBasis:
 
     def _convert(self, f: list) -> Polynomial:
         # reduced elements are monic over fields: scale by the leading coefficient
-        return _to_polynomial(self.ring, self._final.cord, f, f[0][2])
+        return _to_polynomial(self._final.cord, f, f[0][2])
 
     def _free_heads(self, names: Sequence[str]) -> list[Polynomial]:
         """The elements whose leading monomial involves none of ``names``,
@@ -240,7 +245,10 @@ def _minimal(pairs: list, cord: _Order, zz: bool) -> dict:
 
 class _Order:
     """A monomial order and a monomial packing, compiled for a field width w
-    and the largest degree bound D it holds, ``bound``.
+    and the largest degree bound D it holds, ``bound``: the engine's whole
+    context.  It records the ``order`` and ``ring`` it was compiled for and
+    the ring's facts the engine branches on: ``p``, the modulus over GF(p)
+    and 0 elsewhere, and ``qq`` and ``zz``, whether the domain is QQ or ZZ.
 
     Variable i owns bits [i*w, (i+1)*w) of a packed monomial, and the top
     bit of each field, its guard, is 0 (see the module docstring for w).
@@ -252,9 +260,17 @@ class _Order:
     exponent tuple of a packed monomial m.
     """
 
-    __slots__ = ("bound", "weights", "mask", "width", "guard", "low", "ones", "top", "field", "fields")
+    __slots__ = (
+        "order", "ring", "p", "qq", "zz",
+        "bound", "weights", "mask", "width", "guard", "low", "ones", "top", "field", "fields",
+    )
 
     def __init__(self, order: MonomialOrder, ring: RingSpec, w: int):
+        self.order, self.ring = order, ring
+        dom = ring.domain
+        self.p = dom.p if isinstance(dom, PrimeField) else 0
+        self.qq = isinstance(dom, RationalDomain)
+        self.zz = ring.is_int_mode
         keyf = key_function(order, ring)
         n = len(ring.variables)
         self.bound = bound = (1 << (w - 2)) - 1  # the largest D with 2*D < 2**(w - 1)
@@ -318,11 +334,6 @@ def _compiled_width(order: MonomialOrder, ring: RingSpec, w: int) -> _Order:
     return _Order(order, ring, w)
 
 
-def _modulus(ring: RingSpec) -> int:
-    dom = ring.domain
-    return dom.p if isinstance(dom, PrimeField) else 0
-
-
 def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
     """f as an engine term list, and the scalar s with engine form = s*f.
 
@@ -331,11 +342,10 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
     term above the compiled bound has a meaningless key and monomial, which
     ``_reduce`` rejects on entry, by its degree, before reading them.
     """
-    dom = f.ring.domain
     den = 1
-    if isinstance(dom, PrimeField):
+    if cord.p:
         raw = [(e, c.residue) for e, c in f._terms.items()]
-    elif isinstance(dom, RationalDomain):
+    elif cord.qq:
         den = math.lcm(*(c.denominator for c in f._terms.values()))
         raw = [(e, c.numerator * (den // c.denominator)) for e, c in f._terms.items()]
     else:
@@ -343,37 +353,36 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
     weights, mask = cord.weights, cord.mask
     terms = [(k := sum(map(mul, weights, e)), k & mask, c, sum(e)) for e, c in raw]
     terms.sort(reverse=True)
-    if not isinstance(dom, RationalDomain) or not terms:
+    if not cord.qq or not terms:
         return terms, 1
-    prim = _normalized(terms, f.ring)
+    prim = _normalized(terms, cord)
     return prim, Fraction(den * prim[0][2], terms[0][2])
 
 
-def _to_polynomial(ring: RingSpec, cord: _Order, terms: list, scale=1) -> Polynomial:
-    """The Polynomial with coefficients c / scale for the engine terms
-    (key, monomial, coefficient, degree) given; scale is 1 except over QQ."""
-    dom = ring.domain
-    fields = cord.fields
-    if isinstance(dom, PrimeField):
-        p = dom.p
+def _to_polynomial(cord: _Order, terms: list, scale=1) -> Polynomial:
+    """The Polynomial of ``cord.ring`` with coefficients c / scale for the
+    engine terms (key, monomial, coefficient, degree) given; scale is 1
+    except over QQ."""
+    ring, fields, p = cord.ring, cord.fields, cord.p
+    if p:
         return Polynomial._make(ring, {fields(m): FpElement(c, p) for _, m, c, _ in terms})
-    if isinstance(dom, RationalDomain):
+    if cord.qq:
         num, den = scale.denominator, scale.numerator
         return Polynomial._make(ring, {fields(m): Fraction(c * num, den) for _, m, c, _ in terms})
     return Polynomial._make(ring, {fields(m): c for _, m, c, _ in terms})
 
 
-def _normalized(terms: list, ring: RingSpec) -> list:
+def _normalized(terms: list, cord: _Order) -> list:
     """Monic over GF(p); primitive with a positive leading coefficient over
     QQ; a positive leading coefficient over ZZ (content kept)."""
     lc = terms[0][2]
-    p = _modulus(ring)
+    p = cord.p
     if p:
         if lc == 1:
             return terms
         inv = pow(lc, -1, p)
         return [(k, e, c * inv % p, d) for k, e, c, d in terms]
-    if isinstance(ring.domain, RationalDomain):
+    if cord.qq:
         g = math.gcd(*(t[2] for t in terms))
         if lc < 0:
             g = -g
@@ -396,13 +405,10 @@ class _Reducers:
     only the new ones.  Only field-mode reduction uses it.
     """
 
-    __slots__ = ("ring", "cord", "p", "qq", "polys", "lms", "invs", "first")
+    __slots__ = ("cord", "polys", "lms", "invs", "first")
 
-    def __init__(self, ring: RingSpec, cord: _Order):
-        self.ring = ring
+    def __init__(self, cord: _Order):
         self.cord = cord
-        self.p = _modulus(ring)
-        self.qq = isinstance(ring.domain, RationalDomain)
         self.polys: list[list] = []
         self.lms: list[int] = []
         self.invs: list[int] = []
@@ -412,8 +418,8 @@ class _Reducers:
         _, e, c, _ = f[0]
         self.polys.append(f)
         self.lms.append(e)
-        if self.p:
-            self.invs.append(pow(c, -1, self.p))
+        if self.cord.p:
+            self.invs.append(pow(c, -1, self.cord.p))
 
 
 def _reduce(
@@ -441,10 +447,11 @@ def _reduce(
     reduction").
     """
     _check_degree(max_degree, max((t[3] for t in terms), default=-1))
-    p, qq, int_mode = red.p, red.qq, red.ring.is_int_mode
+    cord = red.cord
+    p, qq, int_mode = cord.p, cord.qq, cord.zz
     polys, lms, invs = red.polys, red.lms, red.invs
     first = red.first
-    G = red.cord.guard
+    G = cord.guard
     nred = len(lms)
     heappush, heappop = heapq.heappush, heapq.heappop
     work = {t[0]: t[2] for t in terms}
@@ -541,7 +548,7 @@ def _divisors(
             raise ZeroPolynomialError("zero divisor in division basis")
     ring = polys[0].ring
     bound = max(budget.max_degree, *(g.total_degree() for g in polys))
-    red = _Reducers(ring, _compiled(order, ring, bound))
+    red = _Reducers(_compiled(order, ring, bound))
     scales = []
     for g in polys:
         h, s = _engine_poly(g, red.cord)
@@ -564,24 +571,23 @@ def divide(
     polys = list(basis)
     if not polys:
         return [], f
-    ring = _check_same_ring([f, *polys])
+    _check_same_ring([f, *polys])
     budget = budget or Budget()
     red, scales = _divisors(polys, order or Grevlex(), budget)
-    h, mu = _engine_poly(f, red.cord)
+    cord = red.cord
+    h, mu = _engine_poly(f, cord)
     quotients: list[list] = [[] for _ in polys]
     rem, M = _reduce(h, red, budget.max_degree, quotients)
     # M*mu*f = sum(Q_i * lam_i*g_i) + rem, so q_i = Q_i * lam_i / (M*mu)
-    qq = isinstance(ring.domain, RationalDomain)
     qs = [
         _to_polynomial(
-            ring,
-            red.cord,
+            cord,
             [(k, shift, q * (M // at), d) for k, shift, q, d, at in steps],
-            M * mu / lam if qq else 1,
+            M * mu / lam if cord.qq else 1,
         )
         for steps, lam in zip(quotients, scales)
     ]
-    return qs, _to_polynomial(ring, red.cord, rem, M * mu)
+    return qs, _to_polynomial(cord, rem, M * mu)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -632,17 +638,16 @@ def normal_form(
         red, _ = _divisors(polys, order or Grevlex(), budget)
     h, mu = _engine_poly(f, red.cord)
     rem, M = _reduce(h, red, budget.max_degree)
-    return _to_polynomial(f.ring, red.cord, rem, M * mu)
+    return _to_polynomial(red.cord, rem, M * mu)
 
 
 # -- S and G polynomials ---------------------------------------------------------
 
 
-def _pair(f: list, g: list, red: _Reducers, gpoly: bool) -> list:
-    """S- or G-polynomial of two engine polynomials, with the modulus and
-    compiled order of ``red``.  Over a field it is the S-polynomial up to a
-    nonzero scalar; over ZZ it is exact."""
-    p, cord = red.p, red.cord
+def _pair(f: list, g: list, cord: _Order, gpoly: bool) -> list:
+    """S- or G-polynomial of two engine polynomials under the compiled order
+    ``cord``.  Over a field it is the S-polynomial up to a nonzero scalar;
+    over ZZ it is exact."""
     lf, lg = f[0], g[0]
     a, b = lf[2], lg[2]
     m = cord.lcm(lf[1], lg[1])
@@ -667,15 +672,15 @@ def _pair(f: list, g: list, red: _Reducers, gpoly: bool) -> list:
                 acc[em] = [ks + k, w * c, ds + d]
             else:
                 t[1] += w * c
-    return _collected(acc, p)
+    return _collected(acc, cord.p)
 
 
-def _product(f: list, g: list, p: int) -> list:
-    """f*g of two term lists under one compiled order, coefficients mod p
-    when p: keys and packed monomials add, and terms accumulate by packed
-    monomial, as in ``_pair``.  Exact for every product term of degree up to
-    twice the compiled bound.  Over QQ the product of two primitive lists is
-    primitive (Gauss's lemma), and over GF(p) monic times monic is monic."""
+def _product(f: list, g: list, cord: _Order) -> list:
+    """f*g of two term lists under the compiled order ``cord``: keys and
+    packed monomials add, and terms accumulate by packed monomial, as in
+    ``_pair``.  Exact for every product term of degree up to twice the
+    compiled bound.  Over QQ the product of two primitive lists is primitive
+    (Gauss's lemma), and over GF(p) monic times monic is monic."""
     acc: dict = {}
     for k, e, c, d in f:
         for kg, eg, cg, dg in g:
@@ -685,7 +690,7 @@ def _product(f: list, g: list, p: int) -> list:
                 acc[m] = [k + kg, c * cg, d + dg]
             else:
                 t[1] += c * cg
-    return _collected(acc, p)
+    return _collected(acc, cord.p)
 
 
 def _collected(acc: dict, p: int) -> list:
@@ -704,23 +709,21 @@ def _exact_pair(f: Polynomial, g: Polynomial, order: MonomialOrder | None, gpoly
     not change when f or g is scaled, so over GF(p) the engine forms are made
     monic; over QQ, where they are primitive with leading coefficients a and
     b, ``_pair`` returns lcm(a, b) times the S-polynomial."""
-    ring = f.ring
-    cord = _compiled(order or Grevlex(), ring, max(f.total_degree(), g.total_degree()))
+    cord = _compiled(order or Grevlex(), f.ring, max(f.total_degree(), g.total_degree()))
     fe, ge = (_engine_poly(h, cord)[0] for h in (f, g))
     scale = 1
-    if isinstance(ring.domain, RationalDomain):
+    if cord.qq:
         scale = math.lcm(fe[0][2], ge[0][2])
-    elif not ring.is_int_mode:
-        fe, ge = _normalized(fe, ring), _normalized(ge, ring)
-    out = _pair(fe, ge, _Reducers(ring, cord), gpoly)
-    return _to_polynomial(ring, cord, out, scale)
+    elif cord.p:
+        fe, ge = _normalized(fe, cord), _normalized(ge, cord)
+    return _to_polynomial(cord, _pair(fe, ge, cord, gpoly), scale)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """The S-polynomial; over ZZ leading coefficients are matched by their lcm.
 
     The Buchberger loop forms its pairs through this function on its own
-    engine polynomials (term lists), with its reducer set in place of the
+    engine polynomials (term lists), with a compiled order in place of the
     order, and gets a term list back (see ``_pair``).
     """
     if isinstance(f, list):
@@ -733,7 +736,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
     """The G-polynomial (ZZ only): its leading coefficient is gcd(lc f, lc g).
-    On term lists, with a reducer set in place of the order, it returns a
+    On term lists, with a compiled order in place of the order, it returns a
     term list, like ``s_polynomial``."""
     if isinstance(f, list):
         return _pair(f, g, order, True)
@@ -754,7 +757,6 @@ class _Start(NamedTuple):
     the budget's degree bound.  A term above the budget raises on entry to
     ``_reduce``, as it would from a Polynomial."""
 
-    ring: RingSpec
     cord: _Order
     terms: list
 
@@ -768,26 +770,26 @@ def groebner_basis(
 
     Deterministic: fixed input order implies identical output, and over a
     field any generating set of the same ideal yields the identical reduced
-    basis.  ``gens`` may also be a private ``_Start``; the Polynomials are
-    converted into the same start, so both run one Buchberger body.
+    basis.  ``gens`` may also be a private ``_Start``, whose compiled order
+    stands for ``order``; the Polynomials are converted into the same start,
+    so both run one Buchberger body.
     """
     order = order or Grevlex()
     budget = budget or Budget()
     if isinstance(gens, _Start):
-        ring, cord, start = gens
+        cord, start = gens
     else:
         # A repeated generator reduces to zero against its first copy, so it
         # adds no element and no pair.
         polys = [g for g in gens if not g.is_zero()]
         if not polys:
             raise AlgebraError("cannot compute a basis for an empty or all-zero generating set")
-        ring = _check_same_ring(polys)
-        cord = _compiled(order, ring, budget.max_degree)
+        cord = _compiled(order, _check_same_ring(polys), budget.max_degree)
         start = [_engine_poly(g, cord)[0] for g in polys]
-    int_mode = ring.is_int_mode
+    int_mode = cord.zz
     key, fields = cord.key, cord.fields
 
-    red = _Reducers(ring, cord)
+    red = _Reducers(cord)
     heap: list = []
     # The live S-pairs, (i, j) -> lcm of their leading terms, and the active
     # elements, those whose leading term no later one divides; at the end
@@ -851,7 +853,7 @@ def groebner_basis(
 
     def add(terms: list) -> None:
         # every term was checked against the degree budget already
-        red.append(_normalized(terms, ring))
+        red.append(_normalized(terms, cord))
         if int_mode:
             lts.append(red.polys[-1][0][1:3])  # (monomial, coefficient)
         push_pairs(len(red.polys) - 1)
@@ -874,7 +876,7 @@ def groebner_basis(
         if pops > budget.max_pairs:
             raise BudgetExceededError(f"pair budget {budget.max_pairs} exhausted")
         f, g = red.polys[i], red.polys[j]
-        p = g_polynomial(f, g, red) if kind else s_polynomial(f, g, red)
+        p = g_polynomial(f, g, cord) if kind else s_polynomial(f, g, cord)
         r, _ = _reduce(p, red, budget.max_degree)
         if r:
             add(r)
@@ -887,11 +889,10 @@ def groebner_basis(
     # monomials are distinct (over ZZ because the G-pairs are settled), so
     # their keys are too, and sorting by head terms compares keys alone.
     minimal = sorted(red.polys[i] for i in active)
-    final = _tail_reduce(minimal, ring, cord, budget)
-    return GroebnerBasis._of(ring, order, final, int_mode)
+    return GroebnerBasis._of(_tail_reduce(minimal, cord, budget))
 
 
-def _tail_reduce(basis: list[list], ring: RingSpec, cord: _Order, budget: Budget) -> _Reducers:
+def _tail_reduce(basis: list[list], cord: _Order, budget: Budget) -> _Reducers:
     """Reduce every term below each leading term against the other elements.
 
     ``basis`` is minimal and sorted ascending by leading monomial, and only
@@ -900,11 +901,11 @@ def _tail_reduce(basis: list[list], ring: RingSpec, cord: _Order, budget: Budget
     kept (over QQ scaled with the tail), so the leading terms, and the basis
     property, are preserved.  Returns the reduced elements as reducers.
     """
-    red = _Reducers(ring, cord)
+    red = _Reducers(cord)
     for f in basis:
         k, e, c, d = f[0]
         tail, M = _reduce(f[1:], red, budget.max_degree)
-        red.append(_normalized([(k, e, c * M, d), *tail], ring))
+        red.append(_normalized([(k, e, c * M, d), *tail], cord))
     return red
 
 
@@ -916,17 +917,17 @@ def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     polys = list(gb.elements)
     if not polys:
         return False
-    ring = _check_same_ring(polys)
+    _check_same_ring(polys)
     if any(g.is_zero() for g in polys):
         return False
     red, _ = _divisors(polys, gb.order, budget)
-    elems = red.polys
+    cord, elems = red.cord, red.polys
     for j in range(len(elems)):
         for i in range(j):
-            if _reduce(s_polynomial(elems[i], elems[j], red), red, budget.max_degree)[0]:
+            if _reduce(s_polynomial(elems[i], elems[j], cord), red, budget.max_degree)[0]:
                 return False
-            if ring.is_int_mode and _reduce(
-                g_polynomial(elems[i], elems[j], red), red, budget.max_degree
+            if cord.zz and _reduce(
+                g_polynomial(elems[i], elems[j], cord), red, budget.max_degree
             )[0]:
                 return False
     return True

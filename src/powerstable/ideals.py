@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .coefficients import RationalDomain
 from .errors import AlgebraError, BudgetExceededError, RingMismatchError
 from .groebner import (
     Budget,
@@ -21,7 +20,6 @@ from .groebner import (
     _check_degree,
     _compiled,
     _engine_poly,
-    _modulus,
     _product,
     _Start,
     _to_polynomial,
@@ -82,7 +80,7 @@ class Ideal:
         if self._generators is None:
             cord = _compiled(Grevlex(), self.ring, self._factors[4])
             products, _, _ = self._walk(cord)
-            self._generators = tuple(_to_polynomial(self.ring, cord, h, s) for h, s in products)
+            self._generators = tuple(_to_polynomial(cord, h, s) for h, s in products)
         return self._generators
 
     def _walk(self, cord) -> tuple[list, list, list]:
@@ -106,8 +104,6 @@ class Ideal:
         while power is not None and cord not in power._walks:
             chain.append(power)
             power = power._factors[1]
-        p = _modulus(self.ring)
-        qq = isinstance(self.ring.domain, RationalDomain)
         for power in reversed(chain):
             _, prev, base, _, _ = power._factors
             if prev is None:
@@ -119,8 +115,8 @@ class Ideal:
             for (f, s), i in zip(lefts, lasts):
                 for j in range(i, len(factors)):
                     g, r = factors[j]
-                    h = _product(f, g, p)
-                    scale = s * r if qq else 1
+                    h = _product(f, g, cord)
+                    scale = s * r if cord.qq else 1
                     out.setdefault((tuple(h), scale), (h, scale, j))
             products = [(h, scale) for h, scale, _ in out.values()]
             power._walks[cord] = (products, [j for _, _, j in out.values()], factors)
@@ -184,7 +180,7 @@ class Ideal:
         if self._factors is None:
             return self.generators
         cord = _compiled(order, self.ring, max(budget.max_degree, self._factors[4]))
-        return _Start(self.ring, cord, [h for h, _ in self._walk(cord)[0]])
+        return _Start(cord, [h for h, _ in self._walk(cord)[0]])
 
     def _seed(self, order: MonomialOrder, budget: Budget) -> _Start | None:
         """The distinct products G_(t-1)·G_1 that ``groebner`` starts a power
@@ -208,11 +204,10 @@ class Ideal:
         cord = left._final.cord
         if right._final.cord is not cord or cord.bound < budget.max_degree:
             return None
-        if not self.ring.is_int_mode and len(lefts) * len(rights) >= math.comb(len(base) + t - 1, t):
+        if not cord.zz and len(lefts) * len(rights) >= math.comb(len(base) + t - 1, t):
             return None
-        p = _modulus(self.ring)
-        products = dict.fromkeys(tuple(_product(f, g, p)) for f in lefts for g in rights)
-        return _Start(self.ring, cord, list(products))
+        products = dict.fromkeys(tuple(_product(f, g, cord)) for f in lefts for g in rights)
+        return _Start(cord, list(products))
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex

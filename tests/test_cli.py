@@ -504,6 +504,7 @@ _EXIT_TWO = [
         ("contract", "--ring", "QQ[Y,Z,W]", "--gens", "Y"),
         "ring QQ[Y,Z,W] has no distinguished main variable",
     ),
+    (("eliminate", "--ring", "QQ[Y][X]", "--gens", "X^2 - Y, Y*X", "--vars", ","), "empty variable list"),
     (
         ("kernel", "--source", "QQ[Y,Z]", "--target", "QQ[T]", "--map", "Y=T^2,Z=T^3,Q=T"),
         "image given for 'Q', which is not a source variable",

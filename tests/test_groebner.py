@@ -29,7 +29,7 @@ from powerstable import (
     parse_poly,
     s_polynomial,
 )
-from powerstable.groebner import _compiled, _engine_poly, _minimal, _modulus, _product, _to_polynomial
+from powerstable.groebner import _compiled, _engine_poly, _minimal, _product, _to_polynomial
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
@@ -833,6 +833,32 @@ def test_normal_form_reads_a_basis_through_its_reducers_within_their_bound(monke
     assert outcomes == {str, Polynomial}
 
 
+@pytest.mark.parametrize(
+    "spec, gens, p, qq, zz",
+    [
+        ("ZZ[X]", ("X^2 - 2", "3*X"), 0, False, True),
+        ("QQ[Y][X]", ("X^2 - Y", "Y*X"), 0, True, False),
+        ("Fp(7)[Y][X]", ("3*X^2 - Y", "2*Y*X"), 7, False, False),
+    ],
+    ids=["ZZ[X]", "QQ[Y][X]", "Fp(7)[Y][X]"],
+)
+@pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=["grevlex", "elim:X"])
+def test_a_compiled_order_carries_its_ring(spec, gens, p, qq, zz, order):
+    """A compiled order records its order, its ring and the ring's facts the
+    engine branches on.  An equal ring parsed again gets the same compiled
+    order, and a basis reads its ring, order and strength off the compiled
+    order of its final reducers."""
+    ring, again = RingSpec.parse(spec), RingSpec.parse(spec)
+    assert again == ring and again is not ring
+    cord = _compiled(order, ring, 60)
+    assert (cord.order, cord.ring, cord.p, cord.qq, cord.zz) == (order, ring, p, qq, zz)
+    assert zz == ring.is_int_mode
+    assert _compiled(order, again, 60) is cord
+    gb = groebner_basis([parse_poly(t, again) for t in gens], order)
+    assert (gb.ring, gb.order, gb.strong, gb.reduced) == (ring, order, zz, True)
+    assert gb._final.cord is cord
+
+
 # -- the engine's product walk and lazy bases ---------------------------------------
 
 
@@ -845,15 +871,14 @@ def test_term_list_products_equal_polynomial_products(ring, bound):
     twice the bound the order is compiled for."""
     cord = _compiled(Grevlex(), ring, bound)
     assert cord.width == (8 if bound == 60 else 16)
-    p = _modulus(ring)
     top = 0
     for k in range(25):
         rng = random.Random(f"product:{ring}:{bound}:{k}")
         f, g = rand_gens(rng, ring, 2, bound, 9, max_den=1 if ring.is_int_mode else 3)
         (fe, s), (ge, r) = _engine_poly(f, cord), _engine_poly(g, cord)
-        h = _product(fe, ge, p)
+        h = _product(fe, ge, cord)
         assert h == _engine_poly(f * g, cord)[0], k
-        assert _to_polynomial(ring, cord, h, s * r) == f * g, k
+        assert _to_polynomial(cord, h, s * r) == f * g, k
         top = max(top, (f * g).total_degree())
     assert top > 3 * bound // 2
 

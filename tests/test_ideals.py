@@ -509,9 +509,9 @@ def test_elimination_converts_only_the_elements_it_keeps(monkeypatch, ring, text
     converted = []
     real = powerstable.groebner._to_polynomial
 
-    def counting(ring, cord, terms, scale=1):
+    def counting(cord, terms, scale=1):
         converted.append(terms)
-        return real(ring, cord, terms, scale)
+        return real(cord, terms, scale)
 
     monkeypatch.setattr(powerstable.groebner, "_to_polynomial", counting)
     I = ideal(ring, *texts)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -474,7 +475,13 @@ def _render(fmt: str, doc: dict, lines: list[str]) -> OutputDocument:
 def main(argv: Sequence[str] | None = None) -> int:
     code, doc = run_command(sys.argv[1:] if argv is None else argv)
     if doc.body:
-        print(doc.body)
+        try:
+            print(doc.body)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left, and the answer stands: point stdout at devnull
+            # so that the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -44,21 +44,24 @@ covers its budget's ``max_degree`` (in ``divide``, ``normal_form`` and
 ``is_groebner`` also the degree of each divisor).  That covers every
 polynomial the engine forms within the budget, and every pair lcm of two of
 them; a term above the budget raises before its key is used.  An engine
-polynomial is a plain list of terms (key, monomial, coefficient, degree)
-sorted by descending key, so its leading term is the first and a shifted
-term's key and degree are integer sums.  The compiled order is the engine's
-whole context: it also records the ring, its modulus and whether it is QQ or
-ZZ, and every engine function reads them off the compiled order it receives.
-Buchberger forms every pair through the public ``s_polynomial``/
-``g_polynomial`` on two term lists, with its compiled order in place of the
-order, and gets a term list back.
-Products are formed inside the engine too: ``_product`` multiplies two term
-lists under one compiled order, and the ideal layer builds the generators of
-a power I^t, and the products of the bases of its factors, with it.
-``groebner_basis`` accepts such a start in place of Polynomials, a private
-``_Start`` (compiled order, term lists); Polynomials are converted into
-the same start, so one Buchberger body serves both.  A returned basis keeps
-its final reducers and forms ``elements`` on their first read:
+polynomial is a plain list of terms (key, coefficient, degree) sorted by
+descending key, so its leading term is the first and a shifted term's key
+and degree are integer sums.  A term's monomial is the low bits of its key,
+``key & mask`` (see below), and terms combine by key (see ``_collected``).
+The degree is kept for the budget: the key of a term above the compiled
+bound is meaningless, and its degree alone rejects it on entry to
+``_reduce``.  The compiled order is the engine's whole context: it also
+records the ring, its modulus and whether it is QQ or ZZ, and every engine
+function reads them off the compiled order it receives.  Buchberger forms
+every pair through the public ``s_polynomial``/``g_polynomial`` on two term
+lists, with its compiled order in place of the order, and gets a term list
+back.  Products are formed inside the engine too: ``_product`` multiplies
+two term lists under one compiled order, and the ideal layer builds the
+generators of a power I^t, and the products of the bases of its factors,
+with it.  ``groebner_basis`` accepts such a start in place of Polynomials,
+a private ``_Start`` (compiled order, term lists); Polynomials are converted
+into the same start, so one Buchberger body serves both.  A returned basis
+keeps its final reducers and forms ``elements`` on their first read:
 ``normal_form`` against it, under every budget its width's bound covers,
 reads the reducers alone, and elimination converts only the elements it
 keeps.
@@ -69,16 +72,16 @@ Schoenemann, "Monomial representations for Groebner bases computations",
 w is 8, 16, 32, 64, 128, ..., and its bound D is the largest with
 2*D < 2**(w - 1): 63 for 8-bit fields, which covers the default budget of
 60, and 16383 for 16-bit ones.  So every exponent of a pair lcm or a pair
-term fits below its guard.  Then a shifted
-monomial is an int sum, x^a divides x^b exactly when b - a has no guard bit
-set (a borrow sets the guard of the first field where a exceeds b), and
-b - a is the shift; lcm and coprimality are a few word operations on the
-guards.  The packed monomial is also the low bits of its key, so one dot
-product computes both.  Exponent tuples appear where polynomials enter and
-leave the engine (``_engine_poly``, and ``_to_polynomial`` for quotients,
-remainders, basis elements and power generators), and where the key of a
-pair lcm is computed (``_pair`` and the pair queue); fields of up to 64 bits
-are unpacked with ``struct``, wider ones by shifts.
+term fits below its guard.  Then a shifted monomial is an int sum, x^a
+divides x^b exactly when b - a has no guard bit set (a borrow sets the guard
+of the first field where a exceeds b), and b - a is the shift; lcm and
+coprimality are a few word operations on the guards.  The packed monomial
+is also the low bits of its key, so one dot product computes both.  Exponent
+tuples appear where polynomials enter and leave the engine (``_engine_poly``,
+and ``_to_polynomial`` for quotients, remainders, basis elements and power
+generators), and where the key of a pair lcm is computed (``_pair`` and the
+pair queue); fields of up to 64 bits are unpacked with ``struct``, wider
+ones by shifts.
 
 Coefficients are plain ints: residues in [0, p) over GF(p), the integers
 themselves over ZZ, and over QQ a primitive integer polynomial that stands
@@ -173,16 +176,17 @@ class GroebnerBasis:
 
     def _convert(self, f: list) -> Polynomial:
         # reduced elements are monic over fields: scale by the leading coefficient
-        return _to_polynomial(self._final.cord, f, f[0][2])
+        return _to_polynomial(self._final.cord, f, f[0][1])
 
     def _free_heads(self, names: Sequence[str]) -> list[Polynomial]:
         """The elements whose leading monomial involves none of ``names``,
-        converted alone: one AND with a mask of the names' fields.  Under an
-        order that eliminates ``names`` these are the elements free of them."""
+        converted alone: one AND of the leading key, whose low bits are the
+        packed monomial, with a mask of the names' fields.  Under an order
+        that eliminates ``names`` these are the elements free of them."""
         final = self._final
         cord = final.cord
         mask = sum(cord.field << cord.width * self.ring.index(v) for v in names)
-        return [self._convert(f) for f in final.polys if not f[0][1] & mask]
+        return [self._convert(f) for f in final.polys if not f[0][0] & mask]
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -256,8 +260,9 @@ class _Order:
     a larger key is a larger monomial, and the low bits of the key, under
     ``mask``, are the packed monomial: each weight is the order's weight of
     its variable shifted above the packed fields, plus the variable's unit
-    in its field, so one dot product yields both.  ``fields(m)`` is the
-    exponent tuple of a packed monomial m.
+    in its field, so one dot product yields both, and an engine term (key,
+    coefficient, degree) keeps the key alone.  ``fields(m)`` is the exponent
+    tuple of a packed monomial m.
     """
 
     __slots__ = (
@@ -339,8 +344,8 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
 
     Over QQ the engine form is the primitive integer multiple of f with a
     positive leading coefficient; elsewhere it is f itself and s is 1.  A
-    term above the compiled bound has a meaningless key and monomial, which
-    ``_reduce`` rejects on entry, by its degree, before reading them.
+    term above the compiled bound has a meaningless key, which ``_reduce``
+    rejects on entry, by its stored degree, before reading it.
     """
     den = 1
     if cord.p:
@@ -350,47 +355,46 @@ def _engine_poly(f: Polynomial, cord: _Order) -> tuple[list, object]:
         raw = [(e, c.numerator * (den // c.denominator)) for e, c in f._terms.items()]
     else:
         raw = f._terms.items()
-    weights, mask = cord.weights, cord.mask
-    terms = [(k := sum(map(mul, weights, e)), k & mask, c, sum(e)) for e, c in raw]
+    terms = [(sum(map(mul, cord.weights, e)), c, sum(e)) for e, c in raw]
     terms.sort(reverse=True)
     if not cord.qq or not terms:
         return terms, 1
     prim = _normalized(terms, cord)
-    return prim, Fraction(den * prim[0][2], terms[0][2])
+    return prim, Fraction(den * prim[0][1], terms[0][1])
 
 
 def _to_polynomial(cord: _Order, terms: list, scale=1) -> Polynomial:
     """The Polynomial of ``cord.ring`` with coefficients c / scale for the
-    engine terms (key, monomial, coefficient, degree) given; scale is 1
-    except over QQ."""
-    ring, fields, p = cord.ring, cord.fields, cord.p
+    engine terms (key, coefficient, degree) given, each monomial unpacked
+    from the low bits of its key; scale is 1 except over QQ."""
+    ring, fields, p, mask = cord.ring, cord.fields, cord.p, cord.mask
     if p:
-        return Polynomial._make(ring, {fields(m): FpElement(c, p) for _, m, c, _ in terms})
+        return Polynomial._make(ring, {fields(k & mask): FpElement(c, p) for k, c, _ in terms})
     if cord.qq:
         num, den = scale.denominator, scale.numerator
-        return Polynomial._make(ring, {fields(m): Fraction(c * num, den) for _, m, c, _ in terms})
-    return Polynomial._make(ring, {fields(m): c for _, m, c, _ in terms})
+        return Polynomial._make(ring, {fields(k & mask): Fraction(c * num, den) for k, c, _ in terms})
+    return Polynomial._make(ring, {fields(k & mask): c for k, c, _ in terms})
 
 
 def _normalized(terms: list, cord: _Order) -> list:
     """Monic over GF(p); primitive with a positive leading coefficient over
     QQ; a positive leading coefficient over ZZ (content kept)."""
-    lc = terms[0][2]
+    lc = terms[0][1]
     p = cord.p
     if p:
         if lc == 1:
             return terms
         inv = pow(lc, -1, p)
-        return [(k, e, c * inv % p, d) for k, e, c, d in terms]
+        return [(k, c * inv % p, d) for k, c, d in terms]
     if cord.qq:
-        g = math.gcd(*(t[2] for t in terms))
+        g = math.gcd(*(t[1] for t in terms))
         if lc < 0:
             g = -g
     else:
         g = -1 if lc < 0 else 1
     if g == 1:
         return terms
-    return [(k, e, c // g, d) for k, e, c, d in terms]
+    return [(k, c // g, d) for k, c, d in terms]
 
 
 class _Reducers:
@@ -415,9 +419,9 @@ class _Reducers:
         self.first: dict[int, int] = {}
 
     def append(self, f: list) -> None:
-        _, e, c, _ = f[0]
+        k, c, _ = f[0]
         self.polys.append(f)
-        self.lms.append(e)
+        self.lms.append(k & self.cord.mask)
         if self.cord.p:
             self.invs.append(pow(c, -1, self.cord.p))
 
@@ -437,25 +441,25 @@ def _reduce(
 
     Returns (remainder, M), M the product of those multipliers (1 except over
     QQ), such that M*f = sum(q_i*g_i) + remainder.  ``quotients``, when
-    given, receives q_i per reducer as a list of (key, shift, coefficient,
-    degree, M at that step); the coefficient of q_i at x^shift is
+    given, receives q_i per reducer as a list of (key, coefficient, degree,
+    M at that step), one entry per term of q_i, whose coefficient is
     coefficient * (M // M at step).  No reducer acts twice on one monomial (a
     field step cancels the term; over ZZ a reducer that acted leaves a
-    residue it cannot divide), so the shifts in one list are distinct and
+    residue it cannot divide), so the keys in one list are distinct and
     every coefficient is nonzero.  The engine checks the degree budget here
-    only: on entry, and on each term a reduction step forms ("during
-    reduction").
+    only: on entry, by the stored degrees, and on each term a reduction step
+    forms ("during reduction").  Past the entry check every term lies within
+    the bound, so each monomial and its degree are read off its key.
     """
-    _check_degree(max_degree, max((t[3] for t in terms), default=-1))
+    _check_degree(max_degree, max((t[2] for t in terms), default=-1))
     cord = red.cord
     p, qq, int_mode = cord.p, cord.qq, cord.zz
     polys, lms, invs = red.polys, red.lms, red.invs
     first = red.first
-    G = cord.guard
+    G, mask, ones, top, fmask = cord.guard, cord.mask, cord.ones, cord.top, cord.field
     nred = len(lms)
     heappush, heappop = heapq.heappush, heapq.heappop
-    work = {t[0]: t[2] for t in terms}
-    mono = {t[0]: (t[1], t[3]) for t in terms}
+    work = {t[0]: t[1] for t in terms}
     heap = [-t[0] for t in terms]  # terms descend, so this list is a heap
     rem: list = []
     rem_at: list[int] = []
@@ -465,12 +469,13 @@ def _reduce(
         c = work.get(k)
         if c is None:
             continue
-        e, d = mono[k]
+        e = k & mask
+        d = e * ones >> top & fmask  # cord.degree(e), inlined
         while True:
             if int_mode:
                 for gi in range(nred):
                     if not (e - lms[gi]) & G:
-                        b = polys[gi][0][2]
+                        b = polys[gi][0][1]
                         q = (c - c % abs(b)) // b
                         if q:
                             break
@@ -487,7 +492,7 @@ def _reduce(
                     first[k] = gi
                     if gi < 0:
                         break
-            k0, lm, b, d0 = polys[gi][0]
+            k0, b, d0 = polys[gi][0]
             if p:
                 q = c * invs[gi] % p
             elif qq:
@@ -498,13 +503,12 @@ def _reduce(
                     for kk in work:
                         work[kk] *= m
                     M *= m
-            # work -= q * x^(e - lm) * g
+            # work -= q * x^shift * g, the shift's key ks and degree ds
             ks = k - k0
             ds = d - d0
-            shift = e - lm
             if quotients is not None:
-                quotients[gi].append((ks, shift, q, ds, M))
-            for kg, eg, cg, dg in polys[gi]:
+                quotients[gi].append((ks, q, ds, M))
+            for kg, cg, dg in polys[gi]:
                 km = ks + kg
                 s = work.get(km)
                 if s is None:
@@ -513,8 +517,6 @@ def _reduce(
                             f"degree budget {max_degree} exceeded during reduction"
                         )
                     work[km] = -q * cg % p if p else -q * cg
-                    if km not in mono:
-                        mono[km] = (shift + eg, ds + dg)
                     heappush(heap, -km)
                 else:
                     s -= q * cg
@@ -529,11 +531,11 @@ def _reduce(
                 break
         if c is not None:
             del work[k]
-            rem.append((k, e, c, d))
+            rem.append((k, c, d))
             if qq:
                 rem_at.append(M)
     if M != 1:
-        rem = [(k, e, c * (M // at), d) for (k, e, c, d), at in zip(rem, rem_at)]
+        rem = [(k, c * (M // at), d) for (k, c, d), at in zip(rem, rem_at)]
     return rem, M
 
 
@@ -582,7 +584,7 @@ def divide(
     qs = [
         _to_polynomial(
             cord,
-            [(k, shift, q * (M // at), d) for k, shift, q, d, at in steps],
+            [(k, q * (M // at), d) for k, q, d, at in steps],
             M * mu / lam if cord.qq else 1,
         )
         for steps, lam in zip(quotients, scales)
@@ -647,10 +649,10 @@ def normal_form(
 def _pair(f: list, g: list, cord: _Order, gpoly: bool) -> list:
     """S- or G-polynomial of two engine polynomials under the compiled order
     ``cord``.  Over a field it is the S-polynomial up to a nonzero scalar;
-    over ZZ it is exact."""
-    lf, lg = f[0], g[0]
-    a, b = lf[2], lg[2]
-    m = cord.lcm(lf[1], lg[1])
+    over ZZ it is exact.  The inputs lie within the compiled bound, so the
+    shifted terms accumulate by key, as in ``_collected``."""
+    (kf, a, df), (kg, b, dg) = f[0], g[0]
+    m = cord.lcm(kf & cord.mask, kg & cord.mask)
     km, dm = cord.key(cord.fields(m)), cord.degree(m)
     if gpoly:
         _, u, v = ext_gcd(a, b)
@@ -659,47 +661,43 @@ def _pair(f: list, g: list, cord: _Order, gpoly: bool) -> list:
         c = math.lcm(a, b)
         u, v = c // a, -(c // b)
         skip = 1  # the leading terms of an S-polynomial cancel
-    # keyed by exponents, so that a term above the key range (which the
-    # degree budget then rejects) still combines exactly
     acc: dict = {}
-    for (k0, lm, _, d0), terms, w in ((lf, f, u), (lg, g, v)):
-        shift = m - lm
-        ks, ds = km - k0, dm - d0
-        for k, e, c, d in terms[skip:]:
-            em = e + shift
-            t = acc.get(em)
+    for ks, ds, terms, w in ((km - kf, dm - df, f, u), (km - kg, dm - dg, g, v)):
+        for k, c, d in terms[skip:]:
+            t = acc.get(ks + k)
             if t is None:
-                acc[em] = [ks + k, w * c, ds + d]
+                acc[ks + k] = [w * c, ds + d]
             else:
-                t[1] += w * c
+                t[0] += w * c
     return _collected(acc, cord.p)
 
 
 def _product(f: list, g: list, cord: _Order) -> list:
     """f*g of two term lists under the compiled order ``cord``: keys and
-    packed monomials add, and terms accumulate by packed monomial, as in
-    ``_pair``.  Exact for every product term of degree up to twice the
-    compiled bound.  Over QQ the product of two primitive lists is primitive
-    (Gauss's lemma), and over GF(p) monic times monic is monic."""
+    degrees add, and terms accumulate by key, as in ``_collected``.  Exact
+    for every product term of degree up to twice the compiled bound.  Over
+    QQ the product of two primitive lists is primitive (Gauss's lemma), and
+    over GF(p) monic times monic is monic."""
     acc: dict = {}
-    for k, e, c, d in f:
-        for kg, eg, cg, dg in g:
-            m = e + eg
-            t = acc.get(m)
+    for k, c, d in f:
+        for kg, cg, dg in g:
+            t = acc.get(k + kg)
             if t is None:
-                acc[m] = [k + kg, c * cg, d + dg]
+                acc[k + kg] = [c * cg, d + dg]
             else:
-                t[1] += c * cg
+                t[0] += c * cg
     return _collected(acc, cord.p)
 
 
 def _collected(acc: dict, p: int) -> list:
-    """The term list of {packed monomial: [key, coefficient, degree]}, zero
-    coefficients dropped, sorted by descending key."""
+    """The term list of {key: [coefficient, degree]}, zero coefficients
+    dropped, sorted by descending key.  Accumulating by key is exact: keys
+    are sums of the keys of terms within the compiled bound D, so their
+    monomials lie within 2*D, where distinct monomials have distinct keys."""
     if p:
-        out = [(k, e, c % p, d) for e, (k, c, d) in acc.items() if c % p]
+        out = [(k, c % p, d) for k, (c, d) in acc.items() if c % p]
     else:
-        out = [(k, e, c, d) for e, (k, c, d) in acc.items() if c]
+        out = [(k, c, d) for k, (c, d) in acc.items() if c]
     out.sort(reverse=True)
     return out
 
@@ -713,7 +711,7 @@ def _exact_pair(f: Polynomial, g: Polynomial, order: MonomialOrder | None, gpoly
     fe, ge = (_engine_poly(h, cord)[0] for h in (f, g))
     scale = 1
     if cord.qq:
-        scale = math.lcm(fe[0][2], ge[0][2])
+        scale = math.lcm(fe[0][1], ge[0][1])
     elif cord.p:
         fe, ge = _normalized(fe, cord), _normalized(ge, cord)
     return _to_polynomial(cord, _pair(fe, ge, cord, gpoly), scale)
@@ -855,7 +853,7 @@ def groebner_basis(
         # every term was checked against the degree budget already
         red.append(_normalized(terms, cord))
         if int_mode:
-            lts.append(red.polys[-1][0][1:3])  # (monomial, coefficient)
+            lts.append((red.lms[-1], red.polys[-1][0][1]))  # (monomial, coefficient)
         push_pairs(len(red.polys) - 1)
 
     for g in start:
@@ -903,9 +901,9 @@ def _tail_reduce(basis: list[list], cord: _Order, budget: Budget) -> _Reducers:
     """
     red = _Reducers(cord)
     for f in basis:
-        k, e, c, d = f[0]
+        k, c, d = f[0]
         tail, M = _reduce(f[1:], red, budget.max_degree)
-        red.append(_normalized([(k, e, c * M, d), *tail], cord))
+        red.append(_normalized([(k, c * M, d), *tail], cord))
     return red
 
 

@@ -865,7 +865,7 @@ def test_readme_library_block_prints_what_its_comments_show():
     assert out.getvalue().splitlines() == shown
 
 
-def _python_m(argv, stdin=None, **env):
+def _python_m(argv, stdin=None, stdout=subprocess.PIPE, **env):
     """``python -m powerstable argv`` in a subprocess that imports this
     checkout's package, with ``env`` added to the environment."""
     src = str(Path(powerstable.__file__).resolve().parents[1])
@@ -874,10 +874,29 @@ def _python_m(argv, stdin=None, **env):
     return subprocess.run(
         [sys.executable, "-m", "powerstable", *argv],
         stdin=stdin,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "--ring", "ZZ[X]", "--gens", "X^2 - 2, X^3", "--poly", "X^3"], ["corpus", "--list"]],
+    ids=["member", "corpus --list"],
+)
+def test_a_closed_stdout_keeps_the_verbs_exit_code(argv):
+    """Into a pipe whose reader has gone (``ps member ... | true``) the verb
+    exits with its own code, 0 here, and prints no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _python_m(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_python_m_powerstable_runs_the_cli():

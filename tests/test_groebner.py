@@ -15,6 +15,7 @@ from powerstable import (
     BudgetExceededError,
     Grevlex,
     GroebnerBasis,
+    Ideal,
     Lex,
     Polynomial,
     RingSpec,
@@ -29,7 +30,16 @@ from powerstable import (
     parse_poly,
     s_polynomial,
 )
-from powerstable.groebner import _compiled, _engine_poly, _minimal, _product, _to_polynomial
+from powerstable.groebner import (
+    _compiled,
+    _engine_poly,
+    _minimal,
+    _normalized,
+    _pair,
+    _product,
+    _reduce,
+    _to_polynomial,
+)
 from powerstable.orders import key_function, parse_order
 
 from helpers import rand_gens
@@ -50,6 +60,7 @@ QYZ = RingSpec.parse("QQ[Y,Z]")
 F7 = RingSpec.parse("Fp(7)[Y][X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
 F7YZX = RingSpec.parse("Fp(7)[Y,Z][X]")
+QYZX = RingSpec.parse("QQ[Y,Z][X]")
 F32003 = RingSpec.parse("Fp(32003)[A,B,C,D]")
 
 
@@ -518,6 +529,34 @@ def test_degree_budget_guards_inputs():
             call()
 
 
+@pytest.mark.parametrize(
+    "spec, text, degree",
+    [
+        ("ZZ[X]", "X^300 + 2*X", 300),
+        ("QQ[Y][X]", "1/2*Y^128*X + Y", 129),
+        ("Fp(7)[Y][X]", "3*X^128 + Y^2", 128),
+    ],
+    ids=["ZZ[X]", "QQ[Y][X]", "Fp(7)[Y][X]"],
+)
+def test_an_input_term_above_the_compiled_bound_is_rejected_by_its_degree(spec, text, degree):
+    """Under the default budget 60 the order is compiled for 8-bit fields,
+    so the key of a term of degree 128 or more is meaningless (128 sets a
+    field's guard bit): only the degree an engine term keeps beside its key
+    rejects it, on every route into the engine."""
+    ring = RingSpec.parse(spec)
+    f, x = parse_poly(text, ring), parse_poly("X", ring)
+    calls = [
+        (lambda: groebner_basis([f]), degree),
+        (lambda: normal_form(f, groebner_basis([x])), degree),  # the basis's own reducers
+        (lambda: divide(f, [x]), degree),
+        (lambda: Ideal(ring, [x]).contains(f), degree),
+        (lambda: Ideal(ring, [f, x]).power(2), 2 * degree),
+    ]
+    for call, n in calls:
+        with pytest.raises(BudgetExceededError, match=rf"^degree budget 60 exceeded \(term of degree {n}\)$"):
+            call()
+
+
 def test_degree_budget_guards_reduction_steps():
     # every input is inside the budget, but reducing X by X - Y^10, or the
     # S-polynomial -X*Y^4 of X - Y^4 and X^2 by X - Y^4, forms a term of degree > 5
@@ -857,6 +896,60 @@ def test_a_compiled_order_carries_its_ring(spec, gens, p, qq, zz, order):
     gb = groebner_basis([parse_poly(t, again) for t in gens], order)
     assert (gb.ring, gb.order, gb.strong, gb.reduced) == (ring, order, zz, True)
     assert gb._final.cord is cord
+
+
+def _assert_self_consistent(terms: list, cord) -> None:
+    """Keys strictly descend, coefficients are nonzero (residues in [1, p)
+    over GF(p)), and each term (k, c, d) is the key of the monomial in its
+    low bits, of total degree d."""
+    keys = [k for k, _, _ in terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    for k, c, d in terms:
+        assert 0 < c < cord.p if cord.p else c
+        e = cord.fields(k & cord.mask)
+        assert cord.key(e) == k and sum(e) == d
+
+
+@pytest.mark.parametrize("bound", [60, 200], ids=["8-bit fields", "16-bit fields"])
+@pytest.mark.parametrize("spec", ["grevlex", "elim:X"])
+@pytest.mark.parametrize("ring", [ZX, QYZX, F7], ids=str)
+def test_every_term_list_the_engine_forms_is_self_consistent(ring, spec, bound):
+    """The engine forms of Polynomials, their products and S- (over ZZ also
+    G-) polynomials, which reach twice the bound the order is compiled for,
+    the remainders of reductions against a basis, and the basis's own
+    reducers: every term list holds (key, coefficient, degree) terms whose
+    monomial is the low bits of the key."""
+    order = parse_order(spec, ring)
+    budget = Budget(max_pairs=200, max_degree=bound)
+    cord = _compiled(order, ring, bound)
+    den = 1 if ring.is_int_mode else 3
+    reduced = 0
+    for seed in range(4):
+        rng = random.Random(f"terms:{ring}:{spec}:{bound}:{seed}")
+        wide = [_engine_poly(f, cord)[0] for f in rand_gens(rng, ring, 3, bound, 9, max_den=den)]
+        gens = rand_gens(rng, ring, 3, 3, 5, max_den=den)
+        red = groebner_basis(gens, order, budget)._final
+        assert red.cord is cord
+        lists = [*wide, *red.polys]
+        if not ring.is_int_mode:  # Buchberger pairs normalized elements
+            lists = [_normalized(f, cord) for f in lists]
+        formed = [_engine_poly(g, cord)[0] for g in gens]
+        for i, f in enumerate(lists):
+            for g in lists[i + 1 :]:
+                formed.append(_product(f, g, cord))
+                formed.append(_pair(f, g, cord, False))
+                if cord.zz:
+                    formed.append(_pair(f, g, cord, True))
+        for h in [*wide, *formed, *red.polys]:
+            _assert_self_consistent(h, cord)
+            if max((d for _, _, d in h), default=0) <= bound:
+                try:
+                    r, _ = _reduce(h, red, bound)
+                except BudgetExceededError:
+                    continue
+                _assert_self_consistent(r, cord)
+                reduced += 1
+    assert reduced >= 20
 
 
 # -- the engine's product walk and lazy bases ---------------------------------------

@@ -28,7 +28,7 @@ from .groebner import (
     normal_form,
 )
 from .orders import BlockElim, Grevlex, MonomialOrder
-from .polynomials import Polynomial, evaluate_map, format_poly, transport
+from .polynomials import Polynomial, evaluate_map, format_poly, parse_poly, transport
 from .rings import RingSpec
 
 
@@ -126,8 +126,6 @@ class Ideal:
 
     @classmethod
     def from_texts(cls, ring: RingSpec, texts: Sequence[str]) -> "Ideal":
-        from .polynomials import parse_poly
-
         return cls(ring, [parse_poly(t, ring) for t in texts])
 
     def __repr__(self) -> str:

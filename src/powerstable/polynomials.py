@@ -24,11 +24,13 @@ for internal tag variables and rejected.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coefficients import Coefficient
+from .coefficients import Coefficient, FpElement
 from .errors import (
     AlgebraError,
+    CoefficientError,
     ParseError,
     RingMismatchError,
     ZeroPolynomialError,
@@ -39,6 +41,21 @@ from .rings import RingSpec
 Exponents = tuple[int, ...]
 
 
+def _coefficient(ring: RingSpec, c) -> Coefficient:
+    """c as a coefficient of the ring's domain.  An int converts; a Fraction
+    is read as the literal numerator/denominator, so ZZ rejects 1/2 and
+    GF(p) maps it, as the parser does; a GF(p) element belongs to GF(p)
+    alone.  Anything else raises CoefficientError."""
+    dom = ring.domain
+    if isinstance(c, int):
+        return dom.from_int(c)
+    if isinstance(c, Fraction):
+        return dom.literal(c.numerator, c.denominator)
+    if isinstance(c, FpElement) and c.modulus == getattr(dom, "p", None):
+        return c
+    raise CoefficientError(f"{c!r} is not a coefficient of {ring}")
+
+
 class Polynomial:
     __slots__ = ("ring", "_terms")
 
@@ -46,8 +63,9 @@ class Polynomial:
         clean: dict[Exponents, Coefficient] = {}
         n = len(ring.variables)
         for e, c in (terms or {}).items():
-            if len(e) != n or any(k < 0 for k in e):
+            if len(e) != n or any(not isinstance(k, int) or k < 0 for k in e):
                 raise AlgebraError(f"bad exponent tuple {e} for ring {ring}")
+            c = _coefficient(ring, c)
             if c:
                 clean[tuple(e)] = c
         self.ring = ring
@@ -68,7 +86,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: RingSpec, value) -> "Polynomial":
-        c = ring.domain.from_int(value) if isinstance(value, int) else value
+        c = _coefficient(ring, value)
         if not c:
             return cls.zero(ring)
         return cls._make(ring, {(0,) * len(ring.variables): c})

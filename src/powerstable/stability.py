@@ -252,9 +252,7 @@ class MonicCertificate:
     monic: Polynomial
     base_gens: tuple[Polynomial, ...]
 
-    @property
-    def kind(self) -> str:
-        return "monic"
+    kind = "monic"  # a class attribute, not a field
 
     def verify(self, budget: Budget | None = None) -> bool:
         ring = self.ideal.ring
@@ -304,9 +302,7 @@ class RegularImageCertificate:
     image: Polynomial
     lcm_value: int
 
-    @property
-    def kind(self) -> str:
-        return "regular_image"
+    kind = "regular_image"  # a class attribute, not a field
 
     def verify(self, budget: Budget | None = None) -> bool:
         ring = self.ideal.ring
@@ -356,9 +352,7 @@ class ObstructionCertificate:
     witness: Polynomial
     cofactor: Polynomial
 
-    @property
-    def kind(self) -> str:
-        return "primary_obstruction"
+    kind = "primary_obstruction"  # a class attribute, not a field
 
     def verify(self, budget: Budget | None = None) -> bool:
         pt = self.ideal.power(self.t, budget)

@@ -222,7 +222,7 @@ def test_minimal_pair_filter_matches_its_definition(zz):
     the first pair (criterion F).  Over ZZ a term is (monomial, coefficient),
     and c*x^a divides d*x^b when c | d and x^a | x^b."""
     cord = _compiled(Grevlex(), QYZW, 60)
-    monomial = st.tuples(*[st.integers(0, 2)] * 3)
+    monomial = st.tuples(*[st.integers(0, 3)] * 3)
     terms = st.tuples(monomial, st.integers(1, 6)) if zz else monomial
 
     def divides(u, t):
@@ -234,7 +234,7 @@ def test_minimal_pair_filter_matches_its_definition(zz):
         return (cord.key(t[0]) & cord.mask, t[1]) if zz else cord.key(t) & cord.mask
 
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(pairs=st.lists(st.tuples(st.integers(0, 9), terms), max_size=10))
+    @given(pairs=st.lists(st.tuples(st.integers(0, 39), terms), max_size=40))
     def check(pairs):
         expected = {}
         for _, t in pairs:
@@ -244,6 +244,11 @@ def test_minimal_pair_filter_matches_its_definition(zz):
         assert list(got.items()) == list(expected.items())
 
     check()
+    if zz:
+        # one monomial: 2 divides 4 and 8, while 2 and 3 divide neither other
+        m = cord.key((1, 0, 2)) & cord.mask
+        assert _minimal([(0, (m, 4)), (1, (m, 2)), (2, (m, 8))], cord, True) == {(m, 2): [1]}
+        assert _minimal([(0, (m, 2)), (1, (m, 3))], cord, True) == {(m, 2): [0], (m, 3): [1]}
 
 
 # -- strong bases over ZZ ---------------------------------------------------------

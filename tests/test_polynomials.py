@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerstable import (
+    GF,
     AlgebraError,
     BlockElim,
     CoefficientError,
@@ -369,6 +370,40 @@ def test_fp_coefficients_reduce():
     assert parse_poly("1/2", r) == parse_poly("3", r)
     with pytest.raises(CoefficientError):
         parse_poly("1/5", r)
+
+
+def test_constructors_take_only_coefficients_of_the_ring():
+    """Polynomial(ring, terms) and Polynomial.constant convert ints and read
+    a Fraction as a literal, as the parser does; a coefficient from outside
+    the ring's domain, or an exponent that is not a non-negative int, raises
+    before the polynomial reaches the engine."""
+    f7 = RingSpec.parse("Fp(7)[Y][X]")
+    assert Polynomial(f7, {(0, 1): 3, (1, 0): 1}) == parse_poly("3*X + Y", f7)
+    assert Polynomial(f7, {(0, 1): Fraction(1, 2)}) == parse_poly("4*X", f7)
+    assert Polynomial(f7, {(0, 1): GF(7).from_int(9)}) == parse_poly("2*X", f7)
+    assert Polynomial(f7, {(0, 1): 7}).is_zero()
+    assert Polynomial(QYX, {(0, 1): 2, (1, 0): Fraction(1, 3)}) == parse_poly("2*X + 1/3*Y", QYX)
+    assert Polynomial(ZX, {(1,): Fraction(4, 2)}) == parse_poly("2*X", ZX)
+    assert Polynomial.constant(QYX, 3) == parse_poly("3", QYX)
+    assert Polynomial.constant(f7, 10) == parse_poly("3", f7)
+    bad_coefficients = [
+        (f7, GF(5).from_int(2)),
+        (ZX, Fraction(1, 2)),
+        (ZX, GF(5).from_int(2)),
+        (QYX, GF(5).from_int(2)),
+        (QYX, 0.5),
+        (ZX, "1"),
+        (f7, Fraction(1, 7)),
+    ]
+    for ring, c in bad_coefficients:
+        one = (0,) * len(ring.variables)
+        with pytest.raises(CoefficientError):
+            Polynomial(ring, {one: c})
+        with pytest.raises(CoefficientError):
+            Polynomial.constant(ring, c)
+    for e in [(2.0,), (-1,), (1, 0)]:
+        with pytest.raises(AlgebraError):
+            Polynomial(ZX, {e: 1})
 
 
 # -- formatting -------------------------------------------------------------------------

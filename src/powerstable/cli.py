@@ -435,10 +435,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a polynomial, which may begin with "-"
+_POLY_VALUED = frozenset(("--gens", "--poly", "--by", "--witnesses"))
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """argv with each value that follows a polynomial-valued option and
+    begins with a single "-" attached to it as ``--option=value``: argparse
+    alone takes such a value ("-X": no space, not a number) for a flag.  A
+    value beginning with "--" stays a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _POLY_VALUED and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run_command(argv: Sequence[str]) -> tuple[int, OutputDocument]:
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_values(argv))
     except argparse.ArgumentError as err:
         return 2, OutputDocument(f"usage error: {err}")
     except SystemExit as err:  # argparse printed its own message (e.g. --help)

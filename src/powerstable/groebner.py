@@ -90,7 +90,9 @@ for its positive rational multiples.  Reduction over QQ is fraction-free
 term with coefficient c, the polynomial is multiplied by b/gcd(b, c).  One
 loop, ``_reduce``, serves all three domains; content is removed after each
 normal form, and ``Fraction`` and ``FpElement`` values appear only where
-polynomials enter and leave the engine.
+polynomials enter and leave the engine.  One scan of the leading monomials
+finds each divisor; a reducer set keeps only its term lists and those
+monomials, so reduction keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -383,32 +385,21 @@ def _normalized(terms: list, cord: _Order) -> list:
 
 
 class _Reducers:
-    """A reducer set that only grows.  Head data (key, coefficient, degree)
-    are read off each element's head term, ``polys[i][0]``; only the leading
-    monomials, which the divisor scan reads for every candidate, and over
-    GF(p) the inverses of the leading coefficients are kept beside them.
+    """A reducer set that only grows: the term lists ``polys`` and their
+    leading monomials ``lms``, which the divisor scan reads for every
+    candidate.  Head data (key, coefficient, degree) are read off each
+    element's head term, ``polys[i][0]``."""
 
-    ``first`` memoizes, per monomial key, the first reducer whose leading
-    monomial divides it (an index >= 0), or ~n when none of the first n
-    reducers does; since reducers are only appended, a later lookup scans
-    only the new ones.  Only field-mode reduction uses it.
-    """
-
-    __slots__ = ("cord", "polys", "lms", "invs", "first")
+    __slots__ = ("cord", "polys", "lms")
 
     def __init__(self, cord: _Order):
         self.cord = cord
         self.polys: list[list] = []
         self.lms: list[int] = []
-        self.invs: list[int] = []
-        self.first: dict[int, int] = {}
 
     def append(self, f: list) -> None:
-        k, c, _ = f[0]
         self.polys.append(f)
-        self.lms.append(k & self.cord.mask)
-        if self.cord.p:
-            self.invs.append(pow(c, -1, self.cord.p))
+        self.lms.append(f[0][0] & self.cord.mask)
 
 
 def _reduce(
@@ -417,12 +408,15 @@ def _reduce(
     """Full normal form of a term list against ``red``: the one reduction loop.
 
     Monomials are visited in descending order through a max-heap of keys, so
-    each one is finalized exactly once.  Over a field a reducible term is
-    cancelled completely by the first reducer whose leading monomial divides
-    it; over ZZ coefficients are divided with least non-negative remainder
-    and irreducible residues stay.  Over QQ the reduction is fraction-free:
-    the whole polynomial is first multiplied by m = b/gcd(b, c), where b is
-    the reducer's leading coefficient and c the term's.
+    each one is finalized exactly once.  One scan finds the divisor of a
+    term c*x^e in every domain: the first reducer whose leading monomial
+    divides x^e, over ZZ the first that also gives a nonzero quotient with
+    least non-negative remainder (irreducible residues stay).  Over a field
+    the step cancels the term.  Over GF(p) the quotient is c/b, b the
+    reducer's leading coefficient, which is 1 for every reducer the engine
+    builds, so only the divisors of ``divide`` need an inverse.  Over QQ the
+    reduction is fraction-free: the whole polynomial is first multiplied by
+    m = b/gcd(b, c).
 
     Returns (remainder, M), M the product of those multipliers (1 except over
     QQ), such that M*f = sum(q_i*g_i) + remainder.  ``quotients``, when
@@ -439,8 +433,7 @@ def _reduce(
     _check_degree(max_degree, max((t[2] for t in terms), default=-1))
     cord = red.cord
     p, qq, int_mode = cord.p, cord.qq, cord.zz
-    polys, lms, invs = red.polys, red.lms, red.invs
-    first = red.first
+    polys, lms = red.polys, red.lms
     G, mask, ones, top, fmask = cord.guard, cord.mask, cord.ones, cord.top, cord.field
     nred = len(lms)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -457,29 +450,18 @@ def _reduce(
         e = k & mask
         d = e * ones >> top & fmask  # cord.degree(e), inlined
         while True:
-            if int_mode:
-                for gi in range(nred):
-                    if not (e - lms[gi]) & G:
-                        b = polys[gi][0][1]
-                        q = (c - c % abs(b)) // b
-                        if q:
-                            break
-                else:
-                    break
-            else:
-                gi = first.get(k, -1)
-                if gi < 0:
-                    for gi in range(~gi, nred):
-                        if not (e - lms[gi]) & G:
-                            break
-                    else:
-                        gi = ~nred
-                    first[k] = gi
-                    if gi < 0:
+            for gi in range(nred):
+                if not (e - lms[gi]) & G:
+                    k0, b, d0 = polys[gi][0]
+                    if not int_mode:
                         break
-            k0, b, d0 = polys[gi][0]
+                    q = (c - c % abs(b)) // b
+                    if q:
+                        break
+            else:
+                break
             if p:
-                q = c * invs[gi] % p
+                q = c if b == 1 else c * pow(b, -1, p) % p
             elif qq:
                 g0 = math.gcd(c, b)
                 m = b // g0
@@ -842,8 +824,8 @@ def groebner_basis(
     while heap:
         _, i, j, kind = heapq.heappop(heap)
         if kind:
-            m, c = g_term(lts[i], lts[j])
-            if any(not c % lts[k][1] and not (m - lts[k][0]) & G for k in active):
+            t = g_term(lts[i], lts[j])
+            if any(t_divides(lts[k], t) for k in active):
                 continue
         elif live.pop((i, j), None) is None:
             continue

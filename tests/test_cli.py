@@ -404,6 +404,47 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+# A polynomial value may begin with "-", which argparse alone reads as a flag
+# unless the value holds a space or is a number: (argv, exit code, body).
+_LEADING_MINUS = [
+    (("member", "--ring", "ZZ[X]", "--gens", "X", "--poly", "-X"), 0, "true"),
+    (("radical-member", "--ring", "QQ[Y][X]", "--gens", "X^3", "--poly", "-Y*X"), 0, "true"),
+    (("gb", "--ring", "Fp(7)[Y][X]", "--gens", "-3*X^2+Y,2*Y*X"), 0, "(X^2 + 2*Y, Y*X, Y^2)"),
+    (("quotient", "--ring", "ZZ[X]", "--gens", "4*X^2, 6*X", "--by", "-2*X"), 0, "(-3, -X)"),
+    (("saturate", "--ring", "QQ[Y][X]", "--gens", "X^2*Y", "--by", "-X"), 0, "(Y)"),
+    (
+        (
+            "obstruct", "--ring", "QQ[Y,Z,W]",
+            "--gens", "W^3 - Y*Z, Y^2 - W*Z, Z^2 - W^2*Y", "--witnesses", "-W",
+        ),
+        1,
+        "obstruction at t=2: witness -W, cofactor -W^5 - Y^3*W + 3*Y*Z*W^2 - Z^3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, body", _LEADING_MINUS, ids=[" ".join(a) for a, _, _ in _LEADING_MINUS]
+)
+def test_a_polynomial_value_may_begin_with_a_minus(argv, code, body):
+    assert run(*argv) == (code, body)
+    # the same answer as the value attached with "=", in both formats
+    attached = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert run(*attached) == (code, body)
+    assert run(*argv, "--format", "json") == run(*attached, "--format", "json")
+
+
+def test_a_value_beginning_with_two_minus_signs_stays_a_flag():
+    usage = "usage error: argument --poly: expected one argument"
+    assert run("member", "--ring", "ZZ[X]", "--gens", "X", "--poly") == (2, usage)
+    assert run("member", "--ring", "ZZ[X]", "--gens", "X", "--poly", "--X") == (2, usage)
+    argv = ("member", "--ring", "ZZ[X]", "--gens", "X", "--poly", "--format", "json")
+    assert run(*argv) == (2, usage)
+    # a spaced value and a number are values, as they always were
+    assert run("member", "--ring", "ZZ[X]", "--gens", "X", "--poly", "-X^2 + 2") == (1, "false")
+    assert run("member", "--ring", "ZZ[X]", "--gens", "X", "--poly", "-1") == (1, "false")
+
+
 def test_error_messages_go_to_body():
     code, body = run("gb", "--ring", "ZZ[X]", "--gens", "W")
     assert code == 2
@@ -709,8 +750,8 @@ def poly_texts(draw, names):
         factors = [str(draw(st.integers(1, 9)))]
         for _ in range(draw(st.integers(0, 2))):
             factors.append(f"{draw(st.sampled_from(names))}^{draw(st.integers(0, 4))}")
-        # a leading "-" would read as a flag, so only later terms take a sign
-        text += (draw(st.sampled_from([" + ", " - "])) if i else "") + "*".join(factors)
+        sign = st.sampled_from([" + ", " - "] if i else ["", "-"])
+        text += draw(sign) + "*".join(factors)
     return text
 
 

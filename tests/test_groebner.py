@@ -878,6 +878,33 @@ def test_normal_form_reads_a_basis_through_its_reducers_within_their_bound(monke
 
 
 @pytest.mark.parametrize(
+    "spec, gens",
+    [
+        ("ZZ[X]", ("X^3 - 3*X + 6", "4*X^2 + 2*X")),
+        ("QQ[Y][X]", ("X^2 - Y^2 + 1/2*X", "Y*X^2 - 2*Y + 3")),
+        ("Fp(7)[Y][X]", ("3*X^2 - Y*X + 1", "2*Y^2*X - Y")),
+    ],
+    ids=["ZZ[X]", "QQ[Y][X]", "Fp(7)[Y][X]"],
+)
+def test_reduction_keeps_no_history(spec, gens):
+    """``normal_form`` against one cached basis gives each of 40 seeded
+    polynomials the reference remainder whatever was reduced before it:
+    visited forwards and backwards, the answers are the textbook division's
+    by the basis elements."""
+    ring = RingSpec.parse(spec)
+    ideal = Ideal.from_texts(ring, gens)
+    gb = ideal.groebner()
+    probes = rand_gens(random.Random(f"history:{spec}"), ring, 40, 5, 9)
+    want = [reference_normal_form(f, list(gb.elements), gb.order) for f in probes]
+    assert sum(not r.is_zero() for r in want) >= 30
+    forward = [normal_form(f, ideal.groebner()) for f in probes]
+    backward = [normal_form(f, ideal.groebner()) for f in reversed(probes)][::-1]
+    assert forward == want
+    assert backward == want
+    assert ideal.groebner() is gb
+
+
+@pytest.mark.parametrize(
     "spec, gens, p, qq, zz",
     [
         ("ZZ[X]", ("X^2 - 2", "3*X"), 0, False, True),

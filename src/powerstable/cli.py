@@ -121,7 +121,7 @@ def _ideal_doc(ideal: Ideal) -> dict:
 
 
 def _cmd_gb(args, ideal, budget):
-    gb = ideal.groebner(parse_order(args.order, ideal.ring), budget)
+    gb = ideal.groebner(parse_order(args.order), budget)
     basis = _texts(gb.elements)
     doc = {"order": args.order, "basis": basis, "reduced": gb.reduced, "strong": gb.strong}
     return 0, doc, [_paren(basis)]

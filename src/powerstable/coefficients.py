@@ -120,16 +120,6 @@ class CoefficientDomain:
         """Build a coefficient from parsed literal parts (num, optional /den)."""
         raise NotImplementedError
 
-    def exact_div(self, a: Coefficient, b: Coefficient) -> Coefficient | None:
-        """a / b when the quotient exists in the domain, else None."""
-        raise NotImplementedError
-
-    def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        q = self.exact_div(a, b)
-        if q is None:
-            raise CoefficientError(f"{a!s} is not divisible by {b!s}")
-        return q
-
     def is_negative(self, c: Coefficient) -> bool:
         """Display-level sign; prime fields have no signs."""
         return False
@@ -160,12 +150,6 @@ class IntegerDomain(CoefficientDomain):
             return num // den
         raise CoefficientError(f"{num}/{den} is not an integer coefficient")
 
-    def exact_div(self, a: int, b: int) -> int | None:
-        if b == 0:
-            raise CoefficientError("division by zero")
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-
     def is_negative(self, c: int) -> bool:
         return c < 0
 
@@ -184,11 +168,6 @@ class RationalDomain(CoefficientDomain):
         if den == 0:
             raise CoefficientError(f"{num}/0 has a zero denominator")
         return Fraction(num) if den is None else Fraction(num, den)
-
-    def exact_div(self, a: Fraction, b: Fraction) -> Fraction | None:
-        if not b:
-            raise CoefficientError("division by zero")
-        return a / b
 
     def is_negative(self, c: Fraction) -> bool:
         return c < 0
@@ -216,11 +195,6 @@ class PrimeField(CoefficientDomain):
         if den % self.p == 0:
             raise CoefficientError(f"denominator {den} vanishes in GF({self.p})")
         return c * self.from_int(den).inverse()
-
-    def exact_div(self, a: FpElement, b: FpElement) -> FpElement | None:
-        if not b:
-            raise CoefficientError("division by zero")
-        return a * b.inverse()
 
     def to_json(self) -> dict:
         return {"Fp": self.p}

@@ -318,6 +318,8 @@ class Ideal:
         front = tuple(front)
         for v in front:
             self.ring.index(v)
+        if len(set(front)) < len(front):
+            raise AlgebraError(f"bad elimination block {front} for ring {self.ring}")
         if not front or self.is_zero_ideal():
             return self
         # A (strong) Groebner basis under an elimination order restricts to

@@ -92,7 +92,7 @@ def key_function(order: MonomialOrder, ring: "RingSpec") -> KeyFunction:
     raise AlgebraError(f"unknown monomial order {order!r}")
 
 
-def parse_order(text: str, ring: "RingSpec") -> MonomialOrder:
+def parse_order(text: str) -> MonomialOrder:
     """Parse a CLI order spec: ``lex``, ``grevlex``, ``lex:X,Y``, ``elim:X,Y``."""
     head, _, rest = text.partition(":")
     head = head.strip().lower()

@@ -109,9 +109,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def term_count(self) -> int:
-        return len(self._terms)
-
     def terms(self) -> Iterable[tuple[Exponents, Coefficient]]:
         return self._terms.items()
 
@@ -219,20 +216,6 @@ class Polynomial:
             if n:
                 base = base * base
         return result
-
-    def scale(self, c: Coefficient) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.ring)
-        return Polynomial._make(self.ring, {e: c * v for e, v in self._terms.items()})
-
-    def mul_term(self, c: Coefficient, shift: Exponents) -> "Polynomial":
-        """Multiply by the single term c * X^shift."""
-        if not c:
-            return Polynomial.zero(self.ring)
-        out = {}
-        for e, v in self._terms.items():
-            out[tuple(x + y for x, y in zip(e, shift))] = c * v
-        return Polynomial._make(self.ring, out)
 
     # -- identity ------------------------------------------------------------
 

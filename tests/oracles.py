@@ -38,6 +38,11 @@ def _modulus(ring):
     return ring.domain.p if ring.domain.name == "Fp" else None
 
 
+def _field_div(a, b):
+    # a / b in QQ or GF(p)
+    return a * b.inverse() if isinstance(b, FpElement) else a / b
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -339,7 +344,6 @@ def reference_normal_form(f: Polynomial, G, order) -> Polynomial:
     """
     ring = f.ring
     int_mode = ring.is_int_mode
-    dom = ring.domain
     heads = [_lead(g, order) for g in G]
     p, r = f, Polynomial.zero(ring)
     while not p.is_zero():
@@ -352,8 +356,8 @@ def reference_normal_form(f: Polynomial, G, order) -> Polynomial:
                 if not q:
                     continue
             else:
-                q = dom.div(c, lc)
-            p = p - g.mul_term(q, _shift(e, lm))
+                q = _field_div(c, lc)
+            p = p - Polynomial(ring, {_shift(e, lm): q}) * g
             break
         else:
             term = Polynomial(ring, {e: c})
@@ -366,13 +370,14 @@ def reference_s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
     by their lcm."""
     (ef, cf), (eg, cg) = _lead(f, order), _lead(g, order)
     m = tuple(max(x, y) for x, y in zip(ef, eg))
-    if f.ring.is_int_mode:
+    ring = f.ring
+    if ring.is_int_mode:
         c = abs(cf * cg) // euclid_gcd(cf, cg)
-        return f.mul_term(c // cf, _shift(m, ef)) - g.mul_term(c // cg, _shift(m, eg))
-    dom = f.ring.domain
-    return f.mul_term(dom.div(dom.one, cf), _shift(m, ef)) - g.mul_term(
-        dom.div(dom.one, cg), _shift(m, eg)
-    )
+        sf, sg = c // cf, c // cg
+    else:
+        one = ring.domain.one
+        sf, sg = _field_div(one, cf), _field_div(one, cg)
+    return Polynomial(ring, {_shift(m, ef): sf}) * f - Polynomial(ring, {_shift(m, eg): sg}) * g
 
 
 def reference_g_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
@@ -381,7 +386,8 @@ def reference_g_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
     (ef, cf), (eg, cg) = _lead(f, order), _lead(g, order)
     m = tuple(max(x, y) for x, y in zip(ef, eg))
     _, s, t = _ext_euclid(cf, cg)
-    return f.mul_term(s, _shift(m, ef)) + g.mul_term(t, _shift(m, eg))
+    ring = f.ring
+    return Polynomial(ring, {_shift(m, ef): s}) * f + Polynomial(ring, {_shift(m, eg): t}) * g
 
 
 def _all_pairs(gens, order, max_pairs, makers) -> list[Polynomial]:
@@ -440,8 +446,11 @@ def reference_groebner(gens, order, max_pairs: int = 400) -> list[Polynomial]:
     """
     G = _all_pairs(gens, order, max_pairs, (reference_s_polynomial,))
     minimal = _minimal(G, [_lead(g, order)[0] for g in G], _divides)
-    dom = minimal[0].ring.domain
-    monic = [g.scale(dom.div(dom.one, _lead(g, order)[1])) for g in minimal]
+    ring = minimal[0].ring
+    monic = [
+        Polynomial.constant(ring, _field_div(ring.domain.one, _lead(g, order)[1])) * g
+        for g in minimal
+    ]
     return _tail_reduced(monic, order)
 
 

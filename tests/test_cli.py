@@ -546,6 +546,20 @@ _EXIT_TWO = [
         "ring QQ[Y,Z,W] has no distinguished main variable",
     ),
     (("eliminate", "--ring", "QQ[Y][X]", "--gens", "X^2 - Y, Y*X", "--vars", ","), "empty variable list"),
+    # a repeated variable, with every variable listed, with some of them, and for the zero ideal
+    (("eliminate", "--ring", "ZZ[X]", "--gens", "X", "--vars", "X,X"), "bad elimination block ('X', 'X') for ring ZZ[X]"),
+    (
+        ("eliminate", "--ring", "QQ[Y,Z][X]", "--gens", "X - Y, X - Z", "--vars", "X,Y,Z,Y"),
+        "bad elimination block ('X', 'Y', 'Z', 'Y') for ring QQ[Y,Z][X]",
+    ),
+    (
+        ("eliminate", "--ring", "QQ[Y,Z][X]", "--gens", "X - Y, X - Z", "--vars", "Y,X,Y"),
+        "bad elimination block ('Y', 'X', 'Y') for ring QQ[Y,Z][X]",
+    ),
+    (
+        ("eliminate", "--ring", "QQ[Y,Z][X]", "--gens", "0", "--vars", "Y,Y"),
+        "bad elimination block ('Y', 'Y') for ring QQ[Y,Z][X]",
+    ),
     (
         ("kernel", "--source", "QQ[Y,Z]", "--target", "QQ[T]", "--map", "Y=T^2,Z=T^3,Q=T"),
         "image given for 'Q', which is not a source variable",

@@ -1,6 +1,7 @@
 """Groebner bases: field Buchberger, strong bases over ZZ, division, budgets."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from powerstable import (
     Ideal,
     Lex,
     Polynomial,
+    RingMismatchError,
     RingSpec,
     ZeroPolynomialError,
     divide,
@@ -114,7 +116,7 @@ def test_reduced_basis_unique_under_shuffle_and_scaling():
             variant = gens[:]
             rng.shuffle(variant)
             variant = [
-                g.scale(Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2])))
+                Polynomial.constant(QYZ, Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))) * g
                 for g in variant
             ]
             assert groebner_basis(variant).elements == reference
@@ -138,7 +140,7 @@ def test_no_tail_term_is_reducible_by_another_element(ring):
     monomial and coefficient), and leading monomials strictly ascend."""
     rng = random.Random(f"tail:{ring}")
     for spec in ("grevlex", "lex", f"elim:{ring.variables[0]}"):
-        order = parse_order(spec, ring)
+        order = parse_order(spec)
         keyf = key_function(order, ring)
         for _ in range(6):
             gb = groebner_basis(rand_gens(rng, ring, rng.randint(2, 3), 3), order)
@@ -176,7 +178,7 @@ def test_engine_matches_the_criterion_free_reference(ring):
     v = ring.variables
     compared = 0
     for spec in ("grevlex", "lex", f"elim:{v[0]}", f"elim:{v[0]},{v[1]}"):
-        order = parse_order(spec, ring)
+        order = parse_order(spec)
         for seed in range(8):
             rng = random.Random(f"reference:{ring}:{spec}:{seed}")
             gens = rand_gens(rng, ring, rng.randint(2, 4), 3)
@@ -394,6 +396,12 @@ def test_divide_rejects_zero_divisors():
         divide(parse_poly("X", ZX), [Polynomial.zero(ZX)])
     qs, r = divide(parse_poly("X", ZX), [])
     assert qs == [] and r == parse_poly("X", ZX)
+    x, zero = parse_poly("X", ZX), Polynomial.zero(ZX)
+    for f, g in ((zero, x), (x, zero)):
+        with pytest.raises(ZeroPolynomialError, match="S-polynomial of a zero polynomial"):
+            s_polynomial(f, g)
+        with pytest.raises(ZeroPolynomialError, match="G-polynomial of a zero polynomial"):
+            g_polynomial(f, g)
 
 
 def test_normal_form_is_idempotent_and_detects_membership():
@@ -583,6 +591,11 @@ def test_degree_budget_guards_reduction_steps():
 def test_mixed_rings_rejected():
     with pytest.raises(AlgebraError):
         groebner_basis([parse_poly("X", ZX), parse_poly("X", QYX)])
+    # a basis that keeps its reducers checks the ring before it reduces
+    gb = groebner_basis([parse_poly("X^2 - 2", ZX)])
+    assert gb._final is not None
+    with pytest.raises(RingMismatchError, match=re.escape("mixed rings QQ[Y][X] and ZZ[X]")):
+        normal_form(parse_poly("X", QYX), gb)
 
 
 # -- the engine representation ------------------------------------------------------------
@@ -677,7 +690,7 @@ def test_engine_answers_do_not_depend_on_the_field_width(ring, tag):
     v = ring.variables
     compared = 0
     for spec in ("grevlex", f"elim:{v[0]}"):
-        order = parse_order(spec, ring)
+        order = parse_order(spec)
         for seed in range(4):
             rng = random.Random(f"width:{tag}:{spec}:{seed}")
             gens = rand_gens(rng, ring, rng.randint(2, 3), 3)
@@ -826,7 +839,7 @@ def test_engine_matches_the_reference_on_rational_generators(ring):
     v = ring.variables
     compared = fractional = 0
     for spec in ("grevlex", "lex", f"elim:{v[-1]}"):
-        order = parse_order(spec, ring)
+        order = parse_order(spec)
         for seed in range(8):
             rng = random.Random(f"rational:{ring}:{spec}:{seed}")
             gens = rand_gens(rng, ring, rng.randint(2, 3), 3, 5, max_den=6)
@@ -951,7 +964,7 @@ def test_every_term_list_the_engine_forms_is_self_consistent(ring, spec, bound):
     the remainders of reductions against a basis, and the basis's own
     reducers: every term list holds (key, coefficient, degree) terms whose
     monomial is the low bits of the key."""
-    order = parse_order(spec, ring)
+    order = parse_order(spec)
     budget = Budget(max_pairs=200, max_degree=bound)
     cord = _compiled(order, ring, bound)
     den = 1 if ring.is_int_mode else 3

@@ -469,6 +469,24 @@ def test_eliminate_edge_cases():
     assert Ideal(QYX, []).eliminate(["X"]).is_zero_ideal()
 
 
+@pytest.mark.parametrize(
+    "ring, texts, front",
+    [
+        (ZX, ("X^2 - 2", "X^3"), ("X", "X")),
+        (ZX, (), ("X", "X")),
+        (QYZX, ("X - Y", "X - Z"), ("X", "Y", "Z", "Y")),
+        (QYZX, ("X - Y", "X - Z"), ("Y", "X", "Y")),
+        (QYZX, (), ("Y", "Y")),
+    ],
+    ids=str,
+)
+def test_eliminate_rejects_a_repeated_variable(ring, texts, front):
+    # every route gives BlockElim's message: all the variables (grevlex),
+    # some of them (BlockElim) and the zero ideal
+    with pytest.raises(AlgebraError, match=re.escape(f"bad elimination block {front} for ring {ring}")):
+        ideal(ring, *texts).eliminate(front)
+
+
 def test_eliminating_every_variable_keeps_the_block_elimination_constants():
     # with every variable in front, eliminate reads the constants of the
     # grevlex basis; the X-free part of the BlockElim basis is the same
@@ -707,9 +725,28 @@ def test_ring_map_validation():
         RingMap(ZX, QT, {"X": t})  # coefficient domains differ
     with pytest.raises(AlgebraError, match="'Q', which is not a source variable"):
         RingMap(RingSpec.parse("QQ[W]"), QT, {"W": t, "Q": t})
+    with pytest.raises(RingMismatchError, match=re.escape("image of W lives in QQ[Y][X], not QQ[T]")):
+        RingMap(RingSpec.parse("QQ[W]"), QT, {"W": parse_poly("X", QYX)})
     m = RingMap(RingSpec.parse("QQ[W]"), QT, {"W": t**2})
     with pytest.raises(RingMismatchError):
         m.apply(parse_poly("X", QYX))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda I, f: Ideal(QYX, [f]), RingMismatchError, "generator in ZZ[X], expected QQ[Y][X]"),
+        (lambda I, f: I.contains(f), RingMismatchError, "membership candidate in ZZ[X], expected QQ[Y][X]"),
+        (lambda I, f: I.quotient(f), RingMismatchError, "quotient divisor in ZZ[X], expected QQ[Y][X]"),
+        (lambda I, f: I.saturate(f), RingMismatchError, "saturation divisor in ZZ[X], expected QQ[Y][X]"),
+        (lambda I, f: I.radical_contains(f), RingMismatchError, "radical candidate in ZZ[X], expected QQ[Y][X]"),
+        (lambda I, f: I + f, TypeError, "expected an Ideal, got Polynomial"),
+    ],
+    ids=["Ideal", "contains", "quotient", "saturate", "radical_contains", "add"],
+)
+def test_ideal_operations_refuse_a_polynomial_from_another_ring(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(ideal(QYX, "X^2 - Y"), parse_poly("X", ZX))
 
 
 def test_kernel_when_source_and_target_share_names():

@@ -2,6 +2,7 @@
 certificates (monic, regular image, primary obstruction)."""
 
 import random
+import re
 
 import pytest
 
@@ -438,6 +439,8 @@ def test_no_obstruction_for_primary_powers():
     assert primary_obstruction(I, 2, [parse_poly("X + 1", QYX)]) is None
     with pytest.raises(AlgebraError):
         primary_obstruction(I, 0)
+    with pytest.raises(AlgebraError, match=re.escape("witness candidate in ZZ[X], expected QQ[Y][X]")):
+        primary_obstruction(I, 2, [parse_poly("X", ZX)])
 
 
 def test_obstruction_witnesses_inside_the_ideal_are_skipped():
@@ -481,6 +484,8 @@ def test_base_ideal_invariants():
         BaseIdeal(ZX, integer=-4)
     d = BaseIdeal(ZX, integer=6)
     assert d.power(2).generators() == (36,)
+    with pytest.raises(AlgebraError, match="powers need t >= 1, got 0"):
+        d.power(0)
     assert d.intersect(BaseIdeal(ZX, integer=4)).generators() == (12,)
     assert d.contains(12) and not d.contains(3)
     assert BaseIdeal(ZX, integer=0).is_zero()

@@ -3,9 +3,10 @@
 A ``RingSpec`` names the coefficient domain, the ordered variable tuple, and
 the split between base variables (spanning the coefficient ring R) and the
 distinguished main variable X of R[X].  Over ZZ the base is empty and R = ZZ.
-Auxiliary variables (tag and Rabinowitsch variables, or the target variables
-of a ring map during kernel computation) are tracked so that results can be
-restricted back to the ring the caller started from.
+Auxiliary variables (tag and Rabinowitsch variables, the homogenizing
+variable of a colon by a variable, or the target variables of a ring map
+during kernel computation) are tracked so that results can be restricted
+back to the ring the caller started from.
 
 Text notation, also used by the CLI:
 

@@ -482,11 +482,13 @@ def reference_strong_groebner(gens, order, max_pairs: int = 400) -> list[Polynom
 def reference_saturation(ideal, f, max_steps: int = 64):
     """(I : f^infinity) as the limit of the ascending chain (I : f^k).
 
-    Each step is one colon ideal through the library's ``quotient``
-    (intersection with (f), then exact division), a different route from
-    the elimination of the trick variable in 1 - y*f that ``saturate``
-    takes.  (I : f^(k+1)) = ((I : f^k) : f), so the chain is final at its
-    first repeat; it must repeat within ``max_steps`` quotients.
+    Each step is one colon ideal through the library's ``quotient``: the
+    intersection with (f), then exact division, or over a field by a unit
+    times a variable the homogenized grevlex basis divided by that variable.
+    Either is a different route from the elimination of the trick variable
+    in 1 - y*f that ``saturate`` takes.  (I : f^(k+1)) = ((I : f^k) : f),
+    so the chain is final at its first repeat; it must repeat within
+    ``max_steps`` quotients.
     """
     current = ideal
     for _ in range(max_steps):

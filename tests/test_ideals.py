@@ -10,6 +10,7 @@ import time
 import pytest
 
 import powerstable.groebner
+import powerstable.ideals
 from powerstable import (
     AlgebraError,
     BlockElim,
@@ -24,6 +25,7 @@ from powerstable import (
     check_power_stable,
     contract_power,
     example_3_12,
+    exact_divide,
     format_poly,
     groebner_basis,
     hochster_P,
@@ -45,6 +47,7 @@ QX = RingSpec.parse("QQ[X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
 QT = RingSpec.parse("QQ[T]")
 F7YX = RingSpec.parse("Fp(7)[Y][X]")
+F32003YZW = RingSpec.parse("Fp(32003)[Y,Z,W]")
 
 
 def ideal(ring, *texts):
@@ -396,6 +399,101 @@ def test_quotient_detects_hochster_cofactor():
     colon = P.power(2).quotient(w)
     assert colon.contains(q)
     assert not P.power(2).contains(q)
+
+
+def _tag_route(I, f):
+    """(I : f) as the intersection with (f), then exact division by f."""
+    return tuple(exact_divide(g, f) for g in I.intersect(Ideal(I.ring, [f])).generators)
+
+
+def _variable_colons(ring, units, count, seed):
+    """Seeded ideals of 1-3 generators, one divisible by a variable so that
+    some colons grow, each with every variable times every unit."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = rand_gens(rng, ring, rng.randint(1, 3), 2)
+        gens[0] = Polynomial.variable(ring, rng.choice(ring.variables)) * gens[0]
+        I = Ideal(ring, gens)
+        for v in ring.variables:
+            for u in units:
+                yield I, parse_poly(f"{u}*{v}", ring)
+
+
+def _hochster_colons():
+    P = hochster_P()
+    for t in (2, 3):
+        for v in QYZW.variables:
+            yield P.power(t), parse_poly(v, QYZW)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: _variable_colons(QYZX, ("1", "-1", "2", "1/2"), 6, "colon-route:QQ"),
+        lambda: _variable_colons(F7YX, ("1", "3"), 6, "colon-route:GF(7)"),
+        lambda: _variable_colons(F32003YZW, ("1", "3"), 6, "colon-route:GF(32003)"),
+        _hochster_colons,
+    ],
+    ids=["QQ[Y,Z][X]", "Fp(7)[Y][X]", "Fp(32003)[Y,Z,W]", "hochster_P^t"],
+)
+def test_colon_by_a_variable_equals_the_tag_route(cases):
+    """Over a field the colon by a unit times a variable, computed from the
+    homogenized grevlex basis, prints the generators of the tag route, tuple
+    for tuple, and each of them times f lies in I."""
+    cases = list(cases())
+    grown = 0
+    for I, f in cases:
+        colon = I.quotient(f)
+        assert colon.generators == _tag_route(I, f), (I, f)
+        for q in colon.generators:
+            assert I.contains(f * q), (I, f, q)
+        grown += not all(I.contains(q) for q in colon.generators)
+    assert grown >= len(cases) // 4  # the cases are not mostly I : f = I
+
+
+@pytest.mark.parametrize(
+    "gens, by, stages",
+    [
+        (("Y^2 - Z*W", "Y*Z - W^3", "Z^2 - Y*W^2"), "W", 1),
+        (("Y^2*W + 3*Y*W^2 + 3*Z*W", "6*Y^2 - 3*Y - 3*W"), "Z", 2),
+    ],
+)
+def test_colon_by_a_variable_raises_over_its_budget(monkeypatch, gens, by, stages):
+    """Under ``Budget(max_pairs=0)``, and under a ``max_degree`` below the
+    generators, the colon raises.  With the basis of I cached, each of the
+    two computations of the route, the basis of the homogenized ideal and
+    that of the colon, is capped on its own: under every cap the colon
+    either answers in full or raises.  In the second case each computation
+    raises under some cap; in the first the colon's basis needs no more
+    pairs than that of the homogenized ideal."""
+    w = parse_poly(by, F32003YZW)
+    full = ideal(F32003YZW, *gens).quotient(w).generators
+    with pytest.raises(BudgetExceededError, match="pair budget 0 exhausted"):
+        ideal(F32003YZW, *gens).quotient(w, Budget(max_pairs=0))
+    with pytest.raises(BudgetExceededError, match="degree budget 2 exceeded"):
+        ideal(F32003YZW, *gens).quotient(w, Budget(max_degree=2))
+    raised_in = set()
+    real = powerstable.ideals.groebner_basis
+
+    def recording(polys, order, budget):
+        try:
+            return real(polys, order, budget)
+        except BudgetExceededError:
+            raised_in.add(polys[0].ring.variables)
+            raise
+
+    monkeypatch.setattr(powerstable.ideals, "groebner_basis", recording)
+    I = ideal(F32003YZW, *gens)
+    I.groebner()
+    for budget in [Budget(max_pairs=k) for k in range(12)] + [
+        Budget(max_degree=d) for d in range(8)
+    ]:
+        try:
+            got = I.quotient(w, budget).generators
+        except BudgetExceededError:
+            continue
+        assert got == full, budget
+    assert len(raised_in) == stages, raised_in
 
 
 # -- saturation ----------------------------------------------------------------------

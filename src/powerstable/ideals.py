@@ -6,9 +6,11 @@ auxiliary variable (intersection by a tag variable, radical membership by
 the trick polynomial 1 - y*f, the homogenizing variable of a colon by a
 variable) allocate names prefixed with '_' which the polynomial parser
 refuses, so user input can never collide with them.  A colon ideal I : f
-is the intersection by a tag variable divided by f, except over a field
-by a constant times one variable, which divides a homogenized grevlex
-basis instead (see ``Ideal.quotient``).
+starts from the intersection by a tag variable divided by f, except over
+a field by a constant times one variable, where it starts from a
+homogenized grevlex basis divided by the variable (see ``Ideal.quotient``).
+Intersections, quotients, saturations, eliminations and kernels answer
+with the reduced grevlex basis of their ideal, strong over ZZ.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .coefficients import FpElement
 from .errors import AlgebraError, BudgetExceededError, RingMismatchError
 from .groebner import (
     Budget,
@@ -293,16 +294,13 @@ class Ideal:
         return Ideal(ext, gens)._restrict((tag,), ring, budget)
 
     def quotient(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
-        """The colon ideal (I : f) = {g : g*f in I}.
+        """The colon ideal (I : f) = {g : g*f in I}, given by its reduced
+        grevlex basis, strong over ZZ, so the unit of f does not show.
 
         Over ZZ, and by any f that is not a constant times one variable, the
-        generators are (I ∩ (f)) / f, the intersection by a tag variable.
-        Over a field, by f = c*w, they come from the homogenized grevlex
-        basis (``_colon_by_variable``) with no tag variable.  Both print the
-        same generators: the tag route's body is 1/c times the reduced
-        grevlex basis of I : w, because reduced bases are unique and the
-        elimination order of the tag restricts to grevlex on R, and that is
-        the basis the other route ends on.
+        basis starts from (I ∩ (f)) / f, the intersection by a tag variable.
+        Over a field, by f = c*w, it starts from the homogenized grevlex
+        basis divided by w (``_colon_by_variable``), with no tag variable.
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"quotient divisor in {f.ring}, expected {self.ring}")
@@ -310,14 +308,17 @@ class Ideal:
             return Ideal(self.ring, [Polynomial.one(self.ring)])
         if self.is_zero_ideal():
             return self
-        (e, c), *more = f.terms()
+        (e, _), *more = f.terms()
         if not self.ring.is_int_mode and not more and sum(e) == 1:
-            return self._colon_by_variable(self.ring.variables[e.index(1)], c, budget)
-        meet = self.intersect(Ideal(self.ring, [f]), budget)
-        return Ideal(self.ring, [exact_divide(g, f) for g in meet.generators])
+            gens = self._colon_by_variable(self.ring.variables[e.index(1)], budget)
+        else:
+            meet = self.intersect(Ideal(self.ring, [f]), budget)
+            gens = [exact_divide(g, f) for g in meet.generators]
+        return Ideal(self.ring, groebner_basis(gens, Grevlex(), budget).elements)
 
-    def _colon_by_variable(self, w: str, c, budget: Budget | None) -> "Ideal":
-        """I : c*w over a field, from the reduced grevlex basis G of I.
+    def _colon_by_variable(self, w: str, budget: Budget | None) -> list[Polynomial]:
+        """Generators of I : w over a field, from the reduced grevlex basis G
+        of I.
 
         The homogenizations of G by a fresh h generate I^h, because G is a
         basis under a degree order.  In a ring whose variables are R's with
@@ -327,10 +328,9 @@ class Ideal:
         15.12), since an element is homogeneous and so w divides it exactly
         when w divides its leading term.  Setting h = 1 maps I^h : w onto
         I : w, and the homogeneous elements lose no term to each other.
-        Besides G, cached on the ideal, two Groebner computations run, each
-        under ``budget`` on its own: the basis of I^h and the reduced grevlex
-        basis of I : w in R, scaled by 1/c.  Homogenizing keeps each degree,
-        and dividing by w and setting h = 1 only lower them.
+        Besides G, cached on the ideal, one Groebner computation runs under
+        ``budget``: the basis of I^h.  Homogenizing keeps each degree, and
+        dividing by w and setting h = 1 only lower them.
         """
         ring = self.ring
         gb = self.groebner(budget=budget)
@@ -352,11 +352,7 @@ class Ideal:
             shift = int(all(e[-1] for e, _ in g.terms()))
             terms = {tuple((*e[:-1], e[-1] - shift)[j] for j in back): x for e, x in g.terms()}
             colon.append(Polynomial._make(ring, terms))
-        colon = groebner_basis(colon, Grevlex(), budget).elements
-        if c != ring.domain.one:
-            unit = Polynomial.constant(ring, c.inverse() if isinstance(c, FpElement) else 1 / c)
-            colon = [unit * q for q in colon]
-        return Ideal(ring, colon)
+        return colon
 
     def saturate(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
         """(I : f^infinity) = (I + (1 - y*f)) ∩ R[X], one elimination of the

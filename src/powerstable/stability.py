@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AlgebraError
+from .errors import AlgebraError, RingMismatchError
 from .groebner import Budget
 from .ideals import Ideal
 from .polynomials import Polynomial, format_poly, transport
@@ -385,7 +385,7 @@ def primary_obstruction(
     pt = None  # formed once a witness outside P needs it
     for w in witnesses:
         if w.ring != ring:
-            raise AlgebraError(f"witness candidate in {w.ring}, expected {ring}")
+            raise RingMismatchError(f"witness candidate in {w.ring}, expected {ring}")
         if ideal.contains(w, budget):
             continue
         pt = pt or ideal.power(t, budget)

@@ -410,7 +410,7 @@ _LEADING_MINUS = [
     (("member", "--ring", "ZZ[X]", "--gens", "X", "--poly", "-X"), 0, "true"),
     (("radical-member", "--ring", "QQ[Y][X]", "--gens", "X^3", "--poly", "-Y*X"), 0, "true"),
     (("gb", "--ring", "Fp(7)[Y][X]", "--gens", "-3*X^2+Y,2*Y*X"), 0, "(X^2 + 2*Y, Y*X, Y^2)"),
-    (("quotient", "--ring", "ZZ[X]", "--gens", "4*X^2, 6*X", "--by", "-2*X"), 0, "(-3, -X)"),
+    (("quotient", "--ring", "ZZ[X]", "--gens", "4*X^2, 6*X", "--by", "-2*X"), 0, "(3, X)"),
     (("saturate", "--ring", "QQ[Y][X]", "--gens", "X^2*Y", "--by", "-X"), 0, "(Y)"),
     (
         (
@@ -418,7 +418,7 @@ _LEADING_MINUS = [
             "--gens", "W^3 - Y*Z, Y^2 - W*Z, Z^2 - W^2*Y", "--witnesses", "-W",
         ),
         1,
-        "obstruction at t=2: witness -W, cofactor -W^5 - Y^3*W + 3*Y*Z*W^2 - Z^3",
+        "obstruction at t=2: witness -W, cofactor W^5 + Y^3*W - 3*Y*Z*W^2 + Z^3",
     ),
 ]
 

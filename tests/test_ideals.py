@@ -47,6 +47,7 @@ QX = RingSpec.parse("QQ[X]")
 QYZW = RingSpec.parse("QQ[Y,Z,W]")
 QT = RingSpec.parse("QQ[T]")
 F7YX = RingSpec.parse("Fp(7)[Y][X]")
+F7YZW = RingSpec.parse("Fp(7)[Y,Z,W]")
 F32003YZW = RingSpec.parse("Fp(32003)[Y,Z,W]")
 
 
@@ -406,14 +407,18 @@ def _tag_route(I, f):
     return tuple(exact_divide(g, f) for g in I.intersect(Ideal(I.ring, [f])).generators)
 
 
-def _variable_colons(ring, units, count, seed):
+def _seeded_ideals(rng, ring, count):
     """Seeded ideals of 1-3 generators, one divisible by a variable so that
-    some colons grow, each with every variable times every unit."""
-    rng = random.Random(seed)
+    some colons grow."""
     for _ in range(count):
         gens = rand_gens(rng, ring, rng.randint(1, 3), 2)
         gens[0] = Polynomial.variable(ring, rng.choice(ring.variables)) * gens[0]
-        I = Ideal(ring, gens)
+        yield Ideal(ring, gens)
+
+
+def _variable_colons(ring, units, count, seed):
+    """Seeded ideals, each with every variable times every unit."""
+    for I in _seeded_ideals(random.Random(seed), ring, count):
         for v in ring.variables:
             for u in units:
                 yield I, parse_poly(f"{u}*{v}", ring)
@@ -438,17 +443,64 @@ def _hochster_colons():
 )
 def test_colon_by_a_variable_equals_the_tag_route(cases):
     """Over a field the colon by a unit times a variable, computed from the
-    homogenized grevlex basis, prints the generators of the tag route, tuple
-    for tuple, and each of them times f lies in I."""
+    homogenized grevlex basis, is the reduced grevlex basis of the tag
+    route's generators, tuple for tuple, and each of them times f lies in I."""
     cases = list(cases())
     grown = 0
     for I, f in cases:
         colon = I.quotient(f)
-        assert colon.generators == _tag_route(I, f), (I, f)
+        reduced = groebner_basis(list(_tag_route(I, f)), Grevlex()).elements
+        assert colon.generators == reduced, (I, f)
         for q in colon.generators:
             assert I.contains(f * q), (I, f, q)
         grown += not all(I.contains(q) for q in colon.generators)
     assert grown >= len(cases) // 4  # the cases are not mostly I : f = I
+
+
+_ANSWER_RINGS = [ZX, QYX, QYZX, F7YX, F7YZW]
+
+
+def _answers(ring, seed):
+    """Ideal answers over ``ring`` from seeded ideals: colons by every
+    variable times 1, -1, 2 and 3, by a nonzero constant and by a random
+    polynomial, and a saturation, an intersection and an elimination."""
+    for I, f in _variable_colons(ring, ("1", "-1", "2", "3"), 3, seed):
+        yield I.quotient(f)
+    rng = random.Random(seed)
+    for I in _seeded_ideals(rng, ring, 3):
+        yield I.quotient(parse_poly("-2", ring))
+        f = rand_gens(rng, ring, 1, 1)[0]
+        yield I.quotient(f)
+        yield I.saturate(f)
+        yield I.intersect(Ideal(ring, rand_gens(rng, ring, rng.randint(1, 2), 2)))
+        yield I.eliminate([rng.choice(ring.variables)])
+
+
+@pytest.mark.parametrize("ring", _ANSWER_RINGS, ids=str)
+def test_ideal_answers_are_their_reduced_grevlex_bases(ring):
+    """Every colon, saturation, intersection and elimination answers with
+    its reduced grevlex basis (strong over ZZ): a fixed point of
+    ``groebner_basis``, whatever unit the divisor carries."""
+    for J in _answers(ring, f"answers:{ring}"):
+        if not J.is_zero_ideal():
+            assert groebner_basis(list(J.generators), Grevlex()).elements == J.generators, J
+
+
+_UNITS = [(ZX, ("-1",)), (F7YX, ("3",)), (F7YZW, ("3",))]
+_UNITS += [(QYX, ("-1", "2", "-1/3")), (QYZX, ("-1", "2", "-1/3"))]
+
+
+@pytest.mark.parametrize("ring, units", _UNITS, ids=[str(r) for r, _ in _UNITS])
+def test_a_colon_does_not_depend_on_the_unit_of_its_divisor(ring, units):
+    """(I : u*f) prints the generators of (I : f) for every unit u, by a
+    variable and by a random polynomial."""
+    rng = random.Random(f"colon-unit:{ring}")
+    for I in _seeded_ideals(rng, ring, 3):
+        divisors = [Polynomial.variable(ring, v) for v in ring.variables]
+        for f in divisors + rand_gens(rng, ring, 1, 1):
+            for u in units:
+                uf = parse_poly(u, ring) * f
+                assert I.quotient(uf).generators == I.quotient(f).generators, (I, f, u)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from powerstable import (
     ObstructionCertificate,
     Polynomial,
     RegularImageCertificate,
+    RingMismatchError,
     RingSpec,
     certify_stable,
     check_power_stable,
@@ -439,7 +440,9 @@ def test_no_obstruction_for_primary_powers():
     assert primary_obstruction(I, 2, [parse_poly("X + 1", QYX)]) is None
     with pytest.raises(AlgebraError):
         primary_obstruction(I, 0)
-    with pytest.raises(AlgebraError, match=re.escape("witness candidate in ZZ[X], expected QQ[Y][X]")):
+    with pytest.raises(
+        RingMismatchError, match=re.escape("witness candidate in ZZ[X], expected QQ[Y][X]")
+    ):
         primary_obstruction(I, 2, [parse_poly("X", ZX)])
 
 

@@ -727,20 +727,20 @@ def groebner_basis(
 
     Deterministic: fixed input order implies identical output, and over a
     field any generating set of the same ideal yields the identical reduced
-    basis.  ``gens`` may also be a private ``_Start``, whose compiled order
-    stands for ``order``; the Polynomials are converted into the same start,
-    so both run one Buchberger body.
+    basis.  Zero and repeated generators reduce to zero and add nothing, so
+    zero polynomials alone have the empty basis; an empty sequence names no
+    ring and raises AlgebraError.  ``gens`` may also be a private ``_Start``,
+    whose compiled order stands for ``order``; the Polynomials are converted
+    into the same start, so both run one Buchberger body.
     """
     order = order or Grevlex()
     budget = budget or Budget()
     if isinstance(gens, _Start):
         cord, start = gens
     else:
-        # A repeated generator reduces to zero against its first copy, so it
-        # adds no element and no pair.
-        polys = [g for g in gens if not g.is_zero()]
+        polys = list(gens)
         if not polys:
-            raise AlgebraError("cannot compute a basis for an empty or all-zero generating set")
+            raise AlgebraError("cannot compute a basis for an empty generating set")
         cord = _compiled(order, _check_same_ring(polys), budget.max_degree)
         start = [_engine_poly(g, cord)[0] for g in polys]
     int_mode = cord.zz
@@ -868,12 +868,12 @@ def _tail_reduce(basis: list[list], cord: _Order, budget: Budget) -> _Reducers:
 
 def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     """Check the basis property directly: every S (and over ZZ, G) polynomial
-    must reduce to zero against the basis.  No pair criteria are applied, so
-    this is an independent verification, not a replay of the construction."""
+    reduces to zero against the basis, and the empty basis has none.  No pair
+    criterion applies: an independent check, not a replay of the build."""
     budget = budget or Budget()
     polys = list(gb.elements)
     if not polys:
-        return False
+        return True
     _check_same_ring(polys)
     if any(g.is_zero() for g in polys):
         return False

@@ -6,9 +6,9 @@ auxiliary variable (intersection by a tag variable, radical membership by
 the trick polynomial 1 - y*f, the homogenizing variable of a colon by a
 variable) allocate names prefixed with '_' which the polynomial parser
 refuses, so user input can never collide with them.  A colon ideal I : f
-starts from the intersection by a tag variable divided by f, except over
-a field by a constant times one variable, where it starts from a
-homogenized grevlex basis divided by the variable (see ``Ideal.quotient``).
+starts from the intersection by a tag variable divided by f, except over a
+field: there a colon by a constant c is I, and one by c*w starts from a
+homogenized grevlex basis divided by w (see ``Ideal.quotient``).
 Intersections, quotients, saturations, eliminations and kernels answer
 with the reduced grevlex basis of their ideal, strong over ZZ.
 """
@@ -41,8 +41,9 @@ from .rings import RingSpec
 class Ideal:
     """An ideal of R[X] given by a finite generating set.
 
-    Zero generators are discarded and duplicates collapse, so the empty
-    list is the zero ideal.  Groebner bases and powers are cached on the
+    Zero generators are discarded and duplicates collapse, so the empty list
+    is the zero ideal, which takes every operation's general route; its
+    reduced basis is empty.  Groebner bases and powers are cached on the
     instance, bases per monomial order.  A power I^t keeps its factors
     I^(t-1) and I instead of its generators.  Its products of t generators
     of I are formed on term lists inside the engine (``_walk``), once per
@@ -153,13 +154,14 @@ class Ideal:
         of I^(t-1) and G_1 of I, starts Buchberger from their distinct
         products G_(t-1)·G_1 (``_seed``): over ZZ always, over a field when
         there are fewer of them than the C(n+t-1, t) products of the n
-        generators of I.  Every other ideal starts from its generators, a
-        power from the term lists of its walk (``_start``).  A start from the
-        products that runs over the budget starts again from the generators:
-        the products form other pairs than the generators do, and factor
-        bases that a larger budget computed may hold terms above this one,
-        while a budget that fits the generators' route still answers.
-        Reduced bases are unique, so both starts give the same basis.
+        generators of I.  Every other ideal starts from its generators, the
+        zero ideal from the zero polynomial and a power from the term lists
+        of its walk (``_start``).  A start from the products that runs over
+        the budget starts again from the generators: the products form other
+        pairs than the generators do, and factor bases that a larger budget
+        computed may hold terms above this one, while a budget that fits the
+        generators' route still answers.  Reduced bases are unique, so both
+        starts give the same basis.
         """
         order = order or Grevlex()
         got = self._gb.get(order)
@@ -176,13 +178,14 @@ class Ideal:
         return got
 
     def _start(self, order: MonomialOrder, budget: Budget) -> _Start | tuple[Polynomial, ...]:
-        """The generators, as ``groebner`` starts from them.  Of a power
-        they are the walk's term lists under ``order`` compiled for the
-        budget or, when the power's degree t·top is above the budget, for
-        t·top; ``groebner_basis`` then rejects the start with the error of
-        any generating set over the budget."""
+        """The generators, as ``groebner`` starts from them; of the zero
+        ideal the zero polynomial, which names its ring.  Of a power they
+        are the walk's term lists under ``order`` compiled for the budget
+        or, when the power's degree t·top is above the budget, for t·top;
+        ``groebner_basis`` then rejects the start with the error of any
+        generating set over the budget."""
         if self._factors is None:
-            return self.generators
+            return self.generators or (Polynomial.zero(self.ring),)
         cord = _compiled(order, self.ring, max(budget.max_degree, self._factors[4]))
         return _Start(cord, [h for h, _ in self._walk(cord)[0]])
 
@@ -226,8 +229,6 @@ class Ideal:
             raise RingMismatchError(f"membership candidate in {f.ring}, expected {self.ring}")
         if f.is_zero():
             return True
-        if self.is_zero_ideal():
-            return False
         if f in self.generators and f.total_degree() <= (budget or Budget()).max_degree:
             return True
         gb = self.groebner(budget=budget)
@@ -282,8 +283,6 @@ class Ideal:
     def intersect(self, other: "Ideal", budget: Budget | None = None) -> "Ideal":
         """I ∩ J via a tag variable u: (u*I + (1-u)*J) ∩ R[X]."""
         self._peer(other)
-        if self.is_zero_ideal() or other.is_zero_ideal():
-            return Ideal(self.ring, [])
         ring = self.ring
         tag = ring.fresh_aux("t")
         ext = ring.extend_aux(tag)
@@ -297,24 +296,26 @@ class Ideal:
         """The colon ideal (I : f) = {g : g*f in I}, given by its reduced
         grevlex basis, strong over ZZ, so the unit of f does not show.
 
-        Over ZZ, and by any f that is not a constant times one variable, the
-        basis starts from (I ∩ (f)) / f, the intersection by a tag variable.
-        Over a field, by f = c*w, it starts from the homogenized grevlex
-        basis divided by w (``_colon_by_variable``), with no tag variable.
+        Over ZZ, and by any f that is not a constant or a constant times one
+        variable, the basis starts from (I ∩ (f)) / f, the intersection by a
+        tag variable.  Over a field I : c = I, and by f = c*w the basis
+        starts from the homogenized grevlex basis divided by w
+        (``_colon_by_variable``), with no tag variable.
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"quotient divisor in {f.ring}, expected {self.ring}")
         if f.is_zero():
             return Ideal(self.ring, [Polynomial.one(self.ring)])
-        if self.is_zero_ideal():
-            return self
         (e, _), *more = f.terms()
-        if not self.ring.is_int_mode and not more and sum(e) == 1:
+        field_term = not self.ring.is_int_mode and not more
+        if field_term and sum(e) == 0:
+            return Ideal(self.ring, self.groebner(budget=budget).elements)
+        if field_term and sum(e) == 1:
             gens = self._colon_by_variable(self.ring.variables[e.index(1)], budget)
         else:
             meet = self.intersect(Ideal(self.ring, [f]), budget)
             gens = [exact_divide(g, f) for g in meet.generators]
-        return Ideal(self.ring, groebner_basis(gens, Grevlex(), budget).elements)
+        return Ideal(self.ring, Ideal(self.ring, gens).groebner(budget=budget).elements)
 
     def _colon_by_variable(self, w: str, budget: Budget | None) -> list[Polynomial]:
         """Generators of I : w over a field, from the reduced grevlex basis G
@@ -348,7 +349,7 @@ class Ideal:
             terms = {(*(e[i] for i in pos), d - sum(e), e[iw]): x for e, x in g.terms()}
             homs.append(Polynomial._make(hom, terms))
         colon = []
-        for g in groebner_basis(homs, Grevlex(), budget).elements:
+        for g in Ideal(hom, homs).groebner(budget=budget).elements:
             shift = int(all(e[-1] for e, _ in g.terms()))
             terms = {tuple((*e[:-1], e[-1] - shift)[j] for j in back): x for e, x in g.terms()}
             colon.append(Polynomial._make(ring, terms))
@@ -363,8 +364,6 @@ class Ideal:
             raise RingMismatchError(f"saturation divisor in {f.ring}, expected {self.ring}")
         if f.is_zero():
             return self.quotient(f, budget)
-        if self.is_zero_ideal():
-            return self
         trick, tag = self._trick(f)
         return trick._restrict((tag,), self.ring, budget)
 
@@ -376,7 +375,7 @@ class Ideal:
             self.ring.index(v)
         if len(set(front)) < len(front):
             raise AlgebraError(f"bad elimination block {front} for ring {self.ring}")
-        if not front or self.is_zero_ideal():
+        if not front:
             return self
         # A (strong) Groebner basis under an elimination order restricts to
         # a basis of the elimination ideal, over fields and over ZZ alike;
@@ -399,8 +398,6 @@ class Ideal:
             raise RingMismatchError(f"radical candidate in {f.ring}, expected {self.ring}")
         if f.is_zero():
             return True
-        if self.is_zero_ideal():
-            return False
         trick, _ = self._trick(f)
         return trick.contains(Polynomial.one(trick.ring), budget)
 

@@ -18,6 +18,7 @@ from powerstable import (
     BudgetExceededError,
     Grevlex,
     Ideal,
+    Lex,
     Polynomial,
     RingMap,
     RingMismatchError,
@@ -30,6 +31,7 @@ from powerstable import (
     groebner_basis,
     hochster_P,
     hochster_toric_map,
+    is_groebner,
     monic_certificate,
     normal_form,
     parse_poly,
@@ -369,14 +371,24 @@ def test_quotient_examples():
     assert unit.contains(Polynomial.one(QYX))
 
 
-@pytest.mark.parametrize("ring", [ZX, QYX], ids=["ZZ[X]", "QQ[Y][X]"])
-def test_colons_of_the_zero_ideal_and_by_zero(ring):
-    """(0 : f) and (0 : f^infinity) stay zero for f != 0; saturating by 0
-    gives the unit ideal, as (I : 0) does, for I = 0 too."""
+_ZERO_COLONS = [
+    # over a field: the tag route, the homogenized route, a constant
+    (QYX, ("X + 2", "X", "-1/2*X", "3")),
+    # over ZZ every divisor takes the tag route
+    (ZX, ("X + 2", "X", "2*X", "3")),
+]
+
+
+@pytest.mark.parametrize("ring, divisors", _ZERO_COLONS, ids=[str(r) for r, _ in _ZERO_COLONS])
+def test_colons_of_the_zero_ideal_and_by_zero(ring, divisors):
+    """(0 : f) and (0 : f^infinity) stay zero for f != 0, on every route of
+    the colon; saturating by 0 gives the unit ideal, as (I : 0) does, for
+    I = 0 too."""
     zero = Ideal(ring, [])
-    f = parse_poly("X + 2", ring)
-    assert zero.quotient(f).is_zero_ideal()
-    assert zero.saturate(f).is_zero_ideal()
+    for text in divisors:
+        f = parse_poly(text, ring)
+        for J in (zero.quotient(f), zero.saturate(f)):
+            assert J.ring == ring and J.is_zero_ideal(), text
     for I in (ideal(ring, "X^2 - 2"), zero):
         assert I.saturate(Polynomial.zero(ring)).contains(Polynomial.one(ring))
 
@@ -491,16 +503,24 @@ _UNITS += [(QYX, ("-1", "2", "-1/3")), (QYZX, ("-1", "2", "-1/3"))]
 
 
 @pytest.mark.parametrize("ring, units", _UNITS, ids=[str(r) for r, _ in _UNITS])
-def test_a_colon_does_not_depend_on_the_unit_of_its_divisor(ring, units):
+def test_a_colon_does_not_depend_on_the_unit_of_its_divisor(ring, units, pair_calls):
     """(I : u*f) prints the generators of (I : f) for every unit u, by a
-    variable and by a random polynomial."""
+    variable, by a random polynomial and by 1.  Over a field a colon by a
+    constant is I itself: with the grevlex basis of I cached it forms no
+    pair."""
     rng = random.Random(f"colon-unit:{ring}")
     for I in _seeded_ideals(rng, ring, 3):
         divisors = [Polynomial.variable(ring, v) for v in ring.variables]
-        for f in divisors + rand_gens(rng, ring, 1, 1):
+        for f in divisors + rand_gens(rng, ring, 1, 1) + [Polynomial.one(ring)]:
             for u in units:
                 uf = parse_poly(u, ring) * f
                 assert I.quotient(uf).generators == I.quotient(f).generators, (I, f, u)
+        if not ring.is_int_mode:
+            gb = I.groebner()
+            before = len(pair_calls)
+            for u in units:
+                assert I.quotient(parse_poly(u, ring)).generators == gb.elements, (I, u)
+            assert len(pair_calls) == before, I
 
 
 @pytest.mark.parametrize(
@@ -705,9 +725,16 @@ def test_membership_facts_for_the_toric_prime():
     assert P.contains(q)  # q = w^2*(w^3 - yz) + y(y^2 - wz)... a member of P itself
 
 
-def test_zero_ideal_has_no_groebner_basis():
-    with pytest.raises(AlgebraError):
-        Ideal(QYX, []).groebner()
+def test_the_zero_ideal_has_the_empty_basis():
+    """The reduced basis of (0) is empty under every order: it passes
+    ``is_groebner``, and every polynomial is its own normal form."""
+    orders = (Grevlex(), Lex(), BlockElim(("X",)))
+    for ring, order in itertools.product((QYX, F7YX, QYZX), orders):
+        gb = Ideal(ring, []).groebner(order)
+        assert (gb.ring, gb.order, gb.elements) == (ring, order, ()), (ring, order)
+        assert is_groebner(gb)
+        f = parse_poly("Y^2*X - 1/3*X + 5", ring)
+        assert normal_form(f, gb) == f
 
 
 def test_membership_edges():

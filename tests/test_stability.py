@@ -444,6 +444,9 @@ def test_no_obstruction_for_primary_powers():
         RingMismatchError, match=re.escape("witness candidate in ZZ[X], expected QQ[Y][X]")
     ):
         primary_obstruction(I, 2, [parse_poly("X", ZX)])
+    # (0)^2 : w = (0) has no generator, on the homogenized and the tag route
+    for ring in (QYX, ZX):
+        assert primary_obstruction(Ideal(ring, []), 2) is None
 
 
 def test_obstruction_witnesses_inside_the_ideal_are_skipped():

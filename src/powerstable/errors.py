@@ -50,7 +50,7 @@ class BudgetExceededError(AlgebraError):
     """A computation hit its resource cap before finishing.
 
     Raised instead of returning a partial or wrong answer; the message says
-    which cap (pair count, degree, iteration) was exhausted.
+    which cap (the pair count or the degree) was exhausted.
     """
 
 

@@ -10,6 +10,9 @@ route to an all-t claim:
 * primary obstruction: a pair (w, q) with w*q in P^t, w not in P and q not
   in P^t, refuting that P^t is P-primary.
 
+Each all-t search returns the first of its candidates whose ``verify()``
+holds, so every certificate it returns has passed its own check.
+
 Contractions land in the coefficient ring R, which is ZZ (principal
 ideals, plain integers) or K[Y...] (a base-ring Ideal); BaseIdeal wraps the
 two shapes behind one interface.
@@ -169,7 +172,9 @@ def check_power_stable(
 
     Returns STABLE_UP_TO(bound) when every exponent agrees; otherwise
     UNSTABLE_AT(t) for the first failure, with a witness element.  A
-    bounded STABLE verdict is not an all-t claim; certificates are.
+    bounded STABLE verdict is not an all-t claim; certificates are.  Every
+    exponent is compared the same way; at t = 1 both sides are I ∩ R, whose
+    generators are members of it at once, so that level costs no basis.
     """
     if bound < 1:
         raise AlgebraError(f"stability bound must be >= 1, got {bound}")
@@ -179,8 +184,7 @@ def check_power_stable(
         if t == 1:
             base1 = ct
         expected = base1.power(t, budget)
-        # at t = 1 both sides are I ∩ R itself
-        w = _failure_witness(ct, expected, budget) if t > 1 else None
+        w = _failure_witness(ct, expected, budget)
         records.append(StabilityRecord(t, ct, expected, w is None))
         if w is not None:
             return StabilityReport(ideal, bound, Verdict("UNSTABLE_AT", t), tuple(records), w)
@@ -216,8 +220,8 @@ def graded_criterion(
     """Check J^n ∩ (I^(n+1) ∩ R) = J^(n+1) for n = 0..bound, J = I ∩ R.
 
     Level n controls stability at exponent n+1: the criterion holding for
-    all n < N is equivalent to I^t ∩ R = J^t for all t <= N.  Level 0 is
-    J ∩ ... trivially J and always holds.
+    all n < N is equivalent to I^t ∩ R = J^t for all t <= N.  Level 0
+    compares J with J^1 = J like any other level, and costs no basis.
     """
     if bound < 0:
         raise AlgebraError(f"graded bound must be >= 0, got {bound}")
@@ -229,8 +233,7 @@ def graded_criterion(
         else:
             meet = J.power(n, budget).intersect(c_next, budget)
         target = J.power(n + 1, budget)
-        # at level 0 both sides are J itself
-        w = _failure_witness(meet, target, budget) if n > 0 else None
+        w = _failure_witness(meet, target, budget)
         records.append(GradedRecord(n, meet, target, w is None))
         if w is not None:
             return GradedCriterionReport(ideal, bound, tuple(records), False, n, w)
@@ -272,18 +275,19 @@ def _is_monic_in(f: Polynomial, main: str) -> bool:
     return lead == Polynomial.one(f.ring)
 
 
+def _first_verified(candidates, budget: Budget | None):
+    """The first candidate certificate whose ``verify()`` holds, or None."""
+    return next((cert for cert in candidates if cert.verify(budget)), None)
+
+
 def monic_certificate(ideal: Ideal, budget: Budget | None = None) -> MonicCertificate | None:
-    """Search the generators for a monic presentation; None if there is none
-    visible.  A miss is not a refutation, only the absence of a certificate."""
-    ring = ideal.ring
-    main = ring.require_main()
+    """The first monic presentation whose ``verify()`` holds, or None: each
+    generator in turn is the monic element, with the X-free generators as the
+    base.  A miss is not a refutation, only the absence of a certificate."""
+    main = ideal.ring.require_main()
     base_gens = tuple(g for g in ideal.generators if not g.uses_var(main))
-    candidates = [g for g in ideal.generators if _is_monic_in(g, main)]
-    for f in candidates:
-        cert = MonicCertificate(ideal, f, base_gens)
-        if cert.verify(budget):
-            return cert
-    return None
+    candidates = (MonicCertificate(ideal, f, base_gens) for f in ideal.generators)
+    return _first_verified(candidates, budget)
 
 
 @dataclass(frozen=True)
@@ -326,20 +330,15 @@ def _mccoy_lcm(d: int, h: Polynomial) -> int:
 def regular_image_certificate(
     ideal: Ideal, budget: Budget | None = None
 ) -> RegularImageCertificate | None:
-    """Search the generators for a presentation (d, h) or (h) with regular
-    image.  ZZ mode only; None means no certificate was found."""
-    ring = ideal.ring
-    if not ring.is_int_mode:
-        return None
+    """The first presentation (d, h) whose ``verify()`` holds, or None; ZZ
+    mode only.  d is each constant generator's absolute value, then 0 for
+    (h) alone, and h each non-constant generator."""
+    if not ideal.ring.is_int_mode:
+        return None  # the moduli are read as integers
     moduli = [abs(int(g.constant_value())) for g in ideal.generators if g.is_constant()]
     others = [g for g in ideal.generators if not g.is_constant()]
-    for d in [*moduli, 0]:
-        for h in others:
-            if _mccoy_lcm(d, h) == d:
-                cert = RegularImageCertificate(ideal, d, h, d)
-                if cert.verify(budget):
-                    return cert
-    return None
+    candidates = (RegularImageCertificate(ideal, d, h, d) for d in [*moduli, 0] for h in others)
+    return _first_verified(candidates, budget)
 
 
 @dataclass(frozen=True)
@@ -400,8 +399,5 @@ def primary_obstruction(
 
 
 def certify_stable(ideal: Ideal, budget: Budget | None = None):
-    """Try the all-t certificates in order: monic, then regular image."""
-    cert = monic_certificate(ideal, budget)
-    if cert is not None:
-        return cert
-    return regular_image_certificate(ideal, budget)
+    """The first all-t certificate found, monic then regular image, or None."""
+    return monic_certificate(ideal, budget) or regular_image_certificate(ideal, budget)

@@ -1,11 +1,39 @@
 """The public API: the names ``powerstable`` exports, pinned so that an
-addition or removal shows up as a diff of this file; and no module of the
-package imports a name it does not use."""
+addition or removal shows up as a diff of this file; the value semantics of
+the exported classes; and no module of the package imports a name it does
+not use."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import powerstable
+from powerstable import (
+    GF,
+    QQ,
+    ZZ,
+    BaseIdeal,
+    BlockElim,
+    Budget,
+    FpElement,
+    GradedCriterionReport,
+    GradedRecord,
+    Grevlex,
+    GroebnerBasis,
+    Ideal,
+    Lex,
+    MonicCertificate,
+    ObstructionCertificate,
+    RegularImageCertificate,
+    RingMap,
+    RingSpec,
+    StabilityRecord,
+    StabilityReport,
+    Verdict,
+    groebner_basis,
+    parse_poly,
+)
 
 PUBLIC_NAMES = [
     "AlgebraError",
@@ -74,6 +102,154 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(powerstable.__all__) == PUBLIC_NAMES
     assert all(hasattr(powerstable, name) for name in PUBLIC_NAMES)
+
+
+# -- value semantics -------------------------------------------------------------------
+
+ZX = RingSpec.parse("ZZ[X]")
+QYX = RingSpec.parse("QQ[Y][X]")
+QYZ = RingSpec.parse("QQ[Y,Z]")
+QT = RingSpec.parse("QQ[T]")
+F = parse_poly("X^2 + X + 1", ZX)
+FOUR = parse_poly("4", ZX)
+# shared parts: an Ideal compares by identity, so the records that hold one
+# are built twice around the same instance
+I = Ideal(ZX, [FOUR, F])
+J = Ideal(QYX.base_ring(), [parse_poly("Y^2", QYX.base_ring())])
+P = Ideal(QYZ, [parse_poly("Y^3 - Z^2", QYZ)])
+B4 = BaseIdeal(ZX, integer=4)
+IMAGES = {"Y": parse_poly("T^2", QT), "Z": parse_poly("T^3", QT)}
+
+_ZX = "RingSpec(domain=IntegerDomain(), variables=('X',), base_vars=(), main_var='X', aux_vars=())"
+_B4 = f"BaseIdeal(ring={_ZX}, integer=4, ideal=None)"
+_STABILITY_RECORD = f"StabilityRecord(t=1, contraction={_B4}, expected={_B4}, equal=True)"
+_GRADED_RECORD = f"GradedRecord(n=0, meet={_B4}, target={_B4}, holds=True)"
+_I = "Ideal(ZZ[X]; 4, X^2 + X + 1)"
+_GB = (
+    f"GroebnerBasis(ring={_ZX}, order=Grevlex(), "
+    "elements=(<4 over ZZ[X]>, <X^2 + X + 1 over ZZ[X]>), reduced=True, strong=True)"
+)
+
+# (name, build, repr, two builds equal, hash: "equal" when two builds hash
+# alike, "own" when each hashes as itself, None when unhashable, setting an
+# attribute raises); build makes a fresh instance from the shared parts
+_VALUES = [
+    ("Verdict", lambda: Verdict("UNSTABLE_AT", 2), "Verdict(kind='UNSTABLE_AT', t=2)", True, "equal", True),
+    ("StabilityRecord", lambda: StabilityRecord(1, B4, B4, True), _STABILITY_RECORD, True, "equal", True),
+    (
+        "StabilityReport",
+        lambda: StabilityReport(I, 1, Verdict("STABLE_UP_TO", 1), (StabilityRecord(1, B4, B4, True),), None),
+        f"StabilityReport(ideal={_I}, bound=1, verdict=Verdict(kind='STABLE_UP_TO', t=1), "
+        f"records=({_STABILITY_RECORD},), witness=None)",
+        True, "equal", True,
+    ),
+    ("GradedRecord", lambda: GradedRecord(0, B4, B4, True), _GRADED_RECORD, True, "equal", True),
+    (
+        "GradedCriterionReport",
+        lambda: GradedCriterionReport(I, 0, (GradedRecord(0, B4, B4, True),), True, None, None),
+        f"GradedCriterionReport(ideal={_I}, bound=0, records=({_GRADED_RECORD},), holds=True, "
+        "failure_n=None, witness=None)",
+        True, "equal", True,
+    ),
+    (
+        "MonicCertificate",
+        lambda: MonicCertificate(I, F, (FOUR,)),
+        f"MonicCertificate(ideal={_I}, monic=<X^2 + X + 1 over ZZ[X]>, base_gens=(<4 over ZZ[X]>,))",
+        True, "equal", True,
+    ),
+    (
+        "RegularImageCertificate",
+        lambda: RegularImageCertificate(I, 4, F, 4),
+        f"RegularImageCertificate(ideal={_I}, modulus=4, image=<X^2 + X + 1 over ZZ[X]>, lcm_value=4)",
+        True, "equal", True,
+    ),
+    (
+        "ObstructionCertificate",
+        lambda: ObstructionCertificate(P, 2, parse_poly("Y", QYZ), parse_poly("Z", QYZ)),
+        "ObstructionCertificate(ideal=Ideal(QQ[Y,Z]; Y^3 - Z^2), t=2, witness=<Y over QQ[Y,Z]>, "
+        "cofactor=<Z over QQ[Y,Z]>)",
+        True, "equal", True,
+    ),
+    (
+        "GroebnerBasis",
+        lambda: GroebnerBasis(ZX, Grevlex(), (FOUR, F), reduced=True, strong=True),
+        _GB, True, "equal", True,
+    ),
+    # a computed basis converts its elements on their first read
+    ("GroebnerBasis", lambda: groebner_basis([F, FOUR]), _GB, True, "equal", True),
+    ("Budget", lambda: Budget(5, 7), "Budget(max_pairs=5, max_degree=7)", True, "equal", True),
+    (
+        "RingSpec",
+        lambda: RingSpec.parse("QQ[Y][X]"),
+        "RingSpec(domain=RationalDomain(), variables=('Y', 'X'), base_vars=('Y',), main_var='X', aux_vars=())",
+        True, "equal", True,
+    ),
+    ("Lex", lambda: Lex(("X",)), "Lex(vars=('X',))", True, "equal", True),
+    ("Grevlex", Grevlex, "Grevlex()", True, "equal", True),
+    ("BlockElim", lambda: BlockElim(("X",)), "BlockElim(front=('X',))", True, "equal", True),
+    ("FpElement", lambda: FpElement(3, 7), "FpElement(residue=3, modulus=7)", True, "equal", True),
+    ("BaseIdeal", lambda: BaseIdeal(ZX, integer=4), _B4, True, "equal", True),
+    (
+        "BaseIdeal",
+        lambda: BaseIdeal(QYX, ideal=J),
+        "BaseIdeal(ring=RingSpec(domain=RationalDomain(), variables=('Y', 'X'), base_vars=('Y',), "
+        "main_var='X', aux_vars=()), integer=None, ideal=Ideal(QQ[Y]; Y^2))",
+        True, "equal", True,
+    ),
+    # the images are a dict, so a map has no hash
+    (
+        "RingMap",
+        lambda: RingMap(QYZ, QT, IMAGES),
+        "RingMap(source=RingSpec(domain=RationalDomain(), variables=('Y', 'Z'), base_vars=('Y', 'Z'), "
+        "main_var=None, aux_vars=()), target=RingSpec(domain=RationalDomain(), variables=('T',), "
+        "base_vars=('T',), main_var=None, aux_vars=()), "
+        "images={'Y': <T^2 over QQ[T]>, 'Z': <T^3 over QQ[T]>})",
+        True, None, True,
+    ),
+    # an ideal is a mutable cache of bases and powers, equal only to itself
+    ("Ideal", lambda: Ideal(ZX, [FOUR, F]), _I, False, "own", False),
+    ("Ideal", lambda: Ideal(ZX, []), "Ideal(ZZ[X]; 0)", False, "own", False),
+    ("Polynomial", lambda: parse_poly("X^2 + X + 1", ZX), "<X^2 + X + 1 over ZZ[X]>", True, "equal", False),
+    ("IntegerDomain", lambda: ZZ, "IntegerDomain()", True, "equal", True),
+    ("RationalDomain", lambda: QQ, "RationalDomain()", True, "equal", True),
+    ("PrimeField", lambda: GF(7), "PrimeField(p=7)", True, "equal", True),
+]
+
+
+def test_every_exported_class_has_its_value_semantics_pinned():
+    exported = {
+        name for name in powerstable.__all__
+        if isinstance(getattr(powerstable, name), type)
+        and not issubclass(getattr(powerstable, name), Exception)
+    }
+    assert exported <= {name for name, *_ in _VALUES}
+
+
+@pytest.mark.parametrize(
+    "name, build, text, equal, hashing, frozen", _VALUES, ids=[row[0] for row in _VALUES]
+)
+def test_value_semantics_of_the_public_classes(name, build, text, equal, hashing, frozen):
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert repr(a) == text
+    assert a == a and (a == b) is equal and (a != b) is not equal
+    if hashing is None:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    elif hashing == "equal":
+        assert hash(a) == hash(b)
+    else:
+        assert hash(a) == hash(a) and len({a, a, b}) == 2
+    # the first field, or a new name on a class that has none
+    fields = getattr(type(a), "__dataclass_fields__", None) or dict.fromkeys(getattr(a, "__slots__", ()))
+    attr = next(iter(fields), "extra")
+    value = getattr(a, attr, None)
+    if frozen:
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(a, attr, value)
+    else:
+        setattr(a, attr, value)
+        assert repr(a) == text
 
 
 def _unused_imports(source: str) -> list[str]:

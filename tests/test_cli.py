@@ -962,6 +962,91 @@ def test_python_m_powerstable_runs_the_cli():
     assert done.stdout == shown + "\n"
 
 
+# -- engine edges through the CLI ----------------------------------------------------------
+
+_QUOTIENT_FP7 = ("quotient", "--ring", "Fp(7)[Y][X]", "--gens", "3*X^2 - Y, 2*Y*X", "--by")
+_CUBE_OF_A_PAIR = ("contract", "--ring", "QQ[Y][X]", "--gens", "Y^2 - X*Y, X^2 + 2*Y", "--power", "3")
+# (argv, exit code, body), each with the edge it reaches
+_EDGES = [
+    # a degree budget above 63 packs monomials into fields wider than 8 bits
+    (("gb", "--ring", "ZZ[X]", "--gens", "X^2 - 2, X^3", "--max-degree", "200"), 0, "(4, 2*X, X^2 + 2)"),
+    # a power with no factor bases starts from its products on engine term lists, on
+    # 8-bit fields and, above degree 63, on 16-bit ones; 63 and 64 are the edges of
+    # the 8-bit width
+    *(
+        ((*_CUBE_OF_A_PAIR, "--max-degree", budget), 0, "(Y^8 + 6*Y^7 + 12*Y^6 + 8*Y^5)")
+        for budget in ("60", "63", "64", "200")
+    ),
+    # over ZZ the square starts from the products of the reducers of G_1
+    (
+        ("check-stable", "--ring", "ZZ[X]", "--gens", "X^2 - 6, 4*X", "--max-power", "4"),
+        1,
+        "unstable at t=2\nwitness: 288\n"
+        "t=1: contraction (24), base power (24), equal yes\n"
+        "t=2: contraction (288), base power (576), equal no",
+    ),
+    # a prime field: coefficients enter the engine as residues and leave it as FpElements
+    (("gb", "--ring", "Fp(7)[Y][X]", "--gens", "3*X^2 - Y, 2*Y*X"), 0, "(X^2 + 2*Y, Y*X, Y^2)"),
+    (
+        ("check-stable", "--ring", "Fp(7)[Y][X]", "--gens", "X^2 - Y, Y*X", "--max-power", "3"),
+        1,
+        "unstable at t=2\nwitness: Y^3\n"
+        "t=1: contraction (Y^2), base power (Y^2), equal yes\n"
+        "t=2: contraction (Y^3), base power (Y^4), equal no",
+    ),
+    # a listed generator is a member at once, so it spends no pairs
+    (("member", "--ring", "ZZ[X]", "--gens", "X^2 - 2, X^3", "--poly", "X^3", "--max-pairs", "0"), 0, "true"),
+    # over ZZ, and by a divisor that is not a unit times a variable, quotient is the
+    # CLI's route through the quotient transcript of divide
+    (("quotient", "--ring", "ZZ[X]", "--gens", "4*X^2, 6*X", "--by", "2*X"), 0, "(3, X)"),
+    (
+        ("quotient", "--ring", "QQ[Y][X]", "--gens", "Y^2*X - 1/2*X^3, Y*X^2", "--by", "2*X"),
+        0,
+        "(Y*X, Y^2 - 1/2*X^2, X^3)",
+    ),
+    ((*_QUOTIENT_FP7, "X"), 0, "(Y, X^2)"),
+    ((*_QUOTIENT_FP7, "3*X"), 0, "(Y, X^2)"),
+    # the one route that divides by a GF(p) reducer whose leading coefficient is not 1
+    ((*_QUOTIENT_FP7, "3*Y*X"), 0, "(1)"),
+    # over a field a colon by a unit times a variable divides the homogenized grevlex
+    # basis; both routes print the reduced grevlex basis, whatever the unit: a variable
+    # that is not the ring's last, and a negative rational unit
+    (
+        ("quotient", "--ring", "Fp(7)[Y,Z,W]", "--gens", "Y^2 - Z*W, Y*Z - W^3, Z^2 - Y*W^2", "--by", "3*Z"),
+        0,
+        "(Y^2 + 6*Z*W, W^3 + 6*Y*Z, Y*W^2 + 6*Z^2)",
+    ),
+    (
+        ("quotient", "--ring", "QQ[Y,Z][X]", "--gens", "Y^2*X - Z, Z*X^2 - Y", "--by", "-2*Y"),
+        0,
+        "(Z*X^2 - Y, Y^2*X - Z, Y^3 - Z^2*X, Y*X^3 - 1)",
+    ),
+    # the zero ideal takes the homogenized route too, and over a field a colon by a
+    # nonzero constant is I itself
+    (("quotient", "--ring", "QQ[Y][X]", "--gens", "0", "--by", "X"), 0, "(0)"),
+    (
+        ("quotient", "--ring", "QQ[Y][X]", "--gens", "Y^2*X - 1/2*X^3, Y*X^2", "--by", "2"),
+        0,
+        "(Y*X^2, Y^2*X - 1/2*X^3, X^4)",
+    ),
+    # the reduced basis of the zero ideal is empty
+    (("gb", "--ring", "QQ[Y][X]", "--gens", "0"), 0, "(0)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, body", _EDGES, ids=[" ".join(a) for a, _, _ in _EDGES])
+def test_engine_edges_through_the_cli(argv, code, body):
+    assert run(*argv) == (code, body)
+
+
+def test_gb_of_a_quotient_body_prints_the_body_unchanged():
+    # a reduced grevlex basis is its own reduced basis
+    ring = ("--ring", "QQ[Y,Z][X]")
+    code, out = run("quotient", *ring, "--gens", "Y^2*X - Z, Z*X^2 - Y", "--by=-2*Y")
+    assert code == 0
+    assert run("gb", *ring, "--gens", out[1:-1]) == (0, out)
+
+
 # -- exit contract -------------------------------------------------------------------------
 
 # (argv, exit code, body); a body of None stands for an input-error message.

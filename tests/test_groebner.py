@@ -95,6 +95,15 @@ def test_classic_lex_pair_needs_its_s_polynomial():
     assert normal_form(f, gb).is_zero()
 
 
+def test_a_basis_that_holds_the_zero_polynomial_is_not_groebner():
+    # a basis of leading terms has no place for 0, whatever its other elements
+    for ring, text in ((QYX, "X*Y - 1"), (ZX, "2*X")):
+        zero = Polynomial.zero(ring)
+        for elements in ((zero,), (parse_poly(text, ring), zero)):
+            fake = GroebnerBasis(ring, Grevlex(), elements, reduced=False, strong=ring is ZX)
+            assert not is_groebner(fake)
+
+
 def test_field_elements_are_monic():
     rng = random.Random("monic:0")
     for ring in (QYZ, F7):

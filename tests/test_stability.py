@@ -20,6 +20,7 @@ from powerstable import (
     check_power_stable,
     contract_power,
     example_3_12,
+    format_poly,
     gadget_3_14,
     graded_criterion,
     hochster_P,
@@ -31,6 +32,7 @@ from powerstable import (
 )
 from powerstable.corpus import prime_corpus, radical_corpus, stability_corpus
 
+from helpers import rand_gens, rand_poly
 from oracles import macaulay_member
 
 ZX = RingSpec.parse("ZZ[X]")
@@ -298,7 +300,7 @@ def test_graded_failure_level_and_witness():
     # meet = J ∩ (I^2 ∩ ZZ) = lcm(4, 8) = (8); target = J^2 = (16)
     assert rec.meet.generators() == (8,)
     assert rec.target.generators() == (16,)
-    assert report.records[0].holds  # level 0 is trivial
+    assert report.records[0].holds  # level 0 compares J with itself
 
 
 def test_graded_criterion_holds_for_monic_pair():
@@ -391,6 +393,110 @@ def test_certify_stable_prefers_monic():
     assert cert is not None and cert.kind == "regular_image"
     assert certify_stable(example_3_12(2)) is None
     assert certify_stable(ideal(QYX, "Y")) is None
+
+
+# -- certificate searches -------------------------------------------------------------
+
+
+def _monic_candidates(I):
+    main = I.ring.require_main()
+    base = tuple(g for g in I.generators if not g.uses_var(main))
+    return [MonicCertificate(I, f, base) for f in I.generators]
+
+
+def _regular_candidates(I):
+    moduli = [abs(int(g.constant_value())) for g in I.generators if g.is_constant()]
+    others = [g for g in I.generators if not g.is_constant()]
+    return [RegularImageCertificate(I, d, h, d) for d in [*moduli, 0] for h in others]
+
+
+def _search_ideals():
+    """Seeded ideals whose generators put candidates that ``verify()``
+    turns away before one it accepts: over every ring 2·f + b·X (not monic)
+    and f·(X + 1) (monic, but with b short of I) before b and the monic f;
+    over ZZ, with d = b, also p·h for a prime p dividing d (its McCoy lcm is
+    not d) and h·(X + 1) (regular, but with d short of I) before h, h with
+    leading coefficient 3 and constant term 1.  Half of them shuffled, and
+    plain random ideals besides."""
+    out = []
+    for ring in (ZX, QYX, F7):
+        X = Polynomial.variable(ring, "X")
+        two, three, one = (Polynomial.constant(ring, c) for c in (2, 3, 1))
+        for i in range(6):
+            rng = random.Random(f"search:{ring}:{i}")
+            f = X ** rng.randint(1, 3)
+            f = f + rand_poly(rng, ring, f.total_degree() - 1)
+            if ring is ZX:
+                b, p = (Polynomial.constant(ring, c) for c in rng.choice([(2, 2), (4, 2), (6, 3), (9, 3)]))
+            else:
+                b = transport(rand_poly(rng, ring.base_ring(), 2), ring)
+            presentations = [[two * f + b * X, f * (X + one), b, f]]
+            if ring is ZX:
+                h = three * X ** rng.randint(1, 3) + X * rand_poly(rng, ring, 1) + one
+                presentations.append([b, p * h, h * (X + one), h])
+            presentations.append(rand_gens(rng, ring, rng.randint(1, 3), max_deg=2))
+            for gens in presentations:
+                if i % 2:
+                    rng.shuffle(gens)
+                out.append(Ideal(ring, gens))
+    return out
+
+
+@pytest.mark.parametrize("I", _search_ideals())
+def test_a_search_returns_the_first_candidate_its_verify_accepts(I):
+    for search, candidates in (
+        (monic_certificate, _monic_candidates),
+        (regular_image_certificate, _regular_candidates),
+    ):
+        if search is regular_image_certificate and I.ring is not ZX:
+            assert search(I) is None
+            continue
+        expected = next((c for c in candidates(I) if c.verify()), None)
+        found = search(I)
+        assert found == expected
+        assert found is None or found.verify()
+    assert certify_stable(I) == (monic_certificate(I) or regular_image_certificate(I))
+
+
+def test_a_candidate_that_verify_turns_away_costs_no_basis(bases, pair_calls):
+    # no generator is monic in X
+    assert monic_certificate(ideal(QYX, "2*X^2 + Y", "Y*X", "Y")) is None
+    assert bases == [] and pair_calls == []
+    # (4, 2*X + 2) is not regular mod 4, so only the principal (2*X + 2) is compared
+    assert regular_image_certificate(ideal(ZX, "4", "2*X + 2")) is None
+    searched = len(bases)
+    principal = RegularImageCertificate(ideal(ZX, "4", "2*X + 2"), 0, parse_poly("2*X + 2", ZX), 0)
+    assert not principal.verify()
+    assert len(bases) == 2 * searched > 0
+
+
+_FIRST_LEVEL = [
+    (ZX, ("X^2 - 2", "X^3")),
+    (ZX, ("4", "X^2 + X + 1")),
+    (QYX, ("X^2 - Y", "Y*X")),
+    (QYX, ("Y", "X^2 + X + 1")),
+    (QYX, ("X - Y",)),
+    (F7, ("X^2 - Y", "Y*X")),
+    *(
+        (ring, tuple(map(format_poly, rand_gens(random.Random(f"level:{ring}:{i}"), ring, 2, 2))))
+        for ring in (ZX, QYX, F7)
+        for i in range(3)
+    ),
+]
+
+
+@pytest.mark.parametrize("ring, texts", _FIRST_LEVEL, ids=str)
+def test_the_first_level_costs_only_its_contraction(pair_calls, bases, ring, texts):
+    """Level 1 of the bounded check and level 0 of the graded criterion
+    compare I ∩ R with itself.  Its generators are listed members of it (over
+    ZZ, d divides itself), so the comparison forms no pair and no basis."""
+    contract_power(ideal(ring, *texts), 1)
+    cost = (list(pair_calls), list(bases))
+    for check, bound in ((check_power_stable, 1), (graded_criterion, 0)):
+        pair_calls.clear()
+        bases.clear()
+        check(ideal(ring, *texts), bound)
+        assert (pair_calls, bases) == cost
 
 
 def test_certificates_imply_bounded_stability():

@@ -10,6 +10,23 @@ queued pairs it makes redundant are dropped, and its new pairs are formed
 with the active elements only, one per minimal lcm, none with a coprime
 leading monomial.
 
+Inside Buchberger an element is reduced only until its leading term is
+irreducible: the start elements and every S- and G-polynomial.  The pair
+criteria read leading terms alone, and one ``_tail_reduce`` pass over the
+minimal basis at the end reduces the tails, so the basis is reduced all the
+same; ``divide``, ``normal_form`` and ``is_groebner`` reduce fully.  A power's
+basis may start from the products a·b of the elements of two bases (see
+``ideals.Ideal._seed``), each carrying its factor pairs.  Two products that
+share a factor a have S(a·b, a·b') = a·S(b, b'), and S(b, b') has a standard
+representation by the basis of b and b', so a times it is one by products
+of the start: the pair is settled before it is formed (Becker and
+Weispfenning, "Groebner Bases", 1993, ch. 5).  ``_shared_factor`` is the
+test; a pair it settles is skipped when popped, as a stale one is, and not
+counted.  It applies to start elements that entered unchanged, as most
+products do under head reduction, and over ZZ to G-pairs too, since
+G(a·b, a·b') = a·G(b, b') (Adams and Loustaunau, "An Introduction to
+Groebner Bases", 1994, ch. 4).
+
 Over ZZ the engine computes a *strong* basis: Buchberger is extended with
 G-polynomials built from an extended gcd of the leading coefficients, and
 reduction divides coefficients with the least non-negative remainder
@@ -403,9 +420,16 @@ class _Reducers:
 
 
 def _reduce(
-    terms: list, red: _Reducers, max_degree: int, quotients: list[list] | None = None
+    terms: list,
+    red: _Reducers,
+    max_degree: int,
+    quotients: list[list] | None = None,
+    head: bool = False,
 ) -> tuple[list, int]:
     """Full normal form of a term list against ``red``: the one reduction loop.
+    With ``head`` the loop stops at the first term no reducer divides, the
+    leading term of the remainder, and keeps the terms below it as they
+    stand; a list whose leading term is irreducible comes back itself.
 
     Monomials are visited in descending order through a max-heap of keys, so
     each one is finalized exactly once.  One scan finds the divisor of a
@@ -442,6 +466,7 @@ def _reduce(
     rem: list = []
     rem_at: list[int] = []
     M = 1
+    stepped = False
     while heap:
         k = -heappop(heap)
         c = work.get(k)
@@ -471,6 +496,7 @@ def _reduce(
                         work[kk] *= m
                     M *= m
             # work -= q * x^shift * g, the shift's key ks and degree ds
+            stepped = True
             ks = k - k0
             ds = d - d0
             if quotients is not None:
@@ -499,6 +525,12 @@ def _reduce(
         if c is not None:
             del work[k]
             rem.append((k, c, d))
+            if head:
+                if not stepped:
+                    return terms, 1
+                tail = [(kk, cc, (kk & mask) * ones >> top & fmask) for kk, cc in work.items()]
+                tail.sort(reverse=True)
+                return [(k, c, d), *tail], M
             if qq:
                 rem_at.append(M)
     if M != 1:
@@ -712,10 +744,20 @@ class _Start(NamedTuple):
     """A start of ``groebner_basis`` already inside the engine: nonzero term
     lists under ``cord``, an order compiled for a width whose bound covers
     the budget's degree bound.  A term above the budget raises on entry to
-    ``_reduce``, as it would from a Polynomial."""
+    ``_reduce``, as it would from a Polynomial.  ``factors``, when given,
+    holds per term list the (left, right) index pairs of the factors whose
+    product it is (see ``_shared_factor``)."""
 
     cord: _Order
     terms: list
+    factors: list | None = None
+
+
+def _shared_factor(a: list, b: list) -> bool:
+    """Whether two start elements, given by the (left, right) factor pairs
+    of the products they equal, share a left or a right factor, which
+    settles their pair (see the module docstring)."""
+    return any(l == m or r == s for l, r in a for m, s in b)
 
 
 def groebner_basis(
@@ -730,23 +772,27 @@ def groebner_basis(
     basis.  Zero and repeated generators reduce to zero and add nothing, so
     zero polynomials alone have the empty basis; an empty sequence names no
     ring and raises AlgebraError.  ``gens`` may also be a private ``_Start``,
-    whose compiled order stands for ``order``; the Polynomials are converted
-    into the same start, so both run one Buchberger body.
+    whose compiled order stands for ``order`` and whose factor pairs settle
+    the pairs of products that share a factor (``_shared_factor``); the
+    Polynomials are converted into the same start, so both run one
+    Buchberger body.
     """
     order = order or Grevlex()
     budget = budget or Budget()
     if isinstance(gens, _Start):
-        cord, start = gens
+        cord, start, factors = gens
     else:
         polys = list(gens)
         if not polys:
             raise AlgebraError("cannot compute a basis for an empty generating set")
         cord = _compiled(order, _check_same_ring(polys), budget.max_degree)
-        start = [_engine_poly(g, cord)[0] for g in polys]
+        start, factors = [_engine_poly(g, cord)[0] for g in polys], None
     int_mode = cord.zz
     key, fields = cord.key, cord.fields
 
     red = _Reducers(cord)
+    # per element, the factor pairs of a start element that entered unchanged
+    facs: list = []
     heap: list = []
     # The live S-pairs, (i, j) -> lcm of their leading terms, and the active
     # elements, those whose leading term no later one divides; at the end
@@ -808,17 +854,23 @@ def groebner_basis(
         active[:] = [i for i in active if not t_divides(tj, lts[i])]
         active.append(j)
 
-    def add(terms: list) -> None:
-        # every term was checked against the degree budget already
-        red.append(_normalized(terms, cord))
+    def add(terms: list, pairs: list | None = None) -> None:
+        # every term was checked against the degree budget already; the
+        # factor pairs stay only with terms that normalizing leaves as they are
+        h = _normalized(terms, cord)
+        red.append(h)
+        facs.append(pairs if h is terms else None)
         if int_mode:
             lts.append((red.lms[-1], red.polys[-1][0][1]))  # (monomial, coefficient)
         push_pairs(len(red.polys) - 1)
 
-    for g in start:
-        r, _ = _reduce(g, red, budget.max_degree)
+    # Elements are reduced until their leading term is irreducible; the one
+    # ``_tail_reduce`` pass at the end reduces the rest.  A start element
+    # keeps its factor pairs only if it enters as it is.
+    for n, g in enumerate(start):
+        r, _ = _reduce(g, red, budget.max_degree, head=True)
         if r:
-            add(r)
+            add(r, factors[n] if factors and r is g else None)
 
     pops = 0
     while heap:
@@ -829,20 +881,23 @@ def groebner_basis(
                 continue
         elif live.pop((i, j), None) is None:
             continue
+        fi, fj = facs[i], facs[j]
+        if fi and fj and _shared_factor(fi, fj):
+            continue
         pops += 1
         if pops > budget.max_pairs:
             raise BudgetExceededError(f"pair budget {budget.max_pairs} exhausted")
         f, g = red.polys[i], red.polys[j]
         p = g_polynomial(f, g, cord) if kind else s_polynomial(f, g, cord)
-        r, _ = _reduce(p, red, budget.max_degree)
+        r, _ = _reduce(p, red, budget.max_degree, head=True)
         if r:
             add(r)
 
-    # The active elements are the minimal basis.  Each new element is fully
-    # reduced against the earlier ones, so no earlier leading term divides
-    # its own (over ZZ, strongly: a remainder coefficient is below every
-    # earlier one whose monomial divides), and ``push_pairs`` retires each
-    # element whose leading term a later one divides.  Active leading
+    # The active elements are the minimal basis.  The leading term of each
+    # new element is reduced against the earlier ones, so no earlier leading
+    # term divides it (over ZZ, strongly: a remainder coefficient is below
+    # every earlier one whose monomial divides), and ``push_pairs`` retires
+    # each element whose leading term a later one divides.  Active leading
     # monomials are distinct (over ZZ because the G-pairs are settled), so
     # their keys are too, and sorting by head terms compares keys alone.
     minimal = sorted(red.polys[i] for i in active)
@@ -852,9 +907,10 @@ def groebner_basis(
 def _tail_reduce(basis: list[list], cord: _Order, budget: Budget) -> _Reducers:
     """Reduce every term below each leading term against the other elements.
 
+    Buchberger reduces only leading terms, so the tails are reduced here.
     ``basis`` is minimal and sorted ascending by leading monomial, and only
-    a smaller leading monomial can divide a tail term, so one
-    ascending pass against the already reduced prefix is final.  Heads are
+    a smaller leading monomial can divide a tail term, so one ascending pass
+    against the already reduced prefix is final.  Heads are
     kept (over QQ scaled with the tail), so the leading terms, and the basis
     property, are preserved.  Returns the reduced elements as reducers.
     """

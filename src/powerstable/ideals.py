@@ -15,7 +15,6 @@ with the reduced grevlex basis of their ideal, strong over ZZ.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -67,8 +66,8 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self._generators: tuple[Polynomial, ...] | None = tuple(gens)
-        # of a power: (t, I^(t-1) or None for I itself, gens(I), the bases
-        # of I, t times the top degree of gens(I))
+        # of a power: (I^(t-1) or None for I itself, gens(I), the bases of
+        # I, t times the top degree of gens(I))
         self._factors: tuple | None = None
         # of a power: its product walk per compiled order
         self._walks: dict = {}
@@ -85,7 +84,7 @@ class Ideal:
         Within the budget that is the walk a grevlex basis starts from.
         """
         if self._generators is None:
-            cord = _compiled(Grevlex(), self.ring, self._factors[4])
+            cord = _compiled(Grevlex(), self.ring, self._factors[3])
             products, _, _ = self._walk(cord)
             self._generators = tuple(_to_polynomial(cord, h, s) for h, s in products)
         return self._generators
@@ -110,9 +109,9 @@ class Ideal:
         chain, power = [], self
         while power is not None and cord not in power._walks:
             chain.append(power)
-            power = power._factors[1]
+            power = power._factors[0]
         for power in reversed(chain):
-            _, prev, base, _, _ = power._factors
+            prev, base, _, _ = power._factors
             if prev is None:
                 factors = [_engine_poly(g, cord) for g in base]
                 lefts, lasts = factors, range(len(factors))
@@ -152,12 +151,12 @@ class Ideal:
 
         A power I^t whose factors have bases cached under ``order``, G_(t-1)
         of I^(t-1) and G_1 of I, starts Buchberger from their distinct
-        products G_(t-1)·G_1 (``_seed``): over ZZ always, over a field when
-        there are fewer of them than the C(n+t-1, t) products of the n
-        generators of I.  Every other ideal starts from its generators, the
-        zero ideal from the zero polynomial and a power from the term lists
-        of its walk (``_start``).  A start from the products that runs over
-        the budget starts again from the generators: the products form other
+        products G_(t-1)·G_1 (``_seed``), over ZZ and over fields alike; a
+        pair of two products that share a factor is settled before it is
+        formed.  Every other ideal starts from its generators, the zero
+        ideal from the zero polynomial and a power from the term lists of
+        its walk (``_start``).  A start from the products that runs over the
+        budget starts again from the generators: the products form other
         pairs than the generators do, and factor bases that a larger budget
         computed may hold terms above this one, while a budget that fits the
         generators' route still answers.  Reduced bases are unique, so both
@@ -186,23 +185,25 @@ class Ideal:
         generating set over the budget."""
         if self._factors is None:
             return self.generators or (Polynomial.zero(self.ring),)
-        cord = _compiled(order, self.ring, max(budget.max_degree, self._factors[4]))
+        cord = _compiled(order, self.ring, max(budget.max_degree, self._factors[3]))
         return _Start(cord, [h for h, _ in self._walk(cord)[0]])
 
     def _seed(self, order: MonomialOrder, budget: Budget) -> _Start | None:
         """The distinct products G_(t-1)·G_1 that ``groebner`` starts a power
-        from, or None where it starts from the generators.
+        from, sorted ascending by leading term, or None where it starts from
+        the generators.
 
-        Over ZZ the products save pairs, because a strong basis already
-        carries the gcds of its leading coefficients.  Over a field they
-        saved pairs on monic ideals and cost pairs on toric primes, which
-        have few generators and large bases; the size rule tells them apart.
         The factors are the final reducers of G_(t-1) and G_1, multiplied
         when both share one compiled order whose bound covers the budget.
+        Each product carries every (left, right) index pair of the factors
+        it came from, so that Buchberger skips the pairs of two products
+        that share a factor (see the ``groebner`` module).  Of I^2 both
+        factors are G_1: each product is formed once and carries both
+        orientations in one index space.
         """
         if self._factors is None:
             return None
-        t, prev, base, base_gb, _ = self._factors
+        prev, _, base_gb, _ = self._factors
         left = (base_gb if prev is None else prev._gb).get(order)
         right = base_gb.get(order)
         if left is None or right is None:
@@ -211,10 +212,16 @@ class Ideal:
         cord = left._final.cord
         if right._final.cord is not cord or cord.bound < budget.max_degree:
             return None
-        if not cord.zz and len(lefts) * len(rights) >= math.comb(len(base) + t - 1, t):
-            return None
-        products = dict.fromkeys(tuple(_product(f, g, cord)) for f in lefts for g in rights)
-        return _Start(cord, list(products))
+        products: dict = {}
+        for i, f in enumerate(lefts):
+            for j in range(i if prev is None else 0, len(rights)):
+                h = _product(f, rights[j], cord)
+                pairs = products.setdefault(tuple(h), (h, []))[1]
+                pairs.append((i, j))
+                if prev is None and i != j:
+                    pairs.append((j, i))
+        start = sorted(products.values(), key=lambda hp: hp[0][0][0])
+        return _Start(cord, [h for h, _ in start], [pairs for _, pairs in start])
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex
@@ -257,7 +264,7 @@ class Ideal:
                 power = Ideal(self.ring, ())
                 power._generators = None
                 # the factors name I by its parts, so that I^k and I form no cycle
-                power._factors = (k, self._powers.get(k - 1), self.generators, self._gb, k * top)
+                power._factors = (self._powers.get(k - 1), self.generators, self._gb, k * top)
                 self._powers[k] = power
         return self._powers[t]
 
@@ -443,6 +450,10 @@ class RingMap:
                 raise AlgebraError(f"no image given for source variable {v!r}")
             if img.ring != self.target:
                 raise RingMismatchError(f"image of {v} lives in {img.ring}, not {self.target}")
+
+    def __hash__(self) -> int:
+        # equality compares the images as dicts, which ignore their order
+        return hash((self.source, self.target, frozenset(self.images.items())))
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:

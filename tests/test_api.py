@@ -196,7 +196,7 @@ _VALUES = [
         "main_var='X', aux_vars=()), integer=None, ideal=Ideal(QQ[Y]; Y^2))",
         True, "equal", True,
     ),
-    # the images are a dict, so a map has no hash
+    # the images are a dict, hashed as the set of its items
     (
         "RingMap",
         lambda: RingMap(QYZ, QT, IMAGES),
@@ -204,7 +204,7 @@ _VALUES = [
         "main_var=None, aux_vars=()), target=RingSpec(domain=RationalDomain(), variables=('T',), "
         "base_vars=('T',), main_var=None, aux_vars=()), "
         "images={'Y': <T^2 over QQ[T]>, 'Z': <T^3 over QQ[T]>})",
-        True, None, True,
+        True, "equal", True,
     ),
     # an ideal is a mutable cache of bases and powers, equal only to itself
     ("Ideal", lambda: Ideal(ZX, [FOUR, F]), _I, False, "own", False),
@@ -250,6 +250,17 @@ def test_value_semantics_of_the_public_classes(name, build, text, equal, hashing
     else:
         setattr(a, attr, value)
         assert repr(a) == text
+
+
+def test_a_ring_map_hashes_as_it_compares():
+    """Two maps whose image dicts list the variables in another order are
+    equal, so they hash alike and key one entry; another image makes
+    another map."""
+    swapped = RingMap(QYZ, QT, dict(reversed(IMAGES.items())))
+    other = RingMap(QYZ, QT, {**IMAGES, "Z": parse_poly("T^5", QT)})
+    assert swapped == RingMap(QYZ, QT, IMAGES) and hash(swapped) == hash(RingMap(QYZ, QT, IMAGES))
+    assert len({RingMap(QYZ, QT, IMAGES), swapped, other}) == 2
+    assert other != swapped
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -38,6 +38,7 @@ from powerstable import (
     transport,
 )
 from powerstable.corpus import prime_corpus
+from powerstable.groebner import _product, _to_polynomial
 
 from helpers import rand_gens
 from oracles import reference_saturation
@@ -146,8 +147,8 @@ def test_power_multiplicativity_on_membership():
 def test_power_basis_from_the_factor_bases_equals_the_generators_basis(ring, order):
     """Oracle: once I^(t-1) has a basis, I^t's basis, started from the
     products G_(t-1)·G_1, equals the basis of its generators element for
-    element.  Over ZZ every power starts from the products, over a field
-    only those with fewer products than generators."""
+    element.  Over ZZ and over fields alike every such power starts from
+    the products."""
     seeded = 0
     for k in range(8):
         rng = random.Random(f"power-basis:{ring}:{k}")
@@ -157,18 +158,40 @@ def test_power_basis_from_the_factor_bases_equals_the_generators_basis(ring, ord
             seeded += I.power(t)._seed(order, Budget()) is not None
             got = I.power(t).groebner(order).elements
             assert got == groebner_basis(I.power(t).generators, order).elements, (k, t)
-    assert seeded == 24 if ring.is_int_mode else seeded > 0
+    assert seeded == 24
+
+
+@pytest.fixture
+def shared_factors(monkeypatch):
+    """A list that grows by one per pair the shared-factor criterion skips."""
+    skipped = []
+    real = powerstable.groebner._shared_factor
+
+    def counting(a, b):
+        shared = real(a, b)
+        if shared:
+            skipped.append((a, b))
+        return shared
+
+    monkeypatch.setattr(powerstable.groebner, "_shared_factor", counting)
+    return skipped
 
 
 @pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=str)
 @pytest.mark.parametrize("ring", [ZX, QYZX, F7YX], ids=str)
-def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(ring, order, pair_calls):
+def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(
+    ring, order, pair_calls, shared_factors
+):
     """Oracle: a power's basis, started inside the engine from the term
     lists of its walk or from the products of the reducers of G_(t-1) and
     G_1, equals the basis ``groebner_basis`` computes from the Polynomials
-    of the same start, its generators or the products of the elements of
-    G_(t-1) and G_1, and reduces the same pairs."""
+    of the same start in the same order: its generators, or those products.
+    A walk reduces the pairs of its Polynomials.  A start from the products
+    reduces them less the pairs the shared-factor criterion skips, which a
+    start from Polynomials, carrying no factors, reduces; every seed where
+    the counts differ is reported."""
     starts = {"seeded": 0, "generators": 0}
+    differ = []
     for k in range(6):
         rng = random.Random(f"engine-start:{ring}:{order}:{k}")
         I = Ideal(ring, rand_gens(rng, ring, rng.randint(2, 4), 2, coeff_bound=4))
@@ -176,18 +199,82 @@ def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(ring,
             I.groebner(order)  # odd k: G_1 lets powers start from G_(t-1)·G_1
         for t in (2, 3, 4):
             power = I.power(t)
-            if power._seed(order, Budget()) is None:
+            seed = power._seed(order, Budget())
+            if seed is None:
                 start, kind = power.generators, "generators"
             else:
-                left, right = I.power(t - 1).groebner(order), I.groebner(order)
-                start, kind = list(dict.fromkeys(f * g for f in left for g in right)), "seeded"
-            before = len(pair_calls)
+                start, kind = [_to_polynomial(seed.cord, h) for h in seed.terms], "seeded"
+            before, skipped = len(pair_calls), len(shared_factors)
             got = power.groebner(order).elements
-            middle = len(pair_calls)
+            middle, skipped = len(pair_calls), len(shared_factors) - skipped
             assert got == groebner_basis(start, order).elements, (k, t)
-            assert len(pair_calls) - middle == middle - before, (k, t)
+            reduced, polys = middle - before, len(pair_calls) - middle
+            if reduced + skipped != polys:
+                differ.append((k, t, kind, reduced, skipped, polys))
             starts[kind] += 1
-    assert starts["generators"] >= 9 and starts["seeded"] >= (9 if ring.is_int_mode else 1), starts
+    # (k, t, start, pairs reduced, pairs skipped, pairs of the Polynomial start)
+    assert differ == [], differ
+    assert starts == {"seeded": 9, "generators": 9}, starts
+
+
+def test_products_carry_the_index_pairs_of_their_factors():
+    """G_1·G_1 forms each product once and carries every (i, j) of G_1's
+    elements, in both orientations; G_2·G_1 carries (index into G_2, index
+    into G_1).  Each product is the product of each of its factor pairs, and
+    the products ascend by leading term.  Two products share a factor when
+    a left index or a right index agrees."""
+    I = ideal(QYX, "X^2 - Y", "Y*X", "Y^2*X - Y^3")
+    lefts = rights = I.groebner()._final.polys
+    for t in (2, 3):
+        seed = I.power(t)._seed(Grevlex(), Budget())
+        pairs = [pair for got in seed.factors for pair in got]
+        assert sorted(pairs) == list(itertools.product(range(len(lefts)), range(len(rights)))), t
+        for h, got in zip(seed.terms, seed.factors):
+            assert all(h == _product(lefts[i], rights[j], seed.cord) for i, j in got), t
+        keys = [h[0][0] for h in seed.terms]
+        assert keys == sorted(keys), t
+        lefts = I.power(2).groebner()._final.polys
+    shared = powerstable.groebner._shared_factor
+    assert shared([(0, 1)], [(0, 2)]) and shared([(0, 1)], [(2, 1)])
+    assert shared([(3, 4), (0, 1)], [(2, 3), (5, 1)])
+    assert not shared([(0, 1)], [(1, 0)]) and not shared([(0, 1), (2, 3)], [(1, 2), (3, 0)])
+
+
+@pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=str)
+@pytest.mark.parametrize("ring", [ZX, QYZX, F7YX], ids=str)
+def test_the_shared_factor_criterion_keeps_every_power_basis(ring, order, pair_calls, monkeypatch):
+    """Oracle: the basis of a power started from G_(t-1)·G_1 is the same
+    with the shared-factor criterion on and patched off, ``is_groebner``,
+    which applies no criterion, accepts it, and it equals the basis of the
+    power's generators; no power reduces more pairs with the criterion on,
+    and together they reduce fewer.  Over ZZ the first ideal has products
+    that reduce on entry and so lose their factor pairs: a criterion that
+    kept them would miss a pair of its square."""
+    saved = 0
+    ideals = [ideal(ZX, "-10*X^4 - 15*X", "25*X^4 - 20*X^3 + 21")] if ring == ZX else []
+    for k in range(6):
+        rng = random.Random(f"shared-factor:{ring}:{order}:{k}")
+        ideals.append(Ideal(ring, rand_gens(rng, ring, rng.randint(2, 3), 3, coeff_bound=4)))
+    for k, I in enumerate(ideals):
+        I.groebner(order)
+        for t in (2, 3, 4):
+            power = I.power(t)
+            seed = power._seed(order, Budget())
+            assert seed is not None, (k, t)
+            before = len(pair_calls)
+            on = groebner_basis(seed, order)
+            middle = len(pair_calls)
+            with monkeypatch.context() as patch:
+                patch.setattr(powerstable.groebner, "_shared_factor", lambda a, b: False)
+                off = groebner_basis(seed, order)
+            assert on.elements == off.elements, (k, t)
+            assert on.elements == groebner_basis(power.generators, order).elements, (k, t)
+            assert is_groebner(on), (k, t)
+            reduced, unskipped = middle - before, len(pair_calls) - middle
+            assert reduced <= unskipped, (k, t, reduced, unskipped)
+            saved += unskipped - reduced
+            power.groebner(order)  # G_t seeds the next power
+    assert saved > 0
 
 
 def test_contractions_start_each_power_from_the_previous_basis(pair_calls):
@@ -213,7 +300,7 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
         I = ideal(QYX, *gens)
         assert max(g.total_degree() for g in I.groebner(order, budget)) == 3
         square = I.power(2, budget)
-        assert square._seed(order, budget) is not None  # 9 products, C(4+2-1, 2) = 10 generators
+        assert square._seed(order, budget) is not None
         try:
             want = groebner_basis(square.generators, order, budget).elements
         except BudgetExceededError as exc:
@@ -282,10 +369,11 @@ def test_budgets_of_one_field_width_share_one_compiled_order():
 
 
 @pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5, 7), (4, 5, 6)], ids=str)
-def test_toric_prime_powers_over_a_prime_field_start_from_generators(curve):
-    """A toric prime has few generators and a large basis, so over
-    GF(32003) no power starts from the products G_(t-1)·G_1, under the
-    elimination order of its contractions or under grevlex."""
+def test_toric_prime_powers_over_a_prime_field_start_from_the_factor_bases(curve):
+    """A toric prime has few generators and a large basis.  Over GF(32003)
+    its powers still start from the products G_(t-1)·G_1, under the
+    elimination order of its contractions and under grevlex, and their
+    bases equal the bases started from the generators of the powers."""
     source = RingSpec.parse("Fp(32003)[Y,Z,W]")
     target = RingSpec.parse("Fp(32003)[T]")
     main = RingSpec.parse("Fp(32003)[Y,Z][W]")
@@ -297,7 +385,10 @@ def test_toric_prime_powers_over_a_prime_field_start_from_generators(curve):
     for order in (BlockElim(("W",)), Grevlex()):
         for t in (2, 3):
             P.power(t - 1).groebner(order)
-            assert P.power(t)._seed(order, Budget()) is None, (order, t)
+            power = P.power(t)
+            assert power._seed(order, Budget()) is not None, (order, t)
+            want = groebner_basis(power.generators, order).elements
+            assert power.groebner(order).elements == want, (order, t)
 
 
 # -- sums and products -----------------------------------------------------------

@@ -75,13 +75,13 @@ lists, with its compiled order in place of the order, and gets a term list
 back.  Products are formed inside the engine too: ``_product`` multiplies
 two term lists under one compiled order, and the ideal layer builds the
 generators of a power I^t, and the products of the bases of its factors,
-with it.  ``groebner_basis`` accepts such a start in place of Polynomials,
-a private ``_Start`` (compiled order, term lists); Polynomials are converted
-into the same start, so one Buchberger body serves both.  A returned basis
-keeps its final reducers and forms ``elements`` on their first read:
-``normal_form`` against it, under every budget its width's bound covers,
-reads the reducers alone, and elimination converts only the elements it
-keeps.
+with it.  ``groebner_basis`` accepts those products in place of
+Polynomials, as a private ``_Start`` (compiled order, term lists, factor
+pairs); Polynomials are converted into the same start, so one Buchberger
+body serves both.  A returned basis keeps its final reducers and forms
+``elements`` on their first read: ``normal_form`` against it, under every
+budget its width's bound covers, reads the reducers alone, and elimination
+converts only the elements it keeps.
 
 A monomial inside the engine is packed into one int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
@@ -741,16 +741,15 @@ def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 
 class _Start(NamedTuple):
-    """A start of ``groebner_basis`` already inside the engine: nonzero term
-    lists under ``cord``, an order compiled for a width whose bound covers
-    the budget's degree bound.  A term above the budget raises on entry to
-    ``_reduce``, as it would from a Polynomial.  ``factors``, when given,
-    holds per term list the (left, right) index pairs of the factors whose
-    product it is (see ``_shared_factor``)."""
+    """A start of ``groebner_basis`` already inside the engine, the products
+    of two bases (see ``ideals.Ideal._seed``): nonzero term lists under
+    ``cord``, an order compiled for the budget's degree bound, and per term
+    list the (left, right) index pairs of the factors whose product it is
+    (see ``_shared_factor``)."""
 
     cord: _Order
     terms: list
-    factors: list | None = None
+    factors: list
 
 
 def _shared_factor(a: list, b: list) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebraError, BudgetExceededError, RingMismatchError
+from .errors import AlgebraError, RingMismatchError
 from .groebner import (
     Budget,
     GroebnerBasis,
@@ -45,13 +45,13 @@ class Ideal:
     reduced basis is empty.  Groebner bases and powers are cached on the
     instance, bases per monomial order.  A power I^t keeps its factors
     I^(t-1) and I instead of its generators.  Its products of t generators
-    of I are formed on term lists inside the engine (``_walk``), once per
-    compiled order; the generators are converted from them on their first
-    read, and its basis under an order starts from the walk's term lists or
-    from the bases of the factors (see ``groebner``).  Elimination (and with
-    it intersection, saturation, kernels and contractions of powers)
-    computes its basis through the same per-order cache, and each of these
-    is one route over ZZ, QQ and GF(p) alike.
+    of I are formed on term lists inside the engine (``_walk``) and
+    converted into its generators on their first read.  Its basis under an
+    order starts from the bases of the factors where their products fit
+    the degree budget, else from its generators (see ``groebner``).
+    Elimination (and with it intersection, saturation, kernels and
+    contractions of powers) computes its basis through the same per-order
+    cache, and each of these is one route over ZZ, QQ and GF(p) alike.
     """
 
     __slots__ = ("ring", "_generators", "_factors", "_walks", "_gb", "_powers")
@@ -81,7 +81,6 @@ class Ideal:
 
         A power's generators are the products of its walk under grevlex,
         compiled for the power's own degree t·top, converted on first read.
-        Within the budget that is the walk a grevlex basis starts from.
         """
         if self._generators is None:
             cord = _compiled(Grevlex(), self.ring, self._factors[3])
@@ -150,56 +149,36 @@ class Ideal:
         """The reduced (over ZZ strong) basis under ``order``, cached per order.
 
         A power I^t whose factors have bases cached under ``order``, G_(t-1)
-        of I^(t-1) and G_1 of I, starts Buchberger from their distinct
-        products G_(t-1)·G_1 (``_seed``), over ZZ and over fields alike; a
-        pair of two products that share a factor is settled before it is
-        formed.  Every other ideal starts from its generators, the zero
-        ideal from the zero polynomial and a power from the term lists of
-        its walk (``_start``).  A start from the products that runs over the
-        budget starts again from the generators: the products form other
-        pairs than the generators do, and factor bases that a larger budget
-        computed may hold terms above this one, while a budget that fits the
-        generators' route still answers.  Reduced bases are unique, so both
-        starts give the same basis.
+        of I^(t-1) and G_1 of I, whose products G_(t-1)·G_1 fit the degree
+        budget, starts Buchberger from those products (``_seed``), over ZZ
+        and over fields alike; a pair of two products that share a factor
+        is settled before it is formed.  Every other ideal starts from its
+        generators, the zero ideal from the zero polynomial.  Reduced bases
+        are unique, so both starts give the same basis.
         """
         order = order or Grevlex()
         got = self._gb.get(order)
         if got is None:
             budget = budget or Budget()
-            seed = self._seed(order, budget)
-            try:
-                got = groebner_basis(seed or self._start(order, budget), order, budget)
-            except BudgetExceededError:
-                if seed is None:
-                    raise
-                got = groebner_basis(self._start(order, budget), order, budget)
-            self._gb[order] = got
+            start = self._seed(order, budget) or self.generators or (Polynomial.zero(self.ring),)
+            got = self._gb[order] = groebner_basis(start, order, budget)
         return got
-
-    def _start(self, order: MonomialOrder, budget: Budget) -> _Start | tuple[Polynomial, ...]:
-        """The generators, as ``groebner`` starts from them; of the zero
-        ideal the zero polynomial, which names its ring.  Of a power they
-        are the walk's term lists under ``order`` compiled for the budget
-        or, when the power's degree t·top is above the budget, for t·top;
-        ``groebner_basis`` then rejects the start with the error of any
-        generating set over the budget."""
-        if self._factors is None:
-            return self.generators or (Polynomial.zero(self.ring),)
-        cord = _compiled(order, self.ring, max(budget.max_degree, self._factors[3]))
-        return _Start(cord, [h for h, _ in self._walk(cord)[0]])
 
     def _seed(self, order: MonomialOrder, budget: Budget) -> _Start | None:
         """The distinct products G_(t-1)·G_1 that ``groebner`` starts a power
         from, sorted ascending by leading term, or None where it starts from
-        the generators.
+        the generators: a factor basis is not cached under ``order``, or the
+        top term degree of G_(t-1) plus that of G_1, which over a domain is
+        the products' top degree, is above ``budget.max_degree``.
 
-        The factors are the final reducers of G_(t-1) and G_1, multiplied
-        when both share one compiled order whose bound covers the budget.
-        Each product carries every (left, right) index pair of the factors
-        it came from, so that Buchberger skips the pairs of two products
-        that share a factor (see the ``groebner`` module).  Of I^2 both
-        factors are G_1: each product is formed once and carries both
-        orientations in one index space.
+        The factors are the final reducers of G_(t-1) and G_1, repacked key
+        by key into the order compiled for the budget where they were
+        compiled for another field width; every term lies within the
+        budget, so the repack is exact.  Each product carries every (left,
+        right) index pair of the factors it came from, so that Buchberger
+        skips the pairs of two products that share a factor (see the
+        ``groebner`` module).  Of I^2 both factors are G_1: each product is
+        formed once and carries both orientations in one index space.
         """
         if self._factors is None:
             return None
@@ -208,10 +187,17 @@ class Ideal:
         right = base_gb.get(order)
         if left is None or right is None:
             return None
-        lefts, rights = left._final.polys, right._final.polys
-        cord = left._final.cord
-        if right._final.cord is not cord or cord.bound < budget.max_degree:
+        finals = left._final, right._final
+        if sum(max(d for f in red.polys for _, _, d in f) for red in finals) > budget.max_degree:
             return None
+        cord = _compiled(order, self.ring, budget.max_degree)
+        lefts, rights = (
+            red.polys if red.cord is cord else [
+                [(cord.key(red.cord.fields(k & red.cord.mask)), c, d) for k, c, d in f]
+                for f in red.polys
+            ]
+            for red in finals
+        )
         products: dict = {}
         for i, f in enumerate(lefts):
             for j in range(i if prev is None else 0, len(rights)):
@@ -429,13 +415,15 @@ class Ideal:
 
 @dataclass(frozen=True)
 class RingMap:
-    """A coefficient-preserving ring map determined by variable images."""
+    """A coefficient-preserving ring map determined by variable images.
+    The images are copied, so the caller's mapping may change afterwards."""
 
     source: RingSpec
     target: RingSpec
     images: Mapping[str, Polynomial]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", dict(self.images))
         if self.source.domain != self.target.domain:
             raise RingMismatchError(
                 f"map must preserve coefficients: {self.source.domain.name} "

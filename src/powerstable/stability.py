@@ -26,7 +26,7 @@ and the first generator that fails is the witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 from .errors import AlgebraError, RingMismatchError
@@ -304,9 +304,14 @@ class RegularImageCertificate:
     ideal: Ideal
     modulus: int
     image: Polynomial
-    lcm_value: int
+    _lcm: InitVar[int | None] = None  # L, accepted from callers that pass it, and dropped
 
     kind = "regular_image"  # a class attribute, not a field
+
+    @property
+    def lcm_value(self) -> int:
+        """L, which is the modulus wherever ``verify()`` holds."""
+        return self.modulus
 
     def verify(self, budget: Budget | None = None) -> bool:
         ring = self.ideal.ring
@@ -337,7 +342,7 @@ def regular_image_certificate(
         return None  # the moduli are read as integers
     moduli = [abs(int(g.constant_value())) for g in ideal.generators if g.is_constant()]
     others = [g for g in ideal.generators if not g.is_constant()]
-    candidates = (RegularImageCertificate(ideal, d, h, d) for d in [*moduli, 0] for h in others)
+    candidates = (RegularImageCertificate(ideal, d, h) for d in [*moduli, 0] for h in others)
     return _first_verified(candidates, budget)
 
 

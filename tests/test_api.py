@@ -159,8 +159,8 @@ _VALUES = [
     ),
     (
         "RegularImageCertificate",
-        lambda: RegularImageCertificate(I, 4, F, 4),
-        f"RegularImageCertificate(ideal={_I}, modulus=4, image=<X^2 + X + 1 over ZZ[X]>, lcm_value=4)",
+        lambda: RegularImageCertificate(I, 4, F),
+        f"RegularImageCertificate(ideal={_I}, modulus=4, image=<X^2 + X + 1 over ZZ[X]>)",
         True, "equal", True,
     ),
     (
@@ -261,6 +261,20 @@ def test_a_ring_map_hashes_as_it_compares():
     assert swapped == RingMap(QYZ, QT, IMAGES) and hash(swapped) == hash(RingMap(QYZ, QT, IMAGES))
     assert len({RingMap(QYZ, QT, IMAGES), swapped, other}) == 2
     assert other != swapped
+
+
+def test_a_ring_map_keeps_its_images_when_the_callers_dict_changes():
+    """The map copies the images it is given: a later change to the
+    caller's dict moves neither its hash, its equality nor its kernel."""
+    images = dict(IMAGES)
+    ring_map = RingMap(QYZ, QT, images)
+    held, before = {ring_map}, hash(ring_map)
+    images["Z"] = parse_poly("T^5", QT)
+    assert hash(ring_map) == before and ring_map in held
+    assert ring_map == RingMap(QYZ, QT, IMAGES) and ring_map.images == IMAGES
+    del images["Y"]
+    assert ring_map.kernel().equals(P)
+    assert repr(ring_map) == repr(RingMap(QYZ, QT, IMAGES))
 
 
 def _unused_imports(source: str) -> list[str]:

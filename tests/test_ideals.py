@@ -182,14 +182,13 @@ def shared_factors(monkeypatch):
 def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(
     ring, order, pair_calls, shared_factors
 ):
-    """Oracle: a power's basis, started inside the engine from the term
-    lists of its walk or from the products of the reducers of G_(t-1) and
-    G_1, equals the basis ``groebner_basis`` computes from the Polynomials
-    of the same start in the same order: its generators, or those products.
-    A walk reduces the pairs of its Polynomials.  A start from the products
-    reduces them less the pairs the shared-factor criterion skips, which a
-    start from Polynomials, carrying no factors, reduces; every seed where
-    the counts differ is reported."""
+    """Oracle: a power's basis, started from its generators or inside the
+    engine from the term lists of the products of the reducers of G_(t-1)
+    and G_1, equals the basis ``groebner_basis`` computes from the
+    Polynomials of the same start in the same order.  A start from the
+    products reduces the pairs of their Polynomials less the pairs the
+    shared-factor criterion skips, which a start from Polynomials, carrying
+    no factors, reduces; every seed where the counts differ is reported."""
     starts = {"seeded": 0, "generators": 0}
     differ = []
     for k in range(6):
@@ -290,8 +289,10 @@ def test_contractions_start_each_power_from_the_previous_basis(pair_calls):
 
 def test_power_basis_over_the_budget_from_products_starts_from_generators():
     """G_1 holds Y^3, so the products G_1·G_1 reach degree 6 and their
-    pairs degree 7.  Under every cap the answer, or the error, is that of
-    the start from the generators of I^2, which reach degree 4."""
+    pairs degree 7.  Under a cap below 6 the square starts from its
+    generators, which reach degree 4, and under 6 or more from the
+    products.  Under every cap the answer, or the error, is that of the
+    start from the generators of I^2."""
     gens = ("X^2", "Y^2 + 2*Y*X + 2*X^2", "2*X^2", "Y^2 + 2*Y*X + 3*X^2")
     order = BlockElim(("X",))
     answered = []
@@ -300,7 +301,7 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
         I = ideal(QYX, *gens)
         assert max(g.total_degree() for g in I.groebner(order, budget)) == 3
         square = I.power(2, budget)
-        assert square._seed(order, budget) is not None
+        assert (square._seed(order, budget) is not None) == (cap >= 6), cap
         try:
             want = groebner_basis(square.generators, order, budget).elements
         except BudgetExceededError as exc:
@@ -314,12 +315,11 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
 
 def test_power_basis_from_factor_bases_of_a_larger_budget():
     """G_1, computed under a degree budget of 200 (16-bit fields) or 60
-    (8-bit fields), has reducers whose compiled bound covers every smaller
-    cap, so its square's basis starts from the products G_1·G_1 of those
-    reducers.  G_1 has degree 3, so under a cap of 2 the products hold terms
-    above the cap and the square starts again from its generators.  Either
-    way the answer, or the error, is that of the start from the generators
-    of I^2."""
+    (8-bit fields), has degree 3, so its square starts from the products
+    G_1·G_1 under a cap of 6 or more, repacked into the order compiled for
+    the cap, and from its generators under a smaller cap.  Either way the
+    answer, or the error, is that of the start from the generators of
+    I^2."""
     gens = ("X^2", "Y^2 + 2*Y*X + 2*X^2", "2*X^2", "Y^2 + 2*Y*X + 3*X^2")
     order = BlockElim(("X",))
     answered = []
@@ -329,7 +329,10 @@ def test_power_basis_from_factor_bases_of_a_larger_budget():
             I = ideal(QYX, *gens)
             assert max(g.total_degree() for g in I.groebner(order, Budget(max_degree=factor_cap))) == 3
             square = I.power(2)
-            assert square._seed(order, budget) is not None
+            seed = square._seed(order, budget)
+            assert (seed is not None) == (cap >= 6), (factor_cap, cap)
+            if seed is not None:
+                assert seed.cord is powerstable.groebner._compiled(order, QYX, cap)
             try:
                 want = groebner_basis(square.generators, order, budget).elements
             except BudgetExceededError as exc:
@@ -346,8 +349,8 @@ def test_budgets_of_one_field_width_share_one_compiled_order():
     the largest bound the width holds: 63 for 8-bit fields and 16383 for
     16-bit ones.  So a power whose generators are read, and whose grevlex
     basis is then computed under the default budget, walks its products
-    once.  Factor bases on 8-bit fields seed no basis under a budget of 64,
-    which starts from the generators instead."""
+    once.  Factor bases on 8-bit fields seed the square under a budget of
+    64, repacked into 16-bit fields."""
     compiled = powerstable.groebner._compiled
     for ring in (ZX, QYZX, F7YX):
         for order in (Grevlex(), BlockElim(("X",))):
@@ -360,12 +363,27 @@ def test_budgets_of_one_field_width_share_one_compiled_order():
     power.groebner()
     assert len(power._walks) == 1
     I = ideal(ZX, "X^2 - 6", "4*X")
-    I.groebner()
+    assert I.groebner()._final.cord is compiled(Grevlex(), ZX, 60)
     square, wide_budget = I.power(2), Budget(max_degree=64)
-    assert square._seed(Grevlex(), Budget()) is not None
-    assert square._seed(Grevlex(), wide_budget) is None
+    assert square._seed(Grevlex(), Budget()).cord is compiled(Grevlex(), ZX, 60)
+    assert square._seed(Grevlex(), wide_budget).cord is compiled(Grevlex(), ZX, 64)
     want = groebner_basis(square.generators, Grevlex(), wide_budget).elements
     assert square.groebner(Grevlex(), wide_budget).elements == want
+
+
+def test_a_power_seeds_from_factor_bases_of_another_field_width():
+    """G_1 and G_2, computed under the default budget, lie on 8-bit fields;
+    the cube under a budget of 64 starts from their products, repacked into
+    16-bit fields, and answers within 40 pairs, as its generators do with
+    no cap on the pairs."""
+    I = ideal(ZX, "-6*X^2 - 3*X - 1", "-4*X", "4*X^2 + 2")
+    I.groebner()
+    I.power(2).groebner()
+    cube = I.power(3)
+    got = cube.groebner(Grevlex(), Budget(max_degree=64, max_pairs=40)).elements
+    want = groebner_basis(cube.generators, Grevlex(), Budget(max_degree=64)).elements
+    assert got == want
+    assert [format_poly(g) for g in got] == ["8", "4*X + 4", "2*X^2 + 6", "X^3 + X^2 + 3*X + 3"]
 
 
 @pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5, 7), (4, 5, 6)], ids=str)

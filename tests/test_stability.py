@@ -362,6 +362,10 @@ def test_regular_image_certificate_found():
     assert cert is not None and cert.kind == "regular_image"
     assert cert.modulus == 4 and cert.lcm_value == 4
     assert cert.verify()
+    # the lcm is the modulus: a fourth argument is accepted and dropped
+    assert RegularImageCertificate(cert.ideal, 4, cert.image, 4) == cert
+    with pytest.raises(AttributeError):
+        cert.lcm_value = 2
     cert = regular_image_certificate(ideal(ZX, "2", "X"))
     assert cert is not None and cert.verify()
 
@@ -381,9 +385,9 @@ def test_regular_image_certificate_with_zero_modulus():
     is nonzero; the zero modulus is the zero polynomial, not a generator."""
     h = parse_poly("2*X + 4", ZX)
     principal = Ideal(ZX, [h])
-    assert RegularImageCertificate(principal, 0, h, 0).verify()
+    assert RegularImageCertificate(principal, 0, h).verify()
     for I in (principal, Ideal(ZX, [])):
-        assert not RegularImageCertificate(I, 0, Polynomial.zero(ZX), 0).verify()
+        assert not RegularImageCertificate(I, 0, Polynomial.zero(ZX)).verify()
 
 
 def test_certify_stable_prefers_monic():
@@ -407,7 +411,7 @@ def _monic_candidates(I):
 def _regular_candidates(I):
     moduli = [abs(int(g.constant_value())) for g in I.generators if g.is_constant()]
     others = [g for g in I.generators if not g.is_constant()]
-    return [RegularImageCertificate(I, d, h, d) for d in [*moduli, 0] for h in others]
+    return [RegularImageCertificate(I, d, h) for d in [*moduli, 0] for h in others]
 
 
 def _search_ideals():
@@ -465,7 +469,7 @@ def test_a_candidate_that_verify_turns_away_costs_no_basis(bases, pair_calls):
     # (4, 2*X + 2) is not regular mod 4, so only the principal (2*X + 2) is compared
     assert regular_image_certificate(ideal(ZX, "4", "2*X + 2")) is None
     searched = len(bases)
-    principal = RegularImageCertificate(ideal(ZX, "4", "2*X + 2"), 0, parse_poly("2*X + 2", ZX), 0)
+    principal = RegularImageCertificate(ideal(ZX, "4", "2*X + 2"), 0, parse_poly("2*X + 2", ZX))
     assert not principal.verify()
     assert len(bases) == 2 * searched > 0
 

@@ -16,7 +16,7 @@ criteria read leading terms alone, and one ``_tail_reduce`` pass over the
 minimal basis at the end reduces the tails, so the basis is reduced all the
 same; ``divide``, ``normal_form`` and ``is_groebner`` reduce fully.  A power's
 basis may start from the products a·b of the elements of two bases (see
-``ideals.Ideal._seed``), each carrying its factor pairs.  Two products that
+``_factor_start``), each carrying its factor pairs.  Two products that
 share a factor a have S(a·b, a·b') = a·S(b, b'), and S(b, b') has a standard
 representation by the basis of b and b', so a times it is one by products
 of the start: the pair is settled before it is formed (Becker and
@@ -72,16 +72,16 @@ records the ring, its modulus and whether it is QQ or ZZ, and every engine
 function reads them off the compiled order it receives.  Buchberger forms
 every pair through the public ``s_polynomial``/``g_polynomial`` on two term
 lists, with its compiled order in place of the order, and gets a term list
-back.  Products are formed inside the engine too: ``_product`` multiplies
-two term lists under one compiled order, and the ideal layer builds the
-generators of a power I^t, and the products of the bases of its factors,
-with it.  ``groebner_basis`` accepts those products in place of
-Polynomials, as a private ``_Start`` (compiled order, term lists, factor
-pairs); Polynomials are converted into the same start, so one Buchberger
-body serves both.  A returned basis keeps its final reducers and forms
-``elements`` on their first read: ``normal_form`` against it, under every
-budget its width's bound covers, reads the reducers alone, and elimination
-converts only the elements it keeps.
+back.  The start of a power from the bases of its factors is formed inside
+the engine too: ``_factor_start`` multiplies their final reducers with
+``_product`` under one compiled order and returns the products as a private
+``_Start`` (compiled order, term lists, factor pairs), which
+``groebner_basis`` accepts in place of Polynomials; Polynomials are
+converted into the same start, so one Buchberger body serves both.  A
+returned basis keeps its final reducers and forms ``elements`` on their
+first read: ``normal_form`` against it, under every budget its width's bound
+covers, reads the reducers alone, and elimination converts only the
+elements it keeps.
 
 A monomial inside the engine is packed into one int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
@@ -95,10 +95,9 @@ of the first field where a exceeds b), and b - a is the shift; lcm and
 coprimality are a few word operations on the guards.  The packed monomial
 is also the low bits of its key, so one dot product computes both.  Exponent
 tuples appear where polynomials enter and leave the engine (``_engine_poly``,
-and ``_to_polynomial`` for quotients, remainders, basis elements and power
-generators), and where the key of a pair lcm is computed (``_pair`` and the
-pair queue); fields of up to 64 bits are unpacked with ``struct``, wider
-ones by shifts.
+and ``_to_polynomial`` for quotients, remainders and basis elements), and
+where the key of a pair lcm is computed (``_pair`` and the pair queue);
+fields of up to 64 bits are unpacked with ``struct``, wider ones by shifts.
 
 Coefficients are plain ints: residues in [0, p) over GF(p), the integers
 themselves over ZZ, and over QQ a primitive integer polynomial that stands
@@ -668,7 +667,8 @@ def _product(f: list, g: list, cord: _Order) -> list:
     degrees add, and terms accumulate by key, as in ``_collected``.  Exact
     for every product term of degree up to twice the compiled bound.  Over
     QQ the product of two primitive lists is primitive (Gauss's lemma), and
-    over GF(p) monic times monic is monic."""
+    over GF(p) monic times monic is monic.  ``_factor_start`` forms the
+    products of two bases with it."""
     acc: dict = {}
     for k, c, d in f:
         for kg, cg, dg in g:
@@ -742,10 +742,10 @@ def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 class _Start(NamedTuple):
     """A start of ``groebner_basis`` already inside the engine, the products
-    of two bases (see ``ideals.Ideal._seed``): nonzero term lists under
-    ``cord``, an order compiled for the budget's degree bound, and per term
-    list the (left, right) index pairs of the factors whose product it is
-    (see ``_shared_factor``)."""
+    of two bases (see ``_factor_start``): nonzero term lists under ``cord``,
+    an order compiled for the budget's degree bound, and per term list the
+    (left, right) index pairs of the factors whose product it is (see
+    ``_shared_factor``)."""
 
     cord: _Order
     terms: list
@@ -757,6 +757,47 @@ def _shared_factor(a: list, b: list) -> bool:
     of the products they equal, share a left or a right factor, which
     settles their pair (see the module docstring)."""
     return any(l == m or r == s for l, r in a for m, s in b)
+
+
+def _factor_start(
+    left: GroebnerBasis, right: GroebnerBasis, square: bool, budget: Budget
+) -> _Start | None:
+    """The distinct products of the elements of two bases under one order,
+    sorted ascending by leading term, as a start of ``groebner_basis``; or
+    None where the top term degree of ``left`` plus that of ``right``, which
+    over a domain is the products' top degree, is above
+    ``budget.max_degree``.
+
+    The factors are the final reducers of both bases, repacked key by key
+    into the order compiled for the budget where they were compiled for
+    another field width; every term lies within the budget, so the repack is
+    exact.  Each product carries every (left, right) index pair of the
+    factors it came from, so that Buchberger skips the pairs of two products
+    that share a factor (see ``_shared_factor``).  A ``square`` has one
+    basis as both factors: each product is formed once and carries both
+    orientations in one index space.
+    """
+    finals = left._final, right._final
+    if sum(max(d for f in red.polys for _, _, d in f) for red in finals) > budget.max_degree:
+        return None
+    cord = _compiled(left.order, left.ring, budget.max_degree)
+    lefts, rights = (
+        red.polys if red.cord is cord else [
+            [(cord.key(red.cord.fields(k & red.cord.mask)), c, d) for k, c, d in f]
+            for f in red.polys
+        ]
+        for red in finals
+    )
+    products: dict = {}
+    for i, f in enumerate(lefts):
+        for j in range(i if square else 0, len(rights)):
+            h = _product(f, rights[j], cord)
+            pairs = products.setdefault(tuple(h), (h, []))[1]
+            pairs.append((i, j))
+            if square and i != j:
+                pairs.append((j, i))
+    start = sorted(products.values(), key=lambda hp: hp[0][0][0])
+    return _Start(cord, [h for h, _ in start], [pairs for _, pairs in start])
 
 
 def groebner_basis(

@@ -16,6 +16,7 @@ with the reduced grevlex basis of their ideal, strong over ZZ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebraError, RingMismatchError
@@ -23,11 +24,7 @@ from .groebner import (
     Budget,
     GroebnerBasis,
     _check_degree,
-    _compiled,
-    _engine_poly,
-    _product,
-    _Start,
-    _to_polynomial,
+    _factor_start,
     exact_divide,
     groebner_basis,
     normal_form,
@@ -44,17 +41,16 @@ class Ideal:
     is the zero ideal, which takes every operation's general route; its
     reduced basis is empty.  Groebner bases and powers are cached on the
     instance, bases per monomial order.  A power I^t keeps its factors
-    I^(t-1) and I instead of its generators.  Its products of t generators
-    of I are formed on term lists inside the engine (``_walk``) and
-    converted into its generators on their first read.  Its basis under an
-    order starts from the bases of the factors where their products fit
-    the degree budget, else from its generators (see ``groebner``).
+    I^(t-1) and I instead of its generators, and forms its products of t
+    generators of I as Polynomials on their first read.  Its basis under an
+    order starts from the products of the bases of the factors where they
+    fit the degree budget, else from its generators (see ``groebner``).
     Elimination (and with it intersection, saturation, kernels and
     contractions of powers) computes its basis through the same per-order
     cache, and each of these is one route over ZZ, QQ and GF(p) alike.
     """
 
-    __slots__ = ("ring", "_generators", "_factors", "_walks", "_gb", "_powers")
+    __slots__ = ("ring", "_generators", "_factors", "_lasts", "_gb", "_powers")
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens: list[Polynomial] = []
@@ -66,11 +62,10 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self._generators: tuple[Polynomial, ...] | None = tuple(gens)
-        # of a power: (I^(t-1) or None for I itself, gens(I), the bases of
-        # I, t times the top degree of gens(I))
+        # of a power: (I^(t-1) or None for I itself, gens(I), the bases of I)
         self._factors: tuple | None = None
-        # of a power: its product walk per compiled order
-        self._walks: dict = {}
+        # of a formed power: per generator, the index in gens(I) of its last factor
+        self._lasts: list[int] | None = None
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._powers: dict[int, "Ideal"] = {}
 
@@ -79,53 +74,30 @@ class Ideal:
         """The generators; of I^t, every distinct product of t generators of
         I, in the order of ``itertools.combinations_with_replacement``.
 
-        A power's generators are the products of its walk under grevlex,
-        compiled for the power's own degree t·top, converted on first read.
+        A power's generators are formed on first read, level by level from
+        the highest lower power already formed, so a long chain of powers
+        costs no recursion.  I^t extends each generator of I^(t-1) by the
+        generators of I from its last factor on: a product whose new factor
+        comes earlier equals one that came before it, and equal products
+        collapse, the first one kept.
         """
         if self._generators is None:
-            cord = _compiled(Grevlex(), self.ring, self._factors[3])
-            products, _, _ = self._walk(cord)
-            self._generators = tuple(_to_polynomial(cord, h, s) for h, s in products)
+            chain, power = [], self
+            while power is not None and power._generators is None:
+                chain.append(power)
+                power = power._factors[0]
+            for power in reversed(chain):
+                prev, base, _ = power._factors
+                if prev is None:
+                    lefts, lasts = base, range(len(base))
+                else:
+                    lefts, lasts = prev._generators, prev._lasts
+                out: dict[Polynomial, int] = {}
+                for f, i in zip(lefts, lasts):
+                    for j in range(i, len(base)):
+                        out.setdefault(f * base[j], j)
+                power._generators, power._lasts = tuple(out), list(out.values())
         return self._generators
-
-    def _walk(self, cord) -> tuple[list, list, list]:
-        """The distinct products of a power I^t as term lists under ``cord``,
-        cached per compiled order: (products, last factors, factors).  A
-        product or a factor is a pair (terms, s), terms the engine form of
-        the Polynomial times s (see ``_engine_poly``); the factors are the
-        generators of I, and a last factor is an index into them.
-
-        I^t extends each product of I^(t-1) by the generators of I from its
-        last factor on: a product whose new factor comes earlier equals one
-        that came before it, and equal products collapse.  Over QQ two
-        products are equal when their terms and scales are, which is exact,
-        since the engine form is primitive and, by Gauss's lemma, so is a
-        product of engine forms.  Levels are formed bottom-up, from the
-        highest lower power walked under ``cord``, so a long chain of powers
-        costs no recursion.  Products are exact up to degree twice the bound
-        ``cord`` is compiled for.
-        """
-        chain, power = [], self
-        while power is not None and cord not in power._walks:
-            chain.append(power)
-            power = power._factors[0]
-        for power in reversed(chain):
-            prev, base, _, _ = power._factors
-            if prev is None:
-                factors = [_engine_poly(g, cord) for g in base]
-                lefts, lasts = factors, range(len(factors))
-            else:
-                lefts, lasts, factors = prev._walks[cord]
-            out: dict = {}
-            for (f, s), i in zip(lefts, lasts):
-                for j in range(i, len(factors)):
-                    g, r = factors[j]
-                    h = _product(f, g, cord)
-                    scale = s * r if cord.qq else 1
-                    out.setdefault((tuple(h), scale), (h, scale, j))
-            products = [(h, scale) for h, scale, _ in out.values()]
-            power._walks[cord] = (products, [j for _, _, j in out.values()], factors)
-        return self._walks[cord]
 
     # -- construction ------------------------------------------------------
 
@@ -164,50 +136,22 @@ class Ideal:
             got = self._gb[order] = groebner_basis(start, order, budget)
         return got
 
-    def _seed(self, order: MonomialOrder, budget: Budget) -> _Start | None:
-        """The distinct products G_(t-1)·G_1 that ``groebner`` starts a power
-        from, sorted ascending by leading term, or None where it starts from
-        the generators: a factor basis is not cached under ``order``, or the
-        top term degree of G_(t-1) plus that of G_1, which over a domain is
-        the products' top degree, is above ``budget.max_degree``.
-
-        The factors are the final reducers of G_(t-1) and G_1, repacked key
-        by key into the order compiled for the budget where they were
-        compiled for another field width; every term lies within the
-        budget, so the repack is exact.  Each product carries every (left,
-        right) index pair of the factors it came from, so that Buchberger
-        skips the pairs of two products that share a factor (see the
-        ``groebner`` module).  Of I^2 both factors are G_1: each product is
-        formed once and carries both orientations in one index space.
+    def _seed(self, order: MonomialOrder, budget: Budget):
+        """The start that ``groebner`` begins a power from: the products
+        G_(t-1)·G_1 of the bases of its factors I^(t-1) and I under
+        ``order`` (``groebner._factor_start``); or None where it starts from
+        the generators, because a factor basis is not cached under ``order``
+        or the products do not fit ``budget.max_degree``.  Of I^2 both
+        factors are G_1.
         """
         if self._factors is None:
             return None
-        prev, _, base_gb, _ = self._factors
+        prev, _, base_gb = self._factors
         left = (base_gb if prev is None else prev._gb).get(order)
         right = base_gb.get(order)
         if left is None or right is None:
             return None
-        finals = left._final, right._final
-        if sum(max(d for f in red.polys for _, _, d in f) for red in finals) > budget.max_degree:
-            return None
-        cord = _compiled(order, self.ring, budget.max_degree)
-        lefts, rights = (
-            red.polys if red.cord is cord else [
-                [(cord.key(red.cord.fields(k & red.cord.mask)), c, d) for k, c, d in f]
-                for f in red.polys
-            ]
-            for red in finals
-        )
-        products: dict = {}
-        for i, f in enumerate(lefts):
-            for j in range(i if prev is None else 0, len(rights)):
-                h = _product(f, rights[j], cord)
-                pairs = products.setdefault(tuple(h), (h, []))[1]
-                pairs.append((i, j))
-                if prev is None and i != j:
-                    pairs.append((j, i))
-        start = sorted(products.values(), key=lambda hp: hp[0][0][0])
-        return _Start(cord, [h for h, _ in start], [pairs for _, pairs in start])
+        return _factor_start(left, right, prev is None, budget)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex
@@ -233,11 +177,11 @@ class Ideal:
         """I^t, generated by all products of t generators (with repetition).
 
         Every I^k up to t is cached, each built on I^(k-1) and I and formed
-        lazily: the generators on first read, the basis per order from the
-        bases of the two factors where ``groebner`` can.  Over domains I^t
-        has a generator of degree t times the top one, which any basis of
-        I^t rejects over the degree budget, so such a power raises before it
-        is formed.
+        lazily: the generators on first read, from those of I^(k-1), the
+        basis per order from the products of the bases of the two factors
+        where ``groebner`` can.  Over domains I^t has a generator of degree
+        t times the top one, which any basis of I^t rejects over the degree
+        budget, so such a power raises before it is formed.
         """
         if t < 1:
             raise AlgebraError(f"ideal powers need t >= 1, got {t}")
@@ -250,7 +194,7 @@ class Ideal:
                 power = Ideal(self.ring, ())
                 power._generators = None
                 # the factors name I by its parts, so that I^k and I form no cycle
-                power._factors = (self._powers.get(k - 1), self.generators, self._gb, k * top)
+                power._factors = (self._powers.get(k - 1), self.generators, self._gb)
                 self._powers[k] = power
         return self._powers[t]
 
@@ -413,17 +357,18 @@ class Ideal:
 # -- ring maps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RingMap:
     """A coefficient-preserving ring map determined by variable images.
-    The images are copied, so the caller's mapping may change afterwards."""
+    The images are copied into a read-only mapping, so neither the caller's
+    mapping nor the map's own ``images`` can change it afterwards."""
 
     source: RingSpec
     target: RingSpec
     images: Mapping[str, Polynomial]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", dict(self.images))
+        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
         if self.source.domain != self.target.domain:
             raise RingMismatchError(
                 f"map must preserve coefficients: {self.source.domain.name} "
@@ -442,6 +387,13 @@ class RingMap:
     def __hash__(self) -> int:
         # equality compares the images as dicts, which ignore their order
         return hash((self.source, self.target, frozenset(self.images.items())))
+
+    def __repr__(self) -> str:
+        return f"RingMap(source={self.source!r}, target={self.target!r}, images={dict(self.images)!r})"
+
+    def __reduce__(self):
+        # a read-only mapping can be neither pickled nor deep-copied
+        return RingMap, (self.source, self.target, dict(self.images))
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:

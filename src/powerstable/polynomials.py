@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .coefficients import Coefficient, FpElement
@@ -191,7 +192,7 @@ class Polynomial:
         out: dict[Exponents, Coefficient] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 c = ca * cb
                 s = out.get(e)
                 if s is None:

@@ -4,6 +4,8 @@ the exported classes; and no module of the package imports a name it does
 not use."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -264,8 +266,10 @@ def test_a_ring_map_hashes_as_it_compares():
 
 
 def test_a_ring_map_keeps_its_images_when_the_callers_dict_changes():
-    """The map copies the images it is given: a later change to the
-    caller's dict moves neither its hash, its equality nor its kernel."""
+    """The map copies the images it is given into a read-only mapping: a
+    later change to the caller's dict moves neither its hash, its equality
+    nor its kernel, and its own ``images`` refuse changes.  Pickling and
+    deep copies give an equal map."""
     images = dict(IMAGES)
     ring_map = RingMap(QYZ, QT, images)
     held, before = {ring_map}, hash(ring_map)
@@ -275,6 +279,14 @@ def test_a_ring_map_keeps_its_images_when_the_callers_dict_changes():
     del images["Y"]
     assert ring_map.kernel().equals(P)
     assert repr(ring_map) == repr(RingMap(QYZ, QT, IMAGES))
+    with pytest.raises(TypeError):
+        ring_map.images["Z"] = parse_poly("T^5", QT)
+    with pytest.raises(TypeError):
+        del ring_map.images["Y"]
+    assert hash(ring_map) == before and ring_map in held
+    assert ring_map.kernel().equals(P)
+    for again in (pickle.loads(pickle.dumps(ring_map)), copy.deepcopy(ring_map)):
+        assert again == ring_map and hash(again) == before
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -316,3 +328,20 @@ def test_modules_import_only_names_they_use():
     for path in sorted(package.glob("*.py")):
         if path.name != "__init__.py":
             assert _unused_imports(path.read_text()) == [], path.name
+
+
+def test_the_ideal_layer_reads_no_engine_term_lists():
+    """``ideals.py`` takes from the engine its public functions, the budget
+    check and the start from two factor bases, and none of the helpers that
+    build or read term lists, so one module knows the engine's term format."""
+    allowed = {
+        "Budget", "GroebnerBasis", "exact_divide", "groebner_basis", "normal_form",
+        "_check_degree", "_factor_start",
+    }
+    tree = ast.parse((Path(powerstable.__file__).parent / "ideals.py").read_text())
+    imported = [
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "groebner" and node.level == 1
+        for a in node.names
+    ]
+    assert imported and set(imported) <= allowed, sorted(set(imported) - allowed)

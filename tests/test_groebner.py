@@ -1008,7 +1008,7 @@ def test_every_term_list_the_engine_forms_is_self_consistent(ring, spec, bound):
     assert reduced >= 20
 
 
-# -- the engine's product walk and lazy bases ---------------------------------------
+# -- term-list products and lazy bases ---------------------------------------------
 
 
 @pytest.mark.parametrize("bound", [60, 200], ids=["8-bit fields", "16-bit fields"])

@@ -12,9 +12,12 @@ leading monomial.
 
 Inside Buchberger an element is reduced only until its leading term is
 irreducible: the start elements and every S- and G-polynomial.  The pair
-criteria read leading terms alone, and one ``_tail_reduce`` pass over the
-minimal basis at the end reduces the tails, so the basis is reduced all the
-same; ``divide``, ``normal_form`` and ``is_groebner`` reduce fully.  A power's
+criteria read leading terms alone, so Buchberger stops at the minimal
+basis, and one ascending ``_tail_reduce`` pass over it reduces the tails on
+read, only as far as the reader needs: elimination reads the prefix of
+elements free of the eliminated variables, every other reader the whole
+basis, and the basis read is reduced all the same (see ``GroebnerBasis``);
+``divide``, ``normal_form`` and ``is_groebner`` reduce fully.  A power's
 basis may start from the products a·b of the elements of two bases (see
 ``_factor_start``), each carrying its factor pairs.  Two products that
 share a factor a have S(a·b, a·b') = a·S(b, b'), and S(b, b') has a standard
@@ -78,10 +81,11 @@ the engine too: ``_factor_start`` multiplies their final reducers with
 ``_Start`` (compiled order, term lists, factor pairs), which
 ``groebner_basis`` accepts in place of Polynomials; Polynomials are
 converted into the same start, so one Buchberger body serves both.  A
-returned basis keeps its final reducers and forms ``elements`` on their
-first read: ``normal_form`` against it, under every budget its width's bound
-covers, reads the reducers alone, and elimination converts only the
-elements it keeps.
+returned basis keeps its minimal basis as term lists, reduces their tails
+into its final reducers on read, and forms ``elements`` on their first
+read: ``normal_form`` against it, under every budget its width's bound
+covers, reads the reducers alone, and elimination reduces and converts
+only the elements it keeps.
 
 A monomial inside the engine is packed into one int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
@@ -116,7 +120,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -144,8 +148,12 @@ class Budget:
     pairs in total.  ``max_degree`` also caps the generators of ideal powers,
     before I^t is formed.  Over the cap the error reads "degree budget D
     exceeded (term of degree N)", or "... during reduction" for a term that
-    a reduction step forms.  Both caps are non-negative; a cap of 0 is
-    valid, and a negative one raises AlgebraError."""
+    a reduction step forms.  A basis reduces its tails on read, under the
+    ``max_degree`` it was built with: a tail term over it raises at the read
+    that reaches it, and again at every later read, and an elimination that
+    reads only the elements free of the eliminated variables may answer
+    where reading the whole basis raises.  Both caps are non-negative; a cap
+    of 0 is valid, and a negative one raises AlgebraError."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
@@ -158,53 +166,89 @@ class Budget:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A Groebner basis: its ring, order and elements, and whether it is
+    reduced and, over ZZ, strong.
+
+    A basis ``groebner_basis`` returns holds the minimal basis, sorted
+    ascending, as engine term lists, and reduces their tails on read, only
+    as far as the reader needs (see ``_tail_reduce``): ``_free_heads``
+    reduces the elements up to the last one free of the names it drops, and
+    ``elements``, ``_final``, and so ``normal_form`` and ``_factor_start``,
+    finish the pass.  The reduced prefix only grows, so the elements come
+    out the same whatever is read first, and a finished basis drops its
+    unreduced list.  The pass runs under the ``max_degree`` the basis was
+    built with: a tail term over it raises BudgetExceededError at the read
+    that reaches it, and again at every later one, and no partly reduced
+    element is handed out.
+    """
+
     ring: RingSpec
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
     reduced: bool
     strong: bool
-    # the final reducers of a basis ``groebner_basis`` returns; None otherwise
-    _final: _Reducers | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
 
     @classmethod
-    def _of(cls, final: _Reducers) -> GroebnerBasis:
-        """The reduced basis whose elements are the reducers ``final``, with
-        the ring and order of their compiled order; it is strong over ZZ.
-        ``elements`` is formed on its first read (see ``__getattr__``); until
-        then the basis holds term lists."""
-        cord = final.cord
+    def _of(cls, minimal: list[list], cord: _Order, max_degree: int) -> GroebnerBasis:
+        """The reduced basis of the minimal basis ``minimal``, term lists
+        under ``cord`` sorted ascending, with the ring and order of ``cord``;
+        it is strong over ZZ.  Its tails are reduced under ``max_degree`` on
+        read, and ``elements`` is formed on its first read (see
+        ``__getattr__``)."""
         gb = object.__new__(cls)
-        for name, value in (
-            ("ring", cord.ring), ("order", cord.order), ("reduced", True), ("strong", cord.zz),
-            ("_final", final),
-        ):
-            object.__setattr__(gb, name, value)
+        vars(gb).update(
+            ring=cord.ring, order=cord.order, reduced=True, strong=cord.zz,
+            _minimal=minimal, _prefix=_Reducers(cord), _max_degree=max_degree,
+        )
         return gb
 
     def __getattr__(self, name: str):
-        # reached only while ``elements`` is unset: a basis made by ``_of``
+        # reached only while ``elements`` or ``_final`` is unset
+        state = vars(self)
+        if name == "_final":
+            # a basis built from its elements has no reducers
+            return self._reduced(len(state["_minimal"])) if "_minimal" in state else None
         if name != "elements":
             raise AttributeError(name)
         elements = tuple(map(self._convert, self._final.polys))
-        object.__setattr__(self, "elements", elements)
+        state["elements"] = elements
         return elements
+
+    def _reduced(self, n: int) -> _Reducers:
+        """The reducers of the first n elements, tail-reduced as far as no
+        earlier read went.  The last one sets ``_final`` and drops the
+        unreduced list."""
+        state = vars(self)
+        red = state["_prefix"]
+        basis = state.get("_minimal")
+        if basis is not None:
+            _tail_reduce(basis, red, state["_max_degree"], n)
+            if len(red.polys) == len(basis):
+                del state["_minimal"]
+                state["_final"] = red
+        return red
 
     def _convert(self, f: list) -> Polynomial:
         # reduced elements are monic over fields: scale by the leading coefficient
-        return _to_polynomial(self._final.cord, f, f[0][1])
+        return _to_polynomial(self._prefix.cord, f, f[0][1])
 
     def _free_heads(self, names: Sequence[str]) -> list[Polynomial]:
         """The elements whose leading monomial involves none of ``names``,
         converted alone: one AND of the leading key, whose low bits are the
         packed monomial, with a mask of the names' fields.  Under an order
-        that eliminates ``names`` these are the elements free of them."""
-        final = self._final
-        cord = final.cord
+        that eliminates ``names`` these are the elements free of them, and
+        the smallest: tails below a free leading monomial are free too, and
+        only the elements before it can reduce them.  So the tails are
+        reduced only up to the last free element, and that prefix equals
+        the prefix of the fully reduced basis."""
+        cord = self._prefix.cord
         mask = sum(cord.field << cord.width * self.ring.index(v) for v in names)
-        return [self._convert(f) for f in final.polys if not f[0][0] & mask]
+        basis = vars(self).get("_minimal", ())
+        n = max((i + 1 for i, f in enumerate(basis) if not f[0][0] & mask), default=0)
+        return [self._convert(f) for f in self._reduced(n).polys if not f[0][0] & mask]
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -815,7 +859,8 @@ def groebner_basis(
     whose compiled order stands for ``order`` and whose factor pairs settle
     the pairs of products that share a factor (``_shared_factor``); the
     Polynomials are converted into the same start, so both run one
-    Buchberger body.
+    Buchberger body.  The basis is returned minimal, and its tails are
+    reduced on read under ``budget.max_degree`` (see ``GroebnerBasis``).
     """
     order = order or Grevlex()
     budget = budget or Budget()
@@ -904,9 +949,9 @@ def groebner_basis(
             lts.append((red.lms[-1], red.polys[-1][0][1]))  # (monomial, coefficient)
         push_pairs(len(red.polys) - 1)
 
-    # Elements are reduced until their leading term is irreducible; the one
-    # ``_tail_reduce`` pass at the end reduces the rest.  A start element
-    # keeps its factor pairs only if it enters as it is.
+    # Elements are reduced until their leading term is irreducible; the
+    # returned basis reduces the rest on read.  A start element keeps its
+    # factor pairs only if it enters as it is.
     for n, g in enumerate(start):
         r, _ = _reduce(g, red, budget.max_degree, head=True)
         if r:
@@ -941,25 +986,28 @@ def groebner_basis(
     # monomials are distinct (over ZZ because the G-pairs are settled), so
     # their keys are too, and sorting by head terms compares keys alone.
     minimal = sorted(red.polys[i] for i in active)
-    return GroebnerBasis._of(_tail_reduce(minimal, cord, budget))
+    return GroebnerBasis._of(minimal, cord, budget.max_degree)
 
 
-def _tail_reduce(basis: list[list], cord: _Order, budget: Budget) -> _Reducers:
-    """Reduce every term below each leading term against the other elements.
+def _tail_reduce(basis: list[list], red: _Reducers, max_degree: int, n: int) -> None:
+    """Extend the reduced prefix ``red`` of ``basis`` to its first n
+    elements: each term below a leading term is reduced against the
+    elements before it.
 
-    Buchberger reduces only leading terms, so the tails are reduced here.
-    ``basis`` is minimal and sorted ascending by leading monomial, and only
-    a smaller leading monomial can divide a tail term, so one ascending pass
-    against the already reduced prefix is final.  Heads are
-    kept (over QQ scaled with the tail), so the leading terms, and the basis
-    property, are preserved.  Returns the reduced elements as reducers.
+    Buchberger reduces only leading terms, so the tails are reduced here,
+    on read (see ``GroebnerBasis``).  ``basis`` is minimal and sorted
+    ascending by leading monomial, and only a smaller leading monomial can
+    divide a tail term, so one ascending pass against the already reduced
+    prefix is final, and a prefix reduced on its own equals the prefix of
+    the whole pass.  Heads are kept (over QQ scaled with the tail), so the
+    leading terms, and the basis property, are preserved.  A tail term over
+    ``max_degree`` raises before its element joins the prefix.
     """
-    red = _Reducers(cord)
-    for f in basis:
+    cord = red.cord
+    for f in basis[len(red.polys):n]:
         k, c, d = f[0]
-        tail, M = _reduce(f[1:], red, budget.max_degree)
+        tail, M = _reduce(f[1:], red, max_degree)
         red.append(_normalized([(k, c * M, d), *tail], cord))
-    return red
 
 
 def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:

@@ -345,3 +345,20 @@ def test_the_ideal_layer_reads_no_engine_term_lists():
         for a in node.names
     ]
     assert imported and set(imported) <= allowed, sorted(set(imported) - allowed)
+
+
+def test_only_a_basis_reduces_its_tails():
+    """``_tail_reduce`` is called from ``GroebnerBasis`` alone, which reduces
+    its tails on read, and never from ``groebner_basis``, which stops at the
+    minimal basis: every call, by name or as an attribute, sits in the
+    top-level definition named ``GroebnerBasis``."""
+    callers = []
+    for path in sorted(Path(powerstable.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "_tail_reduce":
+                        callers.append((path.name, getattr(top, "name", None)))
+    assert callers and set(callers) == {("groebner.py", "GroebnerBasis")}, callers

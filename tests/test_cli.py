@@ -514,6 +514,34 @@ def test_power_over_the_degree_budget_exits_three_before_it_is_formed():
     assert run(*argv, "--witnesses", "X,Y") == (0, "no obstruction found (not a primality proof)")
 
 
+_DEFERRED_TAIL = (
+    "--ring", "Fp(7)[Y,Z][X]",
+    "--gens", "-8*Y^2*Z^2 - 5*Y^3*Z^2 + Y^3*Z^3*X, 2*Y^2*Z^3*X^3 - 6*Y*Z^2*X^3",
+    "--max-degree", "10",
+)
+
+
+def test_a_tail_over_the_degree_budget_exits_three_only_where_it_is_read():
+    # the contraction reads the X-free prefix of the elimination basis, whose
+    # tails stay within the budget, and prints the uncapped answer
+    contraction = (
+        "(Y^6*Z^3 + 2*Y^5*Z^3 + 4*Y^5*Z^2 + 6*Y^4*Z^3 + Y^4*Z^2 + 6*Y^3*Z^3 + 3*Y^3*Z^2 + 3*Y^2*Z^2)"
+    )
+    assert run("contract", "--power", "1", *_DEFERRED_TAIL) == (0, contraction)
+    assert run("contract", "--power", "1", *_DEFERRED_TAIL[:-2]) == (0, contraction)
+    # the whole basis reduces a tail past the budget
+    over = (3, "budget exceeded: degree budget 10 exceeded during reduction")
+    assert run("gb", "--order", "elim:X", *_DEFERRED_TAIL) == over
+    # unreduced tails that reach past the budget inside the pair loop still exit 3
+    argv = ("contract", "--ring", "QQ[Y][X]", "--gens", "11*Y^2 - 1, -2*Y^2 - 2*Y*X", "--power", "3")
+    assert run(*argv, "--max-degree", "10") == (3, "budget exceeded: degree budget 10 exceeded (term of degree 11)")
+    argv = (
+        "gb", "--ring", "Fp(7)[Y][X]", "--order", "elim:X",
+        "--gens", "4*Y^3 + 6*Y^2*X + 4*Y^2 + X^2, 3*Y^3 + 5*Y^2*X + 4*X^3, 3*X^3 + 3",
+    )
+    assert run(*argv, "--max-degree", "6") == (3, "budget exceeded: degree budget 6 exceeded (term of degree 7)")
+
+
 # Inputs that exit 2, each with the message it prints.
 _EXIT_TWO = [
     (("obstruct", "--ring", "QQ[Y][X]", "--gens", "X", "--witnesses", ","), "empty witness list"),

@@ -1,5 +1,6 @@
 """Groebner bases: field Buchberger, strong bases over ZZ, division, budgets."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -599,6 +600,27 @@ def test_degree_budget_guards_reduction_steps():
             call()
 
 
+def test_a_deferred_tail_over_the_degree_budget_raises_at_each_read():
+    """A basis reduces its tails on read, under the budget it was built
+    with.  The X-free prefix of this elimination basis stays within degree
+    10, so elimination answers; a later element's tail does not, so every
+    read of the whole basis raises, and none hands out a partly reduced
+    element."""
+    text = "-8*Y^2*Z^2 - 5*Y^3*Z^2 + Y^3*Z^3*X, 2*Y^2*Z^3*X^3 - 6*Y*Z^2*X^3"
+    I = Ideal.from_texts(F7YZX, text.split(", "))
+    budget = Budget(max_degree=10)
+    gb = I.groebner(BlockElim(("X",)), budget)
+    expected = "Y^6*Z^3 + 2*Y^5*Z^3 + 4*Y^5*Z^2 + 6*Y^4*Z^3 + Y^4*Z^2 + 6*Y^3*Z^3 + 3*Y^3*Z^2 + 3*Y^2*Z^2"
+    assert texts(I.eliminate(("X",), budget).generators) == [expected]
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="^degree budget 10 exceeded during reduction$"):
+            gb.elements
+        assert "elements" not in vars(gb)
+    # uncapped, the same ideal's basis reads whole and holds the same prefix
+    full = Ideal.from_texts(F7YZX, text.split(", ")).groebner(BlockElim(("X",)))
+    assert texts(full.elements)[0] == expected and is_groebner(full)
+
+
 def test_mixed_rings_rejected():
     with pytest.raises(AlgebraError):
         groebner_basis([parse_poly("X", ZX), parse_poly("X", QYX)])
@@ -1034,32 +1056,45 @@ def test_term_list_products_equal_polynomial_products(ring, bound):
 
 @pytest.mark.parametrize("ring", [ZX, QYX, F7], ids=str)
 def test_a_basis_forms_its_elements_on_first_read(ring):
-    """Oracle: a basis holds term lists until ``elements`` is first read.
-    Read first by equality, repr, hash or iteration, it equals a basis built
-    eagerly from the reference's Polynomials; ``normal_form`` against it
-    reads the reducers alone and forms no element."""
+    """Oracle: a basis holds term lists until ``elements`` is first read,
+    and reduces its tails only as far as a read needs.  Read first by
+    equality, repr, hash or iteration, it equals a basis built eagerly from
+    the reference's Polynomials; ``normal_form`` against it reads the
+    reducers alone and forms no element.  A ``_free_heads`` read that comes
+    first gives the reference's elements with an X-free leading monomial
+    (under ``BlockElim`` the X-free elements) and, on some input, leaves an
+    element unreduced; a later ``elements`` read gives the reference."""
     reference = reference_strong_groebner if ring.is_int_mode else reference_groebner
-    compared = 0
-    for seed in range(6):
+    compared = deferred = 0
+    for order, seed in itertools.product((Grevlex(), BlockElim(("X",))), range(6)):
         rng = random.Random(f"lazy-elements:{ring}:{seed}")
         gens = rand_gens(rng, ring, rng.randint(2, 3), 3, 5, max_den=1 if ring.is_int_mode else 3)
         try:
-            expected = reference(gens, Grevlex(), max_pairs=150)
+            expected = reference(gens, order, max_pairs=150)
         except PairLimit:
             continue
-        eager = GroebnerBasis(ring, Grevlex(), tuple(expected), reduced=True, strong=ring.is_int_mode)
+        eager = GroebnerBasis(ring, order, tuple(expected), reduced=True, strong=ring.is_int_mode)
         for read in (
             lambda gb: gb == eager,
             lambda gb: repr(gb) == repr(eager),
             lambda gb: hash(gb) == hash(eager),
             lambda gb: list(gb) == expected,
         ):
-            lazy = groebner_basis(gens)
+            lazy = groebner_basis(gens, order)
             assert "elements" not in vars(lazy)
             assert read(lazy)
-        lazy = groebner_basis(gens)
+        lazy = groebner_basis(gens, order)
         assert all(normal_form(g, lazy).is_zero() for g in gens)
         assert "elements" not in vars(lazy)
         assert lazy.elements == eager.elements
+        lazy = groebner_basis(gens, order)
+        kept = [g for g in expected if not g.leading_term(order)[0][ring.index("X")]]
+        assert lazy._free_heads(("X",)) == kept
+        # under the elimination order these are the elements free of X
+        assert order == Grevlex() or kept == [g for g in expected if g.free_of(["X"])]
+        assert "elements" not in vars(lazy)
+        deferred += "_minimal" in vars(lazy)
+        assert list(lazy.elements) == expected and is_groebner(lazy)
+        assert "_minimal" not in vars(lazy)
         compared += 1
-    assert compared >= 4
+    assert compared >= 8 and deferred >= 1

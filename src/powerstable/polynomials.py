@@ -189,6 +189,19 @@ class Polynomial:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        p = getattr(self.ring.domain, "p", None)
+        if p:
+            # multiply and add plain residues; reduce each sum and wrap it once
+            sums: dict[Exponents, int] = {}
+            for ea, ca in a.items():
+                ra = ca.residue
+                for eb, cb in b.items():
+                    e = tuple(map(add, ea, eb))
+                    s = sums.get(e)
+                    sums[e] = ra * cb.residue if s is None else s + ra * cb.residue
+            return Polynomial._make(
+                self.ring, {e: FpElement(r, p) for e, s in sums.items() if (r := s % p)}
+            )
         out: dict[Exponents, Coefficient] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():

@@ -41,6 +41,7 @@ from powerstable.groebner import (
     _pair,
     _product,
     _reduce,
+    _Reducers,
     _to_polynomial,
 )
 from powerstable.orders import key_function, parse_order
@@ -231,8 +232,11 @@ def _tuple_divides(a: tuple, b: tuple) -> bool:
 def test_minimal_pair_filter_matches_its_definition(zz):
     """On packed terms: each term no other term properly divides keeps all
     its indices, in order, so a pair update that takes the first index keeps
-    the first pair (criterion F).  Over ZZ a term is (monomial, coefficient),
-    and c*x^a divides d*x^b when c | d and x^a | x^b."""
+    the first pair (criterion F), and the terms come out in first-seen
+    order, whatever order the filter scans them in.  Over ZZ a term is
+    (monomial, coefficient), and c*x^a divides d*x^b when c | d and
+    x^a | x^b.  Lists reach 60 pairs; the largest call of the benchmark
+    workloads gets 33."""
     cord = _compiled(Grevlex(), QYZW, 60)
     monomial = st.tuples(*[st.integers(0, 3)] * 3)
     terms = st.tuples(monomial, st.integers(1, 6)) if zz else monomial
@@ -245,8 +249,8 @@ def test_minimal_pair_filter_matches_its_definition(zz):
     def packed(t):
         return (cord.key(t[0]) & cord.mask, t[1]) if zz else cord.key(t) & cord.mask
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(pairs=st.lists(st.tuples(st.integers(0, 39), terms), max_size=40))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 59), terms), max_size=60))
     def check(pairs):
         expected = {}
         for _, t in pairs:
@@ -256,11 +260,55 @@ def test_minimal_pair_filter_matches_its_definition(zz):
         assert list(got.items()) == list(expected.items())
 
     check()
+    exps = ((1, 0, 2), (1, 1, 2), (2, 1, 2), (0, 3, 0))
+    m, mx, mxy, z3 = (cord.key(e) & cord.mask for e in exps)
     if zz:
         # one monomial: 2 divides 4 and 8, while 2 and 3 divide neither other
-        m = cord.key((1, 0, 2)) & cord.mask
         assert _minimal([(0, (m, 4)), (1, (m, 2)), (2, (m, 8))], cord, True) == {(m, 2): [1]}
         assert _minimal([(0, (m, 2)), (1, (m, 3))], cord, True) == {(m, 2): [0], (m, 3): [1]}
+        # across degrees: (m, 2) divides (m, 8) and (m, 4), not (m*x, 1)
+        got = _minimal([(0, (m, 8)), (1, (m, 2)), (2, (mx, 1)), (3, (m, 4))], cord, True)
+        assert list(got.items()) == [((m, 2), [1]), ((mx, 1), [2])]
+        # a higher degree seen first keeps its place; equal terms keep their indices
+        pairs = [(5, (mxy, 3)), (2, (mx, 6)), (4, (m, 2)), (1, (mxy, 3)), (0, (mxy, 4))]
+        got = _minimal(pairs, cord, True)
+        assert list(got.items()) == [((mxy, 3), [5, 1]), ((m, 2), [4])]
+    else:
+        # m*x divides m*x*y and m^2*x*y (packed monomials multiply by adding)
+        got = _minimal([(3, mxy), (1, mx), (2, mxy), (0, m + mxy)], cord, False)
+        assert list(got.items()) == [(mx, [1])]
+        # the lower degree is scanned first, the higher one seen first stays first
+        got = _minimal([(3, mxy), (1, z3), (2, mxy)], cord, False)
+        assert list(got.items()) == [(mxy, [3, 2]), (z3, [1])]
+
+
+@pytest.mark.parametrize("ring", [QYX, F7], ids=str)
+def test_an_irreducible_head_comes_back_at_once_over_a_field(ring):
+    """Over a field, head reduction returns the very list it was given when
+    no reducer's leading monomial divides its head, although the tail is
+    reducible; the entry degree check still comes first."""
+    order = BlockElim(("X",))
+    cord = _compiled(order, ring, 60)
+    red = groebner_basis([parse_poly(g, ring) for g in ("Y^3 - 1", "X^3 - Y")], order)._final
+    assert red.cord is cord and len(red.polys) == 2
+    terms = _engine_poly(parse_poly("Y*X^2 + X + Y^5", ring), cord)[0]
+    r, M = _reduce(terms, red, 60, head=True)
+    assert r is terms and M == 1
+    assert _reduce(terms, red, 60)[0] != terms  # Y^5 reduces
+    with pytest.raises(BudgetExceededError, match=re.escape("(term of degree 5)")):
+        _reduce(terms, red, 4, head=True)
+
+
+def test_a_head_over_zz_reduces_only_by_a_nonzero_quotient():
+    """Over ZZ, X against the reducer 2*X is irreducible and comes back
+    itself; 3*X reduces to X."""
+    cord = _compiled(Grevlex(), ZX, 60)
+    red = _Reducers(cord)
+    red.append(_engine_poly(parse_poly("2*X", ZX), cord)[0])
+    x = _engine_poly(parse_poly("X", ZX), cord)[0]
+    assert _reduce(x, red, 60, head=True)[0] is x
+    three = _engine_poly(parse_poly("3*X", ZX), cord)[0]
+    assert _reduce(three, red, 60, head=True) == (x, 1)
 
 
 # -- strong bases over ZZ ---------------------------------------------------------

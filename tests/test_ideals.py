@@ -169,34 +169,38 @@ def test_power_basis_from_the_factor_bases_equals_the_generators_basis(ring, ord
 
 @pytest.fixture
 def shared_factors(monkeypatch):
-    """A list that grows by one per pair the shared-factor criterion skips."""
-    skipped = []
+    """A list that grows by one per pair the shared-factor criterion settles."""
+    settled = []
     real = powerstable.groebner._shared_factor
 
     def counting(a, b):
         shared = real(a, b)
         if shared:
-            skipped.append((a, b))
+            settled.append((a, b))
         return shared
 
     monkeypatch.setattr(powerstable.groebner, "_shared_factor", counting)
-    return skipped
+    return settled
 
 
 @pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=str)
 @pytest.mark.parametrize("ring", [ZX, QYZX, F7YX], ids=str)
 def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(
-    ring, order, pair_calls, shared_factors
+    ring, order, pair_calls, shared_factors, monkeypatch
 ):
     """Oracle: a power's basis, started from its generators or inside the
     engine from the term lists of the products of the reducers of G_(t-1)
     and G_1, equals the basis ``groebner_basis`` computes from the
-    Polynomials of the same start in the same order.  A start from the
-    products reduces the pairs of their Polynomials less the pairs the
-    shared-factor criterion skips, which a start from Polynomials, carrying
-    no factors, reduces; every seed where the counts differ is reported."""
+    Polynomials of the same start in the same order.  With the shared-factor
+    criterion off, a start from the products reduces exactly the pairs of
+    its Polynomials, which carry no factors.  With it on, the start reduces
+    no more than those, and no fewer than those less the pairs it settles:
+    a settled pair is never formed, so it is counted even where it would
+    have gone stale, or been a G-pair over ZZ that a leading term divides.
+    Every seed where a count is off is reported, and the criterion must
+    save some pair."""
     starts = {"seeded": 0, "generators": 0}
-    differ = []
+    differ, saved = [], 0
     for k in range(6):
         rng = random.Random(f"engine-start:{ring}:{order}:{k}")
         I = Ideal(ring, rand_gens(rng, ring, rng.randint(2, 4), 2, coeff_bound=4))
@@ -209,16 +213,26 @@ def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(
                 start, kind = power.generators, "generators"
             else:
                 start, kind = [_to_polynomial(seed.cord, h) for h in seed.terms], "seeded"
-            before, skipped = len(pair_calls), len(shared_factors)
+            before, settled = len(pair_calls), len(shared_factors)
             got = power.groebner(order).elements
-            middle, skipped = len(pair_calls), len(shared_factors) - skipped
+            middle, settled = len(pair_calls), len(shared_factors) - settled
             assert got == groebner_basis(start, order).elements, (k, t)
             reduced, polys = middle - before, len(pair_calls) - middle
-            if reduced + skipped != polys:
-                differ.append((k, t, kind, reduced, skipped, polys))
+            unsettled = polys
+            if seed is not None:
+                with monkeypatch.context() as patch:
+                    patch.setattr(powerstable.groebner, "_shared_factor", lambda a, b: False)
+                    before = len(pair_calls)
+                    assert groebner_basis(seed, order).elements == got, (k, t)
+                    unsettled = len(pair_calls) - before
+            if not (unsettled == polys and reduced <= polys <= reduced + settled):
+                differ.append((k, t, kind, reduced, settled, polys, unsettled))
+            saved += polys - reduced
             starts[kind] += 1
-    # (k, t, start, pairs reduced, pairs skipped, pairs of the Polynomial start)
+    # (k, t, start, pairs reduced, pairs settled, pairs of the Polynomial
+    # start, pairs reduced with the criterion off)
     assert differ == [], differ
+    assert saved > 0, "the shared-factor criterion saved no pair"
     assert starts == {"seeded": 9, "generators": 9}, starts
 
 

@@ -34,6 +34,7 @@ from powerstable import (
 from powerstable.orders import key_function
 from powerstable.polynomials import Exponents
 
+from helpers import rand_poly
 from oracles import eval_poly, grid_equal, naive_product, term_map
 
 ZX = RingSpec.parse("ZZ[X]")
@@ -94,6 +95,29 @@ def test_product_matches_naive_convolution(ring):
         assert term_map(f * g) == naive_product(f, g)
 
     check()
+
+
+@pytest.mark.parametrize("ring", [F5, F32003], ids=["F5[Y,Z][X]", "F32003[Y][X]"])
+def test_prime_field_products_equal_their_fp_element_arithmetic(ring):
+    """Oracle: a product over GF(p), formed on plain residues, equals the
+    product formed term by term through ``FpElement`` multiplication and
+    addition, coefficient for coefficient and in its text.  Over GF(5) many
+    sums cancel, and some over GF(32003)."""
+    rng = random.Random(f"fp-product:{ring}")
+    cancelled = 0
+    for _ in range(60):
+        f, g = (rand_poly(rng, ring, 4, 8, 9) for _ in range(2))
+        expected: dict = {}
+        for ef, cf in f.terms():
+            for eg, cg in g.terms():
+                e = tuple(a + b for a, b in zip(ef, eg))
+                expected[e] = expected[e] + cf * cg if e in expected else cf * cg
+        cancelled += sum(not c for c in expected.values())
+        got = f * g
+        assert dict(got.terms()) == {e: c for e, c in expected.items() if c}
+        assert all(type(c) is FpElement and 0 < c.residue < c.modulus for _, c in got.terms())
+        assert format_poly(got) == format_poly(Polynomial(ring, expected))
+    assert cancelled > 0
 
 
 def test_power_matches_repeated_multiplication():

@@ -151,7 +151,7 @@ class Ideal:
         right = base_gb.get(order)
         if left is None or right is None:
             return None
-        return _factor_start(left, right, prev is None, budget)
+        return _factor_start(left, right, budget)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex

@@ -69,15 +69,24 @@ class Polynomial:
             c = _coefficient(ring, c)
             if c:
                 clean[tuple(e)] = c
-        self.ring = ring
-        self._terms = clean
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _make(cls, ring: RingSpec, clean: dict[Exponents, Coefficient]) -> "Polynomial":
         p = object.__new__(cls)
-        p.ring = ring
-        p._terms = clean
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", clean)
         return p
+
+    def __setattr__(self, name: str, value=None) -> None:
+        # the ring and the terms decide the hash and equality
+        raise AttributeError(f"Polynomial is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Polynomial._make, (self.ring, self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -191,7 +200,8 @@ class Polynomial:
             a, b = b, a
         p = getattr(self.ring.domain, "p", None)
         if p:
-            # multiply and add plain residues; reduce each sum and wrap it once
+            # multiply and add plain residues; reduce each sum and wrap it once.  It
+            # pays on larger products: without it toric_cli_gfp's verdict_tail_ms rose 2 %
             sums: dict[Exponents, int] = {}
             for ea, ca in a.items():
                 ra = ca.residue

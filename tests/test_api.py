@@ -211,7 +211,8 @@ _VALUES = [
     # an ideal is a mutable cache of bases and powers, equal only to itself
     ("Ideal", lambda: Ideal(ZX, [FOUR, F]), _I, False, "own", False),
     ("Ideal", lambda: Ideal(ZX, []), "Ideal(ZZ[X]; 0)", False, "own", False),
-    ("Polynomial", lambda: parse_poly("X^2 + X + 1", ZX), "<X^2 + X + 1 over ZZ[X]>", True, "equal", False),
+    # a polynomial's ring and terms decide its hash, so neither can be reassigned
+    ("Polynomial", lambda: parse_poly("X^2 + X + 1", ZX), "<X^2 + X + 1 over ZZ[X]>", True, "equal", True),
     ("IntegerDomain", lambda: ZZ, "IntegerDomain()", True, "equal", True),
     ("RationalDomain", lambda: QQ, "RationalDomain()", True, "equal", True),
     ("PrimeField", lambda: GF(7), "PrimeField(p=7)", True, "equal", True),

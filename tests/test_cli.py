@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cli_grid
 import powerstable
 from powerstable import Ideal, RingMap, RingSpec, hochster_P, parse_poly
 from powerstable.cli import build_parser, main, run_command
@@ -873,6 +874,17 @@ def test_valid_argv_after_a_usage_error():
     assert run("gb", "--ring", "ZZ[X]", "--gens", "X^2 - 2, X^3") == (0, "(4, 2*X, X^2 + 2)")
     code, body = run("member", "--ring", "ZZ[X]", "--gens", "2", "--poly", "4")
     assert (code, body) == (0, "true")
+
+
+def test_the_cli_grid_answers_as_pinned():
+    """Each argv of the fixed grid in ``tests/cli_grid.py`` (480 argvs over
+    ZZ[X], QQ[Y][X], QQ[Y,Z][X] and Fp(7)[Y][X]) exits with its pinned code
+    and prints a body with its pinned sha256."""
+    pinned = json.loads(cli_grid.PINNED.read_text())
+    got = cli_grid.answers()
+    assert list(got) == list(pinned)
+    changed = [argv for argv in got if got[argv] != pinned[argv]]
+    assert not changed, changed
 
 
 # The body computed with Fraction coefficients throughout.  Its BlockElim(X)

@@ -236,8 +236,10 @@ def test_minimal_pair_filter_matches_its_definition(zz):
     order, whatever order the filter scans them in.  Over ZZ a term is
     (monomial, coefficient), and c*x^a divides d*x^b when c | d and
     x^a | x^b.  Lists reach 60 pairs; the largest call of the benchmark
-    workloads gets 33."""
-    cord = _compiled(Grevlex(), QYZW, 60)
+    workloads gets 33.  The filter reads the domain off the compiled
+    order, so ZZ terms get an order compiled for a ZZ ring."""
+    ring = RingSpec.parse("ZZ[X]").extend_aux("_a", "_b") if zz else QYZW
+    cord = _compiled(Grevlex(), ring, 60)
     monomial = st.tuples(*[st.integers(0, 3)] * 3)
     terms = st.tuples(monomial, st.integers(1, 6)) if zz else monomial
 
@@ -256,7 +258,7 @@ def test_minimal_pair_filter_matches_its_definition(zz):
         for _, t in pairs:
             if packed(t) not in expected and not any(u != t and divides(u, t) for _, u in pairs):
                 expected[packed(t)] = [i for i, u in pairs if u == t]
-        got = _minimal([(i, packed(t)) for i, t in pairs], cord, zz)
+        got = _minimal([(i, packed(t)) for i, t in pairs], cord)
         assert list(got.items()) == list(expected.items())
 
     check()
@@ -264,21 +266,21 @@ def test_minimal_pair_filter_matches_its_definition(zz):
     m, mx, mxy, z3 = (cord.key(e) & cord.mask for e in exps)
     if zz:
         # one monomial: 2 divides 4 and 8, while 2 and 3 divide neither other
-        assert _minimal([(0, (m, 4)), (1, (m, 2)), (2, (m, 8))], cord, True) == {(m, 2): [1]}
-        assert _minimal([(0, (m, 2)), (1, (m, 3))], cord, True) == {(m, 2): [0], (m, 3): [1]}
+        assert _minimal([(0, (m, 4)), (1, (m, 2)), (2, (m, 8))], cord) == {(m, 2): [1]}
+        assert _minimal([(0, (m, 2)), (1, (m, 3))], cord) == {(m, 2): [0], (m, 3): [1]}
         # across degrees: (m, 2) divides (m, 8) and (m, 4), not (m*x, 1)
-        got = _minimal([(0, (m, 8)), (1, (m, 2)), (2, (mx, 1)), (3, (m, 4))], cord, True)
+        got = _minimal([(0, (m, 8)), (1, (m, 2)), (2, (mx, 1)), (3, (m, 4))], cord)
         assert list(got.items()) == [((m, 2), [1]), ((mx, 1), [2])]
         # a higher degree seen first keeps its place; equal terms keep their indices
         pairs = [(5, (mxy, 3)), (2, (mx, 6)), (4, (m, 2)), (1, (mxy, 3)), (0, (mxy, 4))]
-        got = _minimal(pairs, cord, True)
+        got = _minimal(pairs, cord)
         assert list(got.items()) == [((mxy, 3), [5, 1]), ((m, 2), [4])]
     else:
         # m*x divides m*x*y and m^2*x*y (packed monomials multiply by adding)
-        got = _minimal([(3, mxy), (1, mx), (2, mxy), (0, m + mxy)], cord, False)
+        got = _minimal([(3, mxy), (1, mx), (2, mxy), (0, m + mxy)], cord)
         assert list(got.items()) == [(mx, [1])]
         # the lower degree is scanned first, the higher one seen first stays first
-        got = _minimal([(3, mxy), (1, z3), (2, mxy)], cord, False)
+        got = _minimal([(3, mxy), (1, z3), (2, mxy)], cord)
         assert list(got.items()) == [(mxy, [3, 2]), (z3, [1])]
 
 
@@ -299,16 +301,26 @@ def test_an_irreducible_head_comes_back_at_once_over_a_field(ring):
         _reduce(terms, red, 4, head=True)
 
 
-def test_a_head_over_zz_reduces_only_by_a_nonzero_quotient():
-    """Over ZZ, X against the reducer 2*X is irreducible and comes back
-    itself; 3*X reduces to X."""
+def test_a_head_over_zz_reduces_only_by_a_nonzero_quotient(monkeypatch):
+    """Over ZZ a reducer acts on a head only through a nonzero quotient with
+    least non-negative remainder.  Against the reducer 2*X, the head 3 (no
+    leading monomial divides it) and the head X (2 gives the quotient 0)
+    are irreducible, and the very list given comes back before any heap is
+    built; the entry degree check still comes first.  3*X reduces to X, and
+    so does -X, whose negative coefficient gives the quotient -1."""
     cord = _compiled(Grevlex(), ZX, 60)
     red = _Reducers(cord)
     red.append(_engine_poly(parse_poly("2*X", ZX), cord)[0])
-    x = _engine_poly(parse_poly("X", ZX), cord)[0]
-    assert _reduce(x, red, 60, head=True)[0] is x
-    three = _engine_poly(parse_poly("3*X", ZX), cord)[0]
-    assert _reduce(three, red, 60, head=True) == (x, 1)
+    x, three, high = (_engine_poly(parse_poly(g, ZX), cord)[0] for g in ("X", "3", "X^5 + X"))
+    with monkeypatch.context() as patched:
+        patched.setattr(powerstable.groebner, "heapq", None)  # no heap can be built
+        for terms in (x, three, high):
+            r, M = _reduce(terms, red, 60, head=True)
+            assert r is terms and M == 1
+        with pytest.raises(BudgetExceededError, match=re.escape("(term of degree 5)")):
+            _reduce(high, red, 4, head=True)
+    for g in ("3*X", "-X"):
+        assert _reduce(_engine_poly(parse_poly(g, ZX), cord)[0], red, 60, head=True) == (x, 1)
 
 
 # -- strong bases over ZZ ---------------------------------------------------------

@@ -75,17 +75,16 @@ records the ring, its modulus and whether it is QQ or ZZ, and every engine
 function reads them off the compiled order it receives.  Buchberger forms
 every pair through the public ``s_polynomial``/``g_polynomial`` on two term
 lists, with its compiled order in place of the order, and gets a term list
-back.  The start of a power from the bases of its factors is formed inside
-the engine too: ``_factor_start`` multiplies their final reducers with
-``_product`` under one compiled order and returns the products as a private
+back.  A returned basis keeps its minimal basis as term lists, reduces their
+tails into its reducers on read, and forms ``elements`` on their first read;
+elimination reduces and converts only the elements it keeps.  One rule,
+``GroebnerBasis._reducers``, reuses the reducers where the bound of their
+compiled order covers the budget's ``max_degree``: ``normal_form`` reads
+them alone, and ``_factor_start`` multiplies those of two bases under one
+compiled order with ``_product``, for the start of a power, into a private
 ``_Start`` (compiled order, term lists, factor pairs), which
 ``groebner_basis`` accepts in place of Polynomials; Polynomials are
-converted into the same start, so one Buchberger body serves both.  A
-returned basis keeps its minimal basis as term lists, reduces their tails
-into its final reducers on read, and forms ``elements`` on their first
-read: ``normal_form`` against it, under every budget its width's bound
-covers, reads the reducers alone, and elimination reduces and converts
-only the elements it keeps.
+converted into the same start, so one Buchberger body serves both.
 
 A monomial inside the engine is packed into one int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
@@ -169,17 +168,17 @@ class GroebnerBasis:
     """A Groebner basis: its ring, order and elements, and whether it is
     reduced and, over ZZ, strong.
 
-    A basis ``groebner_basis`` returns holds the minimal basis, sorted
+    A basis ``groebner_basis`` returned holds the minimal basis, sorted
     ascending, as engine term lists, and reduces their tails on read, only
     as far as the reader needs (see ``_tail_reduce``): ``_free_heads``
     reduces the elements up to the last one free of the names it drops, and
-    ``elements``, ``_final``, and so ``normal_form`` and ``_factor_start``,
-    finish the pass.  The reduced prefix only grows, so the elements come
-    out the same whatever is read first, and a finished basis drops its
-    unreduced list.  The pass runs under the ``max_degree`` the basis was
-    built with: a tail term over it raises BudgetExceededError at the read
-    that reaches it, and again at every later one, and no partly reduced
-    element is handed out.
+    ``elements`` and ``_reducers``, and so ``normal_form`` and
+    ``_factor_start``, finish the pass.  The reduced prefix only grows, so
+    the elements come out the same whatever is read first, and a finished
+    basis drops its unreduced list.  The pass runs under the ``max_degree``
+    the basis was built with: a tail term over it raises BudgetExceededError
+    at the read that reaches it, and again at every later one, and no partly
+    reduced element is handed out.
     """
 
     ring: RingSpec
@@ -206,20 +205,16 @@ class GroebnerBasis:
         return gb
 
     def __getattr__(self, name: str):
-        # reached only while ``elements`` or ``_final`` is unset
-        state = vars(self)
-        if name == "_final":
-            # a basis built from its elements has no reducers
-            return self._reduced(len(state["_minimal"])) if "_minimal" in state else None
+        # reached only while ``elements`` is unset
         if name != "elements":
             raise AttributeError(name)
-        elements = tuple(map(self._convert, self._final.polys))
-        state["elements"] = elements
+        elements = tuple(map(self._convert, self._reduced().polys))
+        vars(self)["elements"] = elements
         return elements
 
-    def _reduced(self, n: int) -> _Reducers:
-        """The reducers of the first n elements, tail-reduced as far as no
-        earlier read went.  The last one sets ``_final`` and drops the
+    def _reduced(self, n: int | None = None) -> _Reducers:
+        """The reducers of the first n elements, all by default,
+        tail-reduced as far as no earlier read went.  The last one drops the
         unreduced list."""
         state = vars(self)
         red = state["_prefix"]
@@ -228,8 +223,17 @@ class GroebnerBasis:
             _tail_reduce(basis, red, state["_max_degree"], n)
             if len(red.polys) == len(basis):
                 del state["_minimal"]
-                state["_final"] = red
         return red
+
+    def _reducers(self, budget: Budget) -> _Reducers | None:
+        """The one rule for reusing a basis's reducers: all of them,
+        tail-reduced, where the bound of their compiled order covers
+        ``budget.max_degree``, decided before any tail is reduced; else
+        None, as for a basis built from its elements, which has none."""
+        red = vars(self).get("_prefix")
+        if red is None or red.cord.bound < budget.max_degree:
+            return None
+        return self._reduced()
 
     def _convert(self, f: list) -> Polynomial:
         # reduced elements are monic over fields: scale by the leading coefficient
@@ -369,6 +373,10 @@ class _Order:
             shifts = range(0, w * n, w)
             self.fields = lambda m: tuple([m >> s & field for s in shifts])
 
+    def __reduce__(self):
+        # a copy or an unpickled basis names the process's cached order
+        return _compiled_width, (self.order, self.ring, self.width)
+
     def key(self, e) -> int:
         return sum(map(mul, self.weights, e))
 
@@ -504,8 +512,8 @@ def _reduce(
     the step cancels the term.  Over GF(p) the quotient is c/b, b the
     reducer's leading coefficient, which is 1 for every reducer the engine
     builds, so only the divisors of ``divide`` need an inverse.  Over QQ the
-    reduction is fraction-free: the whole polynomial is first multiplied by
-    m = b/gcd(b, c).
+    reduction is fraction-free: the work terms and the remainder terms found
+    so far are first multiplied by m = b/gcd(b, c).
 
     Returns (remainder, M), M the product of those multipliers (1 except over
     QQ), such that M*f = sum(q_i*g_i) + remainder.  ``quotients``, when
@@ -537,7 +545,6 @@ def _reduce(
     work = {t[0]: t[1] for t in terms}
     heap = [-t[0] for t in terms]  # terms descend, so this list is a heap
     rem: list = []
-    rem_at: list[int] = []
     M = 1
     while heap:
         k = -heappop(heap)
@@ -566,6 +573,7 @@ def _reduce(
                 if m != 1:
                     for kk in work:
                         work[kk] *= m
+                    rem = [(kk, cc * m, dd) for kk, cc, dd in rem]
                     M *= m
             # work -= q * x^shift * g, the shift's key ks and degree ds
             ks = k - k0
@@ -600,10 +608,6 @@ def _reduce(
                 tail = [(kk, cc, (kk & mask) * ones >> top & fmask) for kk, cc in work.items()]
                 tail.sort(reverse=True)
                 return [(k, c, d), *tail], M
-            if qq:
-                rem_at.append(M)
-    if M != 1:
-        rem = [(k, c * (M // at), d) for (k, c, d), at in zip(rem, rem_at)]
     return rem, M
 
 
@@ -686,15 +690,15 @@ def normal_form(
     order: MonomialOrder | None = None,
     budget: Budget | None = None,
 ) -> Polynomial:
-    """The remainder of ``divide``.  A basis ``groebner_basis`` returned is
-    read through its final reducers alone, under its own order and every
-    degree budget the bound of their compiled order covers; any other basis
-    or list goes to ``divide``."""
+    """The remainder of ``divide``.  Under its own order, a basis
+    ``groebner_basis`` returned is read through its reducers alone where
+    ``GroebnerBasis._reducers`` serves the budget; any other basis or list
+    goes to ``divide``."""
     budget = budget or Budget()
     if isinstance(basis, GroebnerBasis):
         order = order or basis.order
-        red = basis._final
-        if red is not None and order == basis.order and red.cord.bound >= budget.max_degree:
+        red = basis._reducers(budget) if order == basis.order else None
+        if red is not None:
             if f.ring != basis.ring:
                 raise RingMismatchError(f"mixed rings {f.ring} and {basis.ring}")
             h, mu = _engine_poly(f, red.cord)
@@ -813,51 +817,46 @@ def g_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 class _Start(NamedTuple):
     """A start of ``groebner_basis`` already inside the engine, the products
     of two bases (see ``_factor_start``): nonzero term lists under ``cord``,
-    an order compiled for the budget's degree bound, and per term list the
-    (left, right) index pairs of the factors whose product it is (see
-    ``_shared_factor``)."""
+    their compiled order, whose bound covers the budget's degree bound, and
+    per term list the (left, right) index pairs of the factors whose product
+    it is (see ``_shared_factor``)."""
 
     cord: _Order
     terms: list
     factors: list
 
 
-def _shared_factor(a: list, b: list) -> bool:
-    """Whether two start elements, given by the (left, right) factor pairs
-    of the products they equal, share a left or a right factor, which
-    settles their pair (see the module docstring)."""
-    return any(l == m or r == s for l, r in a for m, s in b)
+def _shared_factor(a: list | None, b: list | None) -> bool:
+    """Whether two elements, given by the (left, right) factor pairs of the
+    start products they equal (None for one that is not), share a left or a
+    right factor, which settles their pair (see the module docstring)."""
+    return bool(a and b) and any(l == m or r == s for l, r in a for m, s in b)
 
 
 def _factor_start(left: GroebnerBasis, right: GroebnerBasis, budget: Budget) -> _Start | None:
-    """The distinct products of the elements of two bases under one order,
-    sorted ascending by leading term, as a start of ``groebner_basis``; or
-    None where the top term degree of ``left`` plus that of ``right``, which
-    over a domain is the products' top degree, is above
-    ``budget.max_degree``.
+    """The distinct products of the reducers of two bases, as they stand,
+    under their one compiled order, sorted ascending by leading term, as a
+    start of ``groebner_basis``; or None, and the power starts from its
+    generators, where ``GroebnerBasis._reducers`` does not serve ``budget``
+    for both, their compiled orders are two, or the top term degree of
+    ``left`` plus that of ``right``, over a domain the products' top
+    degree, is above ``budget.max_degree``.
 
-    The factors are the final reducers of both bases, repacked key by key
-    into the order compiled for the budget where they were compiled for
-    another field width; every term lies within the budget, so the repack is
-    exact.  Each product carries every (left, right) index pair of the
-    factors it came from, so that Buchberger skips the pairs of two products
-    that share a factor (see ``_shared_factor``).  The start of I^2 passes
-    one basis as both factors, and is recognized by identity (``left is
+    Each product carries every (left, right) index pair of the factors it
+    came from, so that Buchberger skips the pairs of two products that
+    share a factor (see ``_shared_factor``).  The start of I^2 passes one
+    basis as both factors, and is recognized by identity (``left is
     right``): each product is formed once and carries both orientations in
     one index space.
     """
     square = left is right
-    finals = left._final, right._final
-    if sum(max(d for f in red.polys for _, _, d in f) for red in finals) > budget.max_degree:
+    reds = left._reducers(budget), right._reducers(budget)
+    if None in reds or reds[0].cord is not reds[1].cord:
         return None
-    cord = _compiled(left.order, left.ring, budget.max_degree)
-    lefts, rights = (
-        red.polys if red.cord is cord else [
-            [(cord.key(red.cord.fields(k & red.cord.mask)), c, d) for k, c, d in f]
-            for f in red.polys
-        ]
-        for red in finals
-    )
+    if sum(max(d for f in red.polys for _, _, d in f) for red in reds) > budget.max_degree:
+        return None
+    cord = reds[0].cord
+    lefts, rights = (red.polys for red in reds)
     products: dict = {}
     for i, f in enumerate(lefts):
         for j in range(i if square else 0, len(rights)):
@@ -941,11 +940,6 @@ def groebner_basis(
         def t_key(m):
             return key(fields(m))
 
-    def settled(i: int, fj: list | None) -> bool:
-        # a pair of two start elements that share a factor (see the module docstring)
-        fi = facs[i]
-        return bool(fi and fj and _shared_factor(fi, fj))
-
     def push_pairs(j: int) -> None:
         tj, fj = lts[j], facs[j]
         # (B) an old pair (a, b) whose lcm tj divides is redundant, because
@@ -977,7 +971,7 @@ def groebner_basis(
         # pair is never formed
         for m, group in _minimal(lcms, cord).items():
             i = group[0]
-            if coprimes.isdisjoint(group) and not settled(i, fj):
+            if coprimes.isdisjoint(group) and not _shared_factor(facs[i], fj):
                 live[(i, j)] = m
                 heapq.heappush(heap, (t_key(m), i, j, 0))
         if int_mode:
@@ -987,7 +981,7 @@ def groebner_basis(
             # leading term divides is skipped when popped
             gnew = [(i, g_term(lts[i], tj)) for i in active]
             for t, group in _minimal(gnew, cord).items():
-                if not settled(group[0], fj):
+                if not _shared_factor(facs[group[0]], fj):
                     heapq.heappush(heap, (t_key(t), group[0], j, 1))
         kept.append(j)
         active[:] = kept
@@ -1039,10 +1033,10 @@ def groebner_basis(
     return GroebnerBasis._of(minimal, cord, budget.max_degree)
 
 
-def _tail_reduce(basis: list[list], red: _Reducers, max_degree: int, n: int) -> None:
+def _tail_reduce(basis: list[list], red: _Reducers, max_degree: int, n: int | None) -> None:
     """Extend the reduced prefix ``red`` of ``basis`` to its first n
-    elements: each term below a leading term is reduced against the
-    elements before it.
+    elements, all where n is None: each term below a leading term is reduced
+    against the elements before it.
 
     Buchberger reduces only leading terms, so the tails are reduced here,
     on read (see ``GroebnerBasis``).  ``basis`` is minimal and sorted

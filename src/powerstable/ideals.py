@@ -121,12 +121,12 @@ class Ideal:
         """The reduced (over ZZ strong) basis under ``order``, cached per order.
 
         A power I^t whose factors have bases cached under ``order``, G_(t-1)
-        of I^(t-1) and G_1 of I, whose products G_(t-1)·G_1 fit the degree
-        budget, starts Buchberger from those products (``_seed``), over ZZ
-        and over fields alike; a pair of two products that share a factor
-        is settled before it is formed.  Every other ideal starts from its
-        generators, the zero ideal from the zero polynomial.  Reduced bases
-        are unique, so both starts give the same basis.
+        of I^(t-1) and G_1 of I, that serve the budget (``_seed``) starts
+        Buchberger from their products G_(t-1)·G_1, over ZZ and over fields
+        alike; a pair of two products that share a factor is settled before
+        it is formed.  Every other ideal starts from its generators, the
+        zero ideal from the zero polynomial.  Reduced bases are unique, so
+        both starts give the same basis.
         """
         order = order or Grevlex()
         got = self._gb.get(order)
@@ -140,9 +140,9 @@ class Ideal:
         """The start that ``groebner`` begins a power from: the products
         G_(t-1)·G_1 of the bases of its factors I^(t-1) and I under
         ``order`` (``groebner._factor_start``); or None where it starts from
-        the generators, because a factor basis is not cached under ``order``
-        or the products do not fit ``budget.max_degree``.  Of I^2 both
-        factors are G_1.
+        the generators: a factor basis is not cached under ``order``, the
+        two are not served under one compiled order, or the products do not
+        fit ``budget.max_degree``.  Of I^2 both factors are G_1.
         """
         if self._factors is None:
             return None

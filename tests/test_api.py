@@ -235,6 +235,10 @@ def test_value_semantics_of_the_public_classes(name, build, text, equal, hashing
     a, b = build(), build()
     assert type(a).__name__ == name
     assert repr(a) == text
+    # a pickled or deep-copied value reads as the row's; reprs, not ==,
+    # since the rows that hold an Ideal compare by identity
+    for again in (pickle.loads(pickle.dumps(build())), copy.deepcopy(build())):
+        assert repr(again) == text
     assert a == a and (a == b) is equal and (a != b) is not equal
     if hashing is None:
         with pytest.raises(TypeError, match="unhashable"):

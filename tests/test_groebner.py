@@ -1,6 +1,8 @@
 """Groebner bases: field Buchberger, strong bases over ZZ, division, budgets."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -291,7 +293,7 @@ def test_an_irreducible_head_comes_back_at_once_over_a_field(ring):
     reducible; the entry degree check still comes first."""
     order = BlockElim(("X",))
     cord = _compiled(order, ring, 60)
-    red = groebner_basis([parse_poly(g, ring) for g in ("Y^3 - 1", "X^3 - Y")], order)._final
+    red = groebner_basis([parse_poly(g, ring) for g in ("Y^3 - 1", "X^3 - Y")], order)._reduced()
     assert red.cord is cord and len(red.polys) == 2
     terms = _engine_poly(parse_poly("Y*X^2 + X + Y^5", ring), cord)[0]
     r, M = _reduce(terms, red, 60, head=True)
@@ -686,7 +688,7 @@ def test_mixed_rings_rejected():
         groebner_basis([parse_poly("X", ZX), parse_poly("X", QYX)])
     # a basis that keeps its reducers checks the ring before it reduces
     gb = groebner_basis([parse_poly("X^2 - 2", ZX)])
-    assert gb._final is not None
+    assert gb._reducers(Budget()) is not None
     with pytest.raises(RingMismatchError, match=re.escape("mixed rings QQ[Y][X] and ZZ[X]")):
         normal_form(parse_poly("X", QYX), gb)
 
@@ -1024,7 +1026,7 @@ def test_a_compiled_order_carries_its_ring(spec, gens, p, qq, zz, order):
     """A compiled order records its order, its ring and the ring's facts the
     engine branches on.  An equal ring parsed again gets the same compiled
     order, and a basis reads its ring, order and strength off the compiled
-    order of its final reducers."""
+    order of its reducers."""
     ring, again = RingSpec.parse(spec), RingSpec.parse(spec)
     assert again == ring and again is not ring
     cord = _compiled(order, ring, 60)
@@ -1033,7 +1035,7 @@ def test_a_compiled_order_carries_its_ring(spec, gens, p, qq, zz, order):
     assert _compiled(order, again, 60) is cord
     gb = groebner_basis([parse_poly(t, again) for t in gens], order)
     assert (gb.ring, gb.order, gb.strong, gb.reduced) == (ring, order, zz, True)
-    assert gb._final.cord is cord
+    assert gb._reduced().cord is cord
 
 
 def _assert_self_consistent(terms: list, cord) -> None:
@@ -1066,7 +1068,7 @@ def test_every_term_list_the_engine_forms_is_self_consistent(ring, spec, bound):
         rng = random.Random(f"terms:{ring}:{spec}:{bound}:{seed}")
         wide = [_engine_poly(f, cord)[0] for f in rand_gens(rng, ring, 3, bound, 9, max_den=den)]
         gens = rand_gens(rng, ring, 3, 3, 5, max_den=den)
-        red = groebner_basis(gens, order, budget)._final
+        red = groebner_basis(gens, order, budget)._reducers(budget)
         assert red.cord is cord
         lists = [*wide, *red.polys]
         if not ring.is_int_mode:  # Buchberger pairs normalized elements
@@ -1158,3 +1160,45 @@ def test_a_basis_forms_its_elements_on_first_read(ring):
         assert "_minimal" not in vars(lazy)
         compared += 1
     assert compared >= 8 and deferred >= 1
+
+
+def test_a_computed_basis_and_an_ideal_survive_pickle_and_deepcopy():
+    """A computed basis pickles and deep-copies unread, read only through
+    ``_free_heads`` (which leaves two of its five elements unreduced here),
+    and fully read.  Its compiled order is named, not copied: the copy
+    reduces under the process's cached order object, and its elements, its
+    free heads and its normal forms equal the original's.  An ``Ideal``
+    with cached grevlex and ``BlockElim`` bases and a cached power copies
+    too: its bases keep the cached orders, and its power still starts from
+    the products of its factor bases."""
+    order = BlockElim(("X",))
+    gens = [parse_poly(t, QYZX) for t in ("2*Y^2*X + 1/3*Y^2", "5/6*Y^3 + 4*Z^2", "2*Y*Z - 3*Y*X")]
+    cord = _compiled(order, QYZX, 60)
+    probes = [parse_poly(t, QYZX) for t in ("Y^4*X^2 + Z", "Y*Z*X^3 - 1/2*Y^2", "Y^5 + Z^4*X")]
+    want = groebner_basis(gens, order)
+    want_free = want._free_heads(("X",))
+
+    def read_free(gb):
+        assert gb._free_heads(("X",)) == want_free and "_minimal" in vars(gb)
+
+    for read in (lambda gb: None, read_free, lambda gb: gb.elements):
+        gb = groebner_basis(gens, order)
+        read(gb)
+        for again in (pickle.loads(pickle.dumps(gb)), copy.deepcopy(gb)):
+            assert vars(again)["_prefix"].cord is cord
+            assert again._free_heads(("X",)) == want_free
+            assert [normal_form(f, again) for f in probes] == [normal_form(f, want) for f in probes]
+            assert again.elements == want.elements and again == want
+
+    I = Ideal(QYZX, gens)
+    for o in (Grevlex(), order):
+        I.groebner(o)
+    I.power(2).groebner()
+    for again in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I)):
+        assert repr(again) == repr(I)
+        for o in (Grevlex(), order):
+            assert again.groebner(o)._reduced().cord is _compiled(o, QYZX, 60)
+            assert again.groebner(o) == I.groebner(o)
+        assert again.power(2)._gb[Grevlex()] == I.power(2).groebner()
+        assert again.power(3)._seed(Grevlex(), Budget()) is not None
+        assert again.power(3).groebner() == groebner_basis(I.power(3).generators)

@@ -241,9 +241,10 @@ def test_products_carry_the_index_pairs_of_their_factors():
     elements, in both orientations; G_2·G_1 carries (index into G_2, index
     into G_1).  Each product is the product of each of its factor pairs, and
     the products ascend by leading term.  Two products share a factor when
-    a left index or a right index agrees."""
+    a left index or a right index agrees; an element that is not a start
+    product, given as None, shares none."""
     I = ideal(QYX, "X^2 - Y", "Y*X", "Y^2*X - Y^3")
-    lefts = rights = I.groebner()._final.polys
+    lefts = rights = I.groebner()._reduced().polys
     for t in (2, 3):
         seed = I.power(t)._seed(Grevlex(), Budget())
         pairs = [pair for got in seed.factors for pair in got]
@@ -252,11 +253,12 @@ def test_products_carry_the_index_pairs_of_their_factors():
             assert all(h == _product(lefts[i], rights[j], seed.cord) for i, j in got), t
         keys = [h[0][0] for h in seed.terms]
         assert keys == sorted(keys), t
-        lefts = I.power(2).groebner()._final.polys
+        lefts = I.power(2).groebner()._reduced().polys
     shared = powerstable.groebner._shared_factor
     assert shared([(0, 1)], [(0, 2)]) and shared([(0, 1)], [(2, 1)])
     assert shared([(3, 4), (0, 1)], [(2, 3), (5, 1)])
     assert not shared([(0, 1)], [(1, 0)]) and not shared([(0, 1), (2, 3)], [(1, 2), (3, 0)])
+    assert not shared(None, [(0, 1)]) and not shared([(0, 1)], None) and not shared(None, None)
 
 
 @pytest.mark.parametrize("order", [Grevlex(), BlockElim(("X",))], ids=str)
@@ -334,25 +336,31 @@ def test_power_basis_over_the_budget_from_products_starts_from_generators():
 
 
 def test_power_basis_from_factor_bases_of_a_larger_budget():
-    """G_1, computed under a degree budget of 200 (16-bit fields) or 60
-    (8-bit fields), has degree 3, so its square starts from the products
-    G_1·G_1 under a cap of 6 or more, repacked into the order compiled for
-    the cap, and from its generators under a smaller cap.  Either way the
-    answer, or the error, is that of the start from the generators of
+    """G_1 has degree 3.  Computed under a degree budget of 200 (16-bit
+    fields), its reducers serve every cap below, so its square starts from
+    the products G_1·G_1 under a cap of 6 or more, under G_1's own compiled
+    order, and from its generators under a smaller cap.  Computed under 60
+    (8-bit fields, bound 63), G_1 does not serve a cap of 64: the square
+    starts from its generators, and G_1's tails stay unreduced.  Either way
+    the answer, or the error, is that of the start from the generators of
     I^2."""
     gens = ("X^2", "Y^2 + 2*Y*X + 2*X^2", "2*X^2", "Y^2 + 2*Y*X + 3*X^2")
     order = BlockElim(("X",))
+    compiled = powerstable.groebner._compiled
     answered = []
     for factor_cap in (200, 60):
-        for cap in (2, 4, 6, 8):
+        for cap in (2, 4, 6, 8, 64):
             budget = Budget(max_degree=cap)
             I = ideal(QYX, *gens)
-            assert max(g.total_degree() for g in I.groebner(order, Budget(max_degree=factor_cap))) == 3
+            G_1 = I.groebner(order, Budget(max_degree=factor_cap))
             square = I.power(2)
             seed = square._seed(order, budget)
-            assert (seed is not None) == (cap >= 6), (factor_cap, cap)
+            served = cap <= compiled(order, QYX, factor_cap).bound
+            assert (seed is not None) == (served and cap >= 6), (factor_cap, cap)
+            assert ("_minimal" in vars(G_1)) == (not served), (factor_cap, cap)
             if seed is not None:
-                assert seed.cord is powerstable.groebner._compiled(order, QYX, cap)
+                assert seed.cord is compiled(order, QYX, factor_cap)
+            assert max(g.total_degree() for g in G_1) == 3
             try:
                 want = groebner_basis(square.generators, order, budget).elements
             except BudgetExceededError as exc:
@@ -361,14 +369,16 @@ def test_power_basis_from_factor_bases_of_a_larger_budget():
             else:
                 assert square.groebner(order, budget).elements == want
                 answered.append((factor_cap, cap))
-    assert answered == [(200, 6), (200, 8), (60, 6), (60, 8)]
+    assert answered == [(200, 6), (200, 8), (200, 64), (60, 6), (60, 8), (60, 64)]
 
 
 def test_budgets_of_one_field_width_share_one_compiled_order():
     """Every budget of a field width shares one compiled order, compiled for
     the largest bound the width holds: 63 for 8-bit fields and 16383 for
-    16-bit ones.  Factor bases on 8-bit fields seed the square under a budget of
-    64, repacked into 16-bit fields."""
+    16-bit ones.  Factor bases on 8-bit fields do not serve a budget of 64:
+    the square starts from its generators, and the factor's tails stay
+    unreduced; under the default budget it starts from their products under
+    their order."""
     compiled = powerstable.groebner._compiled
     for ring in (ZX, QYZX, F7YX):
         for order in (Grevlex(), BlockElim(("X",))):
@@ -380,27 +390,45 @@ def test_budgets_of_one_field_width_share_one_compiled_order():
     assert len(power.generators) == 4
     power.groebner()
     I = ideal(ZX, "X^2 - 6", "4*X")
-    assert I.groebner()._final.cord is compiled(Grevlex(), ZX, 60)
+    G_1 = I.groebner()
     square, wide_budget = I.power(2), Budget(max_degree=64)
+    assert square._seed(Grevlex(), wide_budget) is None
+    assert G_1._reducers(wide_budget) is None and "_minimal" in vars(G_1)
+    assert G_1._reducers(Budget()).cord is compiled(Grevlex(), ZX, 60)
     assert square._seed(Grevlex(), Budget()).cord is compiled(Grevlex(), ZX, 60)
-    assert square._seed(Grevlex(), wide_budget).cord is compiled(Grevlex(), ZX, 64)
     want = groebner_basis(square.generators, Grevlex(), wide_budget).elements
     assert square.groebner(Grevlex(), wide_budget).elements == want
 
 
 def test_a_power_seeds_from_factor_bases_of_another_field_width():
-    """G_1 and G_2, computed under the default budget, lie on 8-bit fields;
-    the cube under a budget of 64 starts from their products, repacked into
-    16-bit fields, and answers within 40 pairs, as its generators do with
-    no cap on the pairs."""
-    I = ideal(ZX, "-6*X^2 - 3*X - 1", "-4*X", "4*X^2 + 2")
-    I.groebner()
-    I.power(2).groebner()
-    cube = I.power(3)
-    got = cube.groebner(Grevlex(), Budget(max_degree=64, max_pairs=40)).elements
-    want = groebner_basis(cube.generators, Grevlex(), Budget(max_degree=64)).elements
-    assert got == want
-    assert [format_poly(g) for g in got] == ["8", "4*X + 4", "2*X^2 + 6", "X^3 + X^2 + 3*X + 3"]
+    """G_1 and G_2, computed under a degree budget of 64, lie on 16-bit
+    fields, which serve the default budget: the cube under it starts from
+    their products under their own compiled order and answers within 40
+    pairs, as its generators do with no cap on the pairs.  Computed under
+    the default budget, on 8-bit fields, they do not serve a budget of 64:
+    the cube starts from its generators, and G_2's tails stay unreduced.
+    With G_1 on 8-bit fields and G_2 on 16-bit ones both serve the default
+    budget, but under two compiled orders, so the cube starts from its
+    generators."""
+    compiled = powerstable.groebner._compiled
+    wide, narrow = Budget(max_degree=64), Budget()
+    for g1, g2, budget, seeded, unread in (
+        (wide, wide, Budget(max_pairs=40), True, False),
+        (narrow, narrow, wide, False, True),
+        (narrow, wide, narrow, False, False),
+    ):
+        I = ideal(ZX, "-6*X^2 - 3*X - 1", "-4*X", "4*X^2 + 2")
+        I.groebner(budget=g1)
+        G_2 = I.power(2).groebner(budget=g2)
+        cube = I.power(3)
+        seed = cube._seed(Grevlex(), budget)
+        assert (seed is not None) is seeded
+        assert ("_minimal" in vars(G_2)) is unread
+        if seeded:
+            assert seed.cord is compiled(Grevlex(), ZX, 64)
+        got = cube.groebner(Grevlex(), budget).elements
+        assert got == groebner_basis(cube.generators, Grevlex(), wide).elements
+        assert [format_poly(g) for g in got] == ["8", "4*X + 4", "2*X^2 + 6", "X^3 + X^2 + 3*X + 3"]
 
 
 @pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5, 7), (4, 5, 6)], ids=str)

@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 
 from .coefficients import is_prime_u64
 from .errors import CorpusError
-from .groebner import Budget, normal_form
+from .groebner import Budget, _divide
 from .ideals import Ideal, RingMap
+from .orders import Grevlex
 from .polynomials import Polynomial, parse_poly
 from .rings import RingSpec
 
@@ -156,7 +157,8 @@ def _irreducible_mod_p(f: Polynomial, p: int) -> bool:
     """Brute-force irreducibility of f in ZZ[X] over GF(p), degree at most 6.
 
     Maps f into GF(p)[X] and divides it by every monic candidate divisor of
-    degree 1..deg/2; the search space stays tiny at desk scale (p <= 13,
+    degree 1..deg/2, under the degree bound deg f, which no step of such a
+    division exceeds; the search space stays tiny at desk scale (p <= 13,
     degree <= 6)."""
     ring = RingSpec.parse(f"Fp({p})[X]")
     gf = ring.domain
@@ -170,7 +172,7 @@ def _irreducible_mod_p(f: Polynomial, p: int) -> bool:
         for code in range(p**k):
             low = {(i,): gf.from_int(code // p**i % p) for i in range(k)}
             g = Polynomial(ring, {**low, (k,): gf.one})
-            if normal_form(f_p, [g]).is_zero():
+            if _divide(f_p, [g], Grevlex(), deg)[1].is_zero():
                 return False
     return True
 
@@ -195,6 +197,7 @@ def radical_zx(pairs: Sequence[tuple[int, object]], budget: Budget | None = None
         if not _irreducible_mod_p(poly, p):
             raise CorpusError(f"radical_zx polynomial {f} is reducible mod {p}")
         parts.append(Ideal(_ZX, [Polynomial.constant(_ZX, p), poly]))
+    budget = budget or Budget()
     out = parts[0]
     for nxt in parts[1:]:
         out = out.intersect(nxt, budget)

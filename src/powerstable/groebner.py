@@ -144,8 +144,10 @@ class Budget:
     the total degree of every polynomial it forms.  Each ``groebner_basis``
     call checks them on its own, so an operation that computes several bases
     (a contraction, a stability check) may reduce many times ``max_pairs``
-    pairs in total.  ``max_degree`` also caps the generators of ideal powers,
-    before I^t is formed.  Over the cap the error reads "degree budget D
+    pairs in total.  A public function called without a budget builds one
+    and passes it down, so one call runs under one ``Budget``.
+    ``max_degree`` also caps the generators of ideal powers, before I^t is
+    formed.  Over the cap the error reads "degree budget D
     exceeded (term of degree N)", or "... during reduction" for a term that
     a reduction step forms.  A basis reduces its tails on read, under the
     ``max_degree`` it was built with: a tail term over it raises at the read
@@ -227,13 +229,17 @@ class GroebnerBasis:
 
     def _reducers(self, budget: Budget) -> _Reducers | None:
         """The one rule for reusing a basis's reducers: all of them,
-        tail-reduced, where the bound of their compiled order covers
-        ``budget.max_degree``, decided before any tail is reduced; else
-        None, as for a basis built from its elements, which has none."""
+        tail-reduced, where the basis ``_serves`` the budget; else None, as
+        for a basis built from its elements, which has none."""
+        return self._reduced() if self._serves(budget) else None
+
+    def _serves(self, budget: Budget) -> _Order | None:
+        """The compiled order of the reducers where its bound covers
+        ``budget.max_degree``, else None; decided without reducing a tail."""
         red = vars(self).get("_prefix")
         if red is None or red.cord.bound < budget.max_degree:
             return None
-        return self._reduced()
+        return red.cord
 
     def _convert(self, f: list) -> Polynomial:
         # reduced elements are monic over fields: scale by the leading coefficient
@@ -612,16 +618,16 @@ def _reduce(
 
 
 def _divisors(
-    polys: Sequence[Polynomial], order: MonomialOrder, budget: Budget
+    polys: Sequence[Polynomial], order: MonomialOrder, max_degree: int
 ) -> tuple[_Reducers, list]:
     """The divisors of a division as engine reducers, and the scalar of each
     engine form.  The order is compiled for the width whose bound covers the
-    budget's degree bound and the degree of each divisor."""
+    degree bound ``max_degree`` and the degree of each divisor."""
     for g in polys:
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor in division basis")
     ring = polys[0].ring
-    bound = max(budget.max_degree, *(g.total_degree() for g in polys))
+    bound = max(max_degree, *(g.total_degree() for g in polys))
     red = _Reducers(_compiled(order, ring, bound))
     scales = []
     for g in polys:
@@ -642,16 +648,21 @@ def divide(
     The transcript is exact: f == sum(q_i * g_i) + remainder, and no
     remainder term is reducible by any divisor's leading term.
     """
-    polys = list(basis)
+    return _divide(f, list(basis), order or Grevlex(), (budget or Budget()).max_degree)
+
+
+def _divide(
+    f: Polynomial, polys: list[Polynomial], order: MonomialOrder, max_degree: int
+) -> tuple[list[Polynomial], Polynomial]:
+    """``divide`` under the degree bound ``max_degree``."""
     if not polys:
         return [], f
     _check_same_ring([f, *polys])
-    budget = budget or Budget()
-    red, scales = _divisors(polys, order or Grevlex(), budget)
+    red, scales = _divisors(polys, order, max_degree)
     cord = red.cord
     h, mu = _engine_poly(f, cord)
     quotients: list[list] = [[] for _ in polys]
-    rem, M = _reduce(h, red, budget.max_degree, quotients)
+    rem, M = _reduce(h, red, max_degree, quotients)
     # M*mu*f = sum(Q_i * lam_i*g_i) + rem, so q_i = Q_i * lam_i / (M*mu)
     qs = [
         _to_polynomial(
@@ -667,9 +678,9 @@ def divide(
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """Return q with f = q*g, or raise NonExactDivisionError.
 
-    One ``divide`` under grevlex with the degree budget deg f.  Grevlex is
+    One division under grevlex with the degree bound deg f.  Grevlex is
     degree-compatible, so every term the division forms has degree at most
-    deg f and the budget cannot fire; the division is exact precisely when
+    deg f and the bound cannot fire; the division is exact precisely when
     the remainder is zero.  Over ZZ a leading coefficient that does not
     divide leaves a remainder, so the coefficients must divide too.
     """
@@ -678,7 +689,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroPolynomialError("division by the zero polynomial")
     if f.is_zero():
         return f
-    (q,), rem = divide(f, [g], budget=Budget(max_degree=f.total_degree()))
+    (q,), rem = _divide(f, [g], Grevlex(), f.total_degree())
     if not rem.is_zero():
         raise NonExactDivisionError(f"{format_poly(f)} is not divisible by {format_poly(g)}")
     return q
@@ -840,7 +851,8 @@ def _factor_start(left: GroebnerBasis, right: GroebnerBasis, budget: Budget) -> 
     generators, where ``GroebnerBasis._reducers`` does not serve ``budget``
     for both, their compiled orders are two, or the top term degree of
     ``left`` plus that of ``right``, over a domain the products' top
-    degree, is above ``budget.max_degree``.
+    degree, is above ``budget.max_degree``.  The compiled orders are
+    compared before any tail is reduced.
 
     Each product carries every (left, right) index pair of the factors it
     came from, so that Buchberger skips the pairs of two products that
@@ -850,12 +862,12 @@ def _factor_start(left: GroebnerBasis, right: GroebnerBasis, budget: Budget) -> 
     one index space.
     """
     square = left is right
-    reds = left._reducers(budget), right._reducers(budget)
-    if None in reds or reds[0].cord is not reds[1].cord:
+    cord = left._serves(budget)
+    if cord is None or right._serves(budget) is not cord:
         return None
+    reds = left._reduced(), right._reduced()
     if sum(max(d for f in red.polys for _, _, d in f) for red in reds) > budget.max_degree:
         return None
-    cord = reds[0].cord
     lefts, rights = (red.polys for red in reds)
     products: dict = {}
     for i, f in enumerate(lefts):
@@ -1065,7 +1077,7 @@ def is_groebner(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
     _check_same_ring(polys)
     if any(g.is_zero() for g in polys):
         return False
-    red, _ = _divisors(polys, gb.order, budget)
+    red, _ = _divisors(polys, gb.order, budget.max_degree)
     cord, elems = red.cord, red.polys
     for j in range(len(elems)):
         for i in range(j):

@@ -8,13 +8,17 @@ variable) allocate names prefixed with '_' which the polynomial parser
 refuses, so user input can never collide with them.  A colon ideal I : f
 starts from the intersection by a tag variable divided by f, except over a
 field: there a colon by a constant c is I, and one by c*w starts from a
-homogenized grevlex basis divided by w (see ``Ideal.quotient``).
-Intersections, quotients, saturations, eliminations and kernels answer
-with the reduced grevlex basis of their ideal, strong over ZZ.
+homogenized grevlex basis divided by w (see ``Ideal.quotient``).  The
+kernel of a monomial map over a field is one saturation of the binomials of
+a reduced lattice basis (see ``RingMap.kernel``).  Intersections, quotients,
+saturations, eliminations and kernels answer with the reduced grevlex basis
+of their ideal, strong over ZZ.  A public method called without a budget
+builds one ``Budget`` and passes it to every computation it runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +33,7 @@ from .groebner import (
     groebner_basis,
     normal_form,
 )
+from .lattice import kernel_basis, lll
 from .orders import BlockElim, Grevlex, MonomialOrder
 from .polynomials import Polynomial, evaluate_map, format_poly, parse_poly, transport
 from .rings import RingSpec
@@ -164,9 +169,10 @@ class Ideal:
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"membership candidate in {f.ring}, expected {self.ring}")
+        budget = budget or Budget()
         if f.is_zero():
             return True
-        if f in self.generators and f.total_degree() <= (budget or Budget()).max_degree:
+        if f in self.generators and f.total_degree() <= budget.max_degree:
             return True
         gb = self.groebner(budget=budget)
         return normal_form(f, gb, budget=budget).is_zero()
@@ -220,6 +226,7 @@ class Ideal:
     def intersect(self, other: "Ideal", budget: Budget | None = None) -> "Ideal":
         """I ∩ J via a tag variable u: (u*I + (1-u)*J) ∩ R[X]."""
         self._peer(other)
+        budget = budget or Budget()
         ring = self.ring
         tag = ring.fresh_aux("t")
         ext = ring.extend_aux(tag)
@@ -241,6 +248,7 @@ class Ideal:
         """
         if f.ring != self.ring:
             raise RingMismatchError(f"quotient divisor in {f.ring}, expected {self.ring}")
+        budget = budget or Budget()
         if f.is_zero():
             return Ideal(self.ring, [Polynomial.one(self.ring)])
         (e, _), *more = f.terms()
@@ -254,7 +262,7 @@ class Ideal:
             gens = [exact_divide(g, f) for g in meet.generators]
         return Ideal(self.ring, Ideal(self.ring, gens).groebner(budget=budget).elements)
 
-    def _colon_by_variable(self, w: str, budget: Budget | None) -> list[Polynomial]:
+    def _colon_by_variable(self, w: str, budget: Budget) -> list[Polynomial]:
         """Generators of I : w over a field, from the reduced grevlex basis G
         of I.
 
@@ -299,6 +307,7 @@ class Ideal:
         eliminate over ZZ as Groebner bases do over a field."""
         if f.ring != self.ring:
             raise RingMismatchError(f"saturation divisor in {f.ring}, expected {self.ring}")
+        budget = budget or Budget()
         if f.is_zero():
             return self.quotient(f, budget)
         trick, tag = self._trick(f)
@@ -307,6 +316,7 @@ class Ideal:
     def eliminate(self, front: Sequence[str], budget: Budget | None = None) -> "Ideal":
         """I ∩ R', where R' drops the listed variables: generators of the
         elimination ideal, still expressed in the ambient ring."""
+        budget = budget or Budget()
         front = tuple(front)
         for v in front:
             self.ring.index(v)
@@ -321,7 +331,7 @@ class Ideal:
         gb = self.groebner(order, budget)
         return Ideal(self.ring, gb._free_heads(front))
 
-    def _restrict(self, aux: Sequence[str], ring: RingSpec, budget: Budget | None) -> "Ideal":
+    def _restrict(self, aux: Sequence[str], ring: RingSpec, budget: Budget) -> "Ideal":
         """Eliminate the auxiliary variables ``aux``, and transport what is
         left into ``ring``, the ring without them."""
         kept = self.eliminate(aux, budget)
@@ -333,6 +343,7 @@ class Ideal:
         coefficient ring, by the localization identity ``saturate`` uses."""
         if f.ring != self.ring:
             raise RingMismatchError(f"radical candidate in {f.ring}, expected {self.ring}")
+        budget = budget or Budget()
         if f.is_zero():
             return True
         trick, _ = self._trick(f)
@@ -349,6 +360,7 @@ class Ideal:
 
     def equals(self, other: "Ideal", budget: Budget | None = None) -> bool:
         self._peer(other)
+        budget = budget or Budget()
         return all(other.contains(g, budget) for g in self.generators) and all(
             self.contains(g, budget) for g in other.generators
         )
@@ -401,17 +413,59 @@ class RingMap:
         return evaluate_map(f, self.images, self.target)
 
     def kernel(self, budget: Budget | None = None) -> Ideal:
-        """Kernel computed in the joint ring: eliminate the target variables
-        from (v - image(v) : v a source variable).  In the joint ring the
-        target variables get fresh auxiliary names, so source and target may
-        share names."""
-        joint = self.source
-        for _ in self.target.variables:
-            joint = joint.extend_aux(joint.fresh_aux("k"))
-        aux = joint.variables[len(self.source.variables) :]
-        renamed = {v: Polynomial.variable(joint, a) for v, a in zip(self.target.variables, aux)}
-        gens = [
-            Polynomial.variable(joint, v) - evaluate_map(self.images[v], renamed, joint)
-            for v in self.source.variables
-        ]
-        return Ideal(joint, gens)._restrict(aux, self.source, budget)
+        """The kernel, given by its reduced grevlex basis.
+
+        A monomial map over a field, every image one nonzero term c_v*T^a_v
+        (a constant image counts), takes the lattice route.  Its kernel is
+        the lattice ideal of L = ker_ZZ(A), A the integer matrix with the
+        columns a_v, twisted by the c_v: for any basis B of L it is I_B :
+        (x_1*...*x_n)^infinity, I_B generated by one binomial per u in B
+        (Sturmfels, "Groebner Bases and Convex Polytopes", 1996, Lemma 12.2;
+        the twist is the automorphism x_v -> c_v*x_v).  B is the LLL
+        reduction of a basis by column operations (see ``lattice``), whose
+        short vectors give binomials of low degree, and one ``saturate`` by
+        the product of the source variables answers.  Every other map, over
+        ZZ or with an image 0 or of two or more terms, eliminates the target
+        variables from (v - image(v) : v a source variable) in the joint
+        ring, where they get fresh auxiliary names, so source and target may
+        share names.  Either route answers with the free heads of a
+        ``BlockElim`` basis whose back block is grevlex on the source
+        variables, so both give the same basis, and both run under
+        ``budget``.
+        """
+        budget = budget or Budget()
+        source = self.source
+        images = [self.images[v] for v in source.variables]
+        if source.is_int_mode or any(len(img.terms()) != 1 for img in images):
+            joint = source
+            for _ in self.target.variables:
+                joint = joint.extend_aux(joint.fresh_aux("k"))
+            aux = joint.variables[len(source.variables) :]
+            renamed = {v: Polynomial.variable(joint, a) for v, a in zip(self.target.variables, aux)}
+            gens = [
+                Polynomial.variable(joint, v) - evaluate_map(img, renamed, joint)
+                for v, img in zip(source.variables, images)
+            ]
+            return Ideal(joint, gens)._restrict(aux, source, budget)
+        terms = [next(iter(img.terms())) for img in images]
+        rows = [[e[i] for e, _ in terms] for i in range(len(self.target.variables))]
+        binomials = [_binomial(source, terms, u, budget) for u in lll(kernel_basis(rows, len(terms)))]
+        if not binomials:
+            return Ideal(source, ())
+        product = Polynomial._make(source, {(1,) * len(terms): source.domain.one})
+        return Ideal(source, binomials).saturate(product, budget)
+
+
+def _binomial(ring: RingSpec, terms: list, u: list[int], budget: Budget) -> Polynomial:
+    """c^(u-)*x^(u+) - c^(u+)*x^(u-), for the images c_v*T^a_v given as
+    ``terms`` and a vector u of ker_ZZ(A): c^(u-) times the binomial
+    x^(u+) - kappa*x^(u-), kappa = c^(u+)/c^(u-), with the same image
+    c^(u+)*c^(u-)*T^(A u+) of both terms, so it maps to zero.  A binomial
+    above ``budget.max_degree`` raises before it is formed."""
+    plus = tuple(max(k, 0) for k in u)
+    minus = tuple(max(-k, 0) for k in u)
+    _check_degree(budget.max_degree, max(sum(plus), sum(minus)))
+    one = ring.domain.one
+    cp = math.prod((c for (_, c), k in zip(terms, plus) for _ in range(k)), start=one)
+    cm = math.prod((c for (_, c), k in zip(terms, minus) for _ in range(k)), start=one)
+    return Polynomial._make(ring, {plus: cm, minus: -cp})

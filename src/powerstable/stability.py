@@ -65,23 +65,23 @@ class BaseIdeal:
             raise AlgebraError(f"powers need t >= 1, got {t}")
         if self.integer is not None:
             return BaseIdeal(self.ring, integer=self.integer**t)
-        return BaseIdeal(self.ring, ideal=self.ideal.power(t, budget))
+        return BaseIdeal(self.ring, ideal=self.ideal.power(t, budget or Budget()))
 
     def intersect(self, other: "BaseIdeal", budget: Budget | None = None) -> "BaseIdeal":
         if self.integer is not None:
             return BaseIdeal(self.ring, integer=math.lcm(self.integer, other.integer))
-        return BaseIdeal(self.ring, ideal=self.ideal.intersect(other.ideal, budget))
+        return BaseIdeal(self.ring, ideal=self.ideal.intersect(other.ideal, budget or Budget()))
 
     def equals(self, other: "BaseIdeal", budget: Budget | None = None) -> bool:
         if self.integer is not None:
             return self.integer == other.integer
-        return self.ideal.equals(other.ideal, budget)
+        return self.ideal.equals(other.ideal, budget or Budget())
 
     def contains(self, element, budget: Budget | None = None) -> bool:
         if self.integer is not None:
             n = int(element)
             return n == 0 if self.integer == 0 else n % self.integer == 0
-        return self.ideal.contains(element, budget)
+        return self.ideal.contains(element, budget or Budget())
 
     def generators(self) -> tuple:
         if self.integer is not None:
@@ -104,6 +104,7 @@ def contract_power(ideal: Ideal, t: int, budget: Budget | None = None) -> BaseId
     generates I^t ∩ ZZ (none: the zero ideal).  In field mode the kept
     generators are re-expressed over R.
     """
+    budget = budget or Budget()
     ring = ideal.ring
     main = ring.require_main()
     kept = ideal.power(t, budget).eliminate((main,), budget).generators
@@ -147,7 +148,7 @@ class StabilityReport:
         return self.verdict.kind == "STABLE_UP_TO"
 
 
-def _failure_witness(larger: BaseIdeal, smaller: BaseIdeal, budget: Budget | None):
+def _failure_witness(larger: BaseIdeal, smaller: BaseIdeal, budget: Budget):
     """The first generator of ``larger`` outside ``smaller``, or None when
     the two are equal.
 
@@ -178,6 +179,7 @@ def check_power_stable(
     """
     if bound < 1:
         raise AlgebraError(f"stability bound must be >= 1, got {bound}")
+    budget = budget or Budget()
     records: list[StabilityRecord] = []
     for t in range(1, bound + 1):
         ct = contract_power(ideal, t, budget)
@@ -225,6 +227,7 @@ def graded_criterion(
     """
     if bound < 0:
         raise AlgebraError(f"graded bound must be >= 0, got {bound}")
+    budget = budget or Budget()
     records: list[GradedRecord] = []
     for n in range(bound + 1):
         c_next = contract_power(ideal, n + 1, budget)
@@ -264,7 +267,7 @@ class MonicCertificate:
             return False
         if any(g.uses_var(main) for g in self.base_gens):
             return False
-        return self.ideal.equals(Ideal(ring, (*self.base_gens, self.monic)), budget)
+        return self.ideal.equals(Ideal(ring, (*self.base_gens, self.monic)), budget or Budget())
 
 
 def _is_monic_in(f: Polynomial, main: str) -> bool:
@@ -275,7 +278,7 @@ def _is_monic_in(f: Polynomial, main: str) -> bool:
     return lead == Polynomial.one(f.ring)
 
 
-def _first_verified(candidates, budget: Budget | None):
+def _first_verified(candidates, budget: Budget):
     """The first candidate certificate whose ``verify()`` holds, or None."""
     return next((cert for cert in candidates if cert.verify(budget)), None)
 
@@ -287,7 +290,7 @@ def monic_certificate(ideal: Ideal, budget: Budget | None = None) -> MonicCertif
     main = ideal.ring.require_main()
     base_gens = tuple(g for g in ideal.generators if not g.uses_var(main))
     candidates = (MonicCertificate(ideal, f, base_gens) for f in ideal.generators)
-    return _first_verified(candidates, budget)
+    return _first_verified(candidates, budget or Budget())
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,7 @@ class RegularImageCertificate:
             return False
         # a zero modulus is the zero polynomial, which Ideal drops
         presented = Ideal(ring, [Polynomial.constant(ring, self.modulus), self.image])
-        return self.ideal.equals(presented, budget)
+        return self.ideal.equals(presented, budget or Budget())
 
 
 def _mccoy_lcm(d: int, h: Polynomial) -> int:
@@ -343,7 +346,7 @@ def regular_image_certificate(
     moduli = [abs(int(g.constant_value())) for g in ideal.generators if g.is_constant()]
     others = [g for g in ideal.generators if not g.is_constant()]
     candidates = (RegularImageCertificate(ideal, d, h) for d in [*moduli, 0] for h in others)
-    return _first_verified(candidates, budget)
+    return _first_verified(candidates, budget or Budget())
 
 
 @dataclass(frozen=True)
@@ -359,6 +362,7 @@ class ObstructionCertificate:
     kind = "primary_obstruction"  # a class attribute, not a field
 
     def verify(self, budget: Budget | None = None) -> bool:
+        budget = budget or Budget()
         pt = self.ideal.power(self.t, budget)
         if self.ideal.contains(self.witness, budget):
             return False
@@ -381,6 +385,7 @@ def primary_obstruction(
     """
     if t < 1:
         raise AlgebraError(f"obstruction exponent must be >= 1, got {t}")
+    budget = budget or Budget()
     ring = ideal.ring
     if witnesses is None:
         witnesses = [
@@ -405,4 +410,5 @@ def primary_obstruction(
 
 def certify_stable(ideal: Ideal, budget: Budget | None = None):
     """The first all-t certificate found, monic then regular image, or None."""
+    budget = budget or Budget()
     return monic_certificate(ideal, budget) or regular_image_certificate(ideal, budget)

@@ -367,3 +367,38 @@ def test_only_a_basis_reduces_its_tails():
                     if name == "_tail_reduce":
                         callers.append((path.name, getattr(top, "name", None)))
     assert callers and set(callers) == {("groebner.py", "GroebnerBasis")}, callers
+
+
+def test_a_top_level_call_builds_one_budget(monkeypatch):
+    """A public entry called without a budget builds one ``Budget`` and
+    passes it down explicitly; called with one it builds none.  Counted on
+    fresh inputs, whose bases are not cached, for the stability checks and
+    searches, both routes of ``RingMap.kernel`` and ``Ideal.contains``."""
+    built = []
+    real = Budget.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Budget, "__post_init__", counting)
+    zx, qyx = RingSpec.parse("ZZ[X]"), RingSpec.parse("QQ[Y][X]")
+    qt = RingSpec.parse("QQ[T]")
+    t = parse_poly("T", qt)
+    calls = {
+        "check_power_stable": lambda b: powerstable.check_power_stable(Ideal.from_texts(zx, ["X^2 - 2", "X^3"]), 3, b),
+        "graded_criterion": lambda b: powerstable.graded_criterion(Ideal.from_texts(qyx, ["X^2 - Y", "Y^3"]), 2, b),
+        "certify_stable": lambda b: powerstable.certify_stable(Ideal.from_texts(zx, ["4", "2*X + 1"]), b),
+        "primary_obstruction": lambda b: powerstable.primary_obstruction(powerstable.hochster_P(), 2, None, b),
+        "kernel (lattice)": lambda b: powerstable.hochster_toric_map().kernel(b),
+        "kernel (elimination)": lambda b: RingMap(RingSpec.parse("QQ[Y,W]"), qt, {"Y": t**2, "W": t**3 + t}).kernel(b),
+        "contains": lambda b: Ideal.from_texts(qyx, ["X^2 - Y", "Y^3"]).contains(parse_poly("X^6", qyx), b),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call(None)
+        assert len(built) == 1, name
+        budget = Budget()
+        built.clear()
+        call(budget)
+        assert built == [], name

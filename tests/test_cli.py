@@ -173,6 +173,13 @@ def test_kernel_when_source_and_target_share_names():
     assert doc["kernel"] == ["X^2 - Y"]
 
 
+def test_a_kernel_binomial_over_the_degree_budget_exits_three():
+    # the lattice route's binomial Y^6*Z^6 - W has degree 12
+    argv = ("kernel", "--source", "QQ[Y,Z,W]", "--target", "QQ[T]", "--map", "Y=T,Z=T,W=T^12")
+    assert run(*argv, "--max-degree", "11") == (3, "budget exceeded: degree budget 11 exceeded (term of degree 12)")
+    assert run(*argv, "--max-degree", "12") == (0, "(Y - Z, Z^12 - W)")
+
+
 def test_certify_verbs():
     code, body = run("certify", "--ring", "ZZ[X]", "--gens", "4, 2*X + 1")
     assert code == 0

@@ -25,6 +25,7 @@ from powerstable import (
     RingSpec,
     check_power_stable,
     contract_power,
+    evaluate_map,
     example_3_12,
     exact_divide,
     format_poly,
@@ -406,24 +407,25 @@ def test_a_power_seeds_from_factor_bases_of_another_field_width():
     their products under their own compiled order and answers within 40
     pairs, as its generators do with no cap on the pairs.  Computed under
     the default budget, on 8-bit fields, they do not serve a budget of 64:
-    the cube starts from its generators, and G_2's tails stay unreduced.
-    With G_1 on 8-bit fields and G_2 on 16-bit ones both serve the default
-    budget, but under two compiled orders, so the cube starts from its
-    generators."""
+    the cube starts from its generators, and G_2's tails stay unreduced
+    (G_1's were read for the start of the square).  With G_1 on 8-bit fields
+    and G_2 on 16-bit ones both serve the default budget, but under two
+    compiled orders, so the cube starts from its generators, and the orders
+    are compared before either basis reduces a tail."""
     compiled = powerstable.groebner._compiled
     wide, narrow = Budget(max_degree=64), Budget()
     for g1, g2, budget, seeded, unread in (
-        (wide, wide, Budget(max_pairs=40), True, False),
-        (narrow, narrow, wide, False, True),
-        (narrow, wide, narrow, False, False),
+        (wide, wide, Budget(max_pairs=40), True, (False, False)),
+        (narrow, narrow, wide, False, (False, True)),
+        (narrow, wide, narrow, False, (True, True)),
     ):
         I = ideal(ZX, "-6*X^2 - 3*X - 1", "-4*X", "4*X^2 + 2")
-        I.groebner(budget=g1)
+        G_1 = I.groebner(budget=g1)
         G_2 = I.power(2).groebner(budget=g2)
         cube = I.power(3)
         seed = cube._seed(Grevlex(), budget)
         assert (seed is not None) is seeded
-        assert ("_minimal" in vars(G_2)) is unread
+        assert tuple("_minimal" in vars(G) for G in (G_1, G_2)) == unread
         if seeded:
             assert seed.cord is compiled(Grevlex(), ZX, 64)
         got = cube.groebner(Grevlex(), budget).elements
@@ -1046,6 +1048,114 @@ def test_kernel_of_the_toric_map():
     assert k.equals(hochster_P())
     for g in k.generators:
         assert m.apply(g).is_zero()
+
+
+def _eliminated_kernel(m: RingMap) -> Ideal:
+    """The kernel by elimination, built here: the target variables, under
+    fresh auxiliary names in the joint ring, eliminated from (v - image(v)),
+    and what is left read back in the source ring."""
+    joint = m.source
+    for _ in m.target.variables:
+        joint = joint.extend_aux(joint.fresh_aux("k"))
+    aux = joint.variables[len(m.source.variables) :]
+    renamed = {v: Polynomial.variable(joint, a) for v, a in zip(m.target.variables, aux)}
+    gens = [
+        Polynomial.variable(joint, v) - evaluate_map(m.images[v], renamed, joint)
+        for v in m.source.variables
+    ]
+    kept = Ideal(joint, gens).eliminate(aux).generators
+    return Ideal(m.source, [transport(g, m.source) for g in kept])
+
+
+def _monomial_maps():
+    """Seeded monomial maps over QQ and GF(p), 2-4 source and 1-2 target
+    variables, images c*S^a*T^b with exponents up to 3, and the edges named:
+    a constant image, repeated images, a target variable no image uses, and
+    injective maps, whose kernel is zero."""
+    maps = []
+    for domain in ("QQ", "Fp(7)", "Fp(32003)"):
+        target = RingSpec.parse(f"{domain}[S,T]")
+        S, T = (Polynomial.variable(target, v) for v in "ST")
+
+        def c(k):
+            return Polynomial.constant(target, k)
+
+        edges = [
+            ("B,C,D", {"B": c(3), "C": c(2) * T**2, "D": c(5) * T**3}),
+            ("B,C,D", {"B": T**2, "C": T**2, "D": c(4) * T**2}),
+            ("B,C,D", {"B": c(2) * T**3, "C": c(3) * T**5, "D": T**4}),
+            ("B,C", {"B": c(3) * S, "C": c(2) * T}),
+            ("B,C", {"B": S**2 * T, "C": c(6) * S * T**3}),
+            ("B,C,D,E", {"B": S, "C": T, "D": c(2) * S * T, "E": c(3)}),
+        ]
+        for names, images in edges:
+            maps.append(RingMap(RingSpec.parse(f"{domain}[{names}]"), target, images))
+    rng = random.Random("lattice-kernel:36")
+    for k in range(36):
+        domain = ("QQ", "Fp(7)", "Fp(32003)")[k % 3]
+        names = "BCDE"[: rng.randint(2, 4)]
+        target = RingSpec.parse(f"{domain}[{'S,T'[: 3 - 2 * rng.randint(0, 1)]}]")
+        images = {}
+        for v in names:
+            if images and rng.random() < 0.2:
+                images[v] = rng.choice(list(images.values()))
+                continue
+            e = tuple(rng.randint(0, 3) for _ in target.variables)
+            images[v] = Polynomial(target, {e: target.domain.from_int(rng.randint(1, 6))})
+        maps.append(RingMap(RingSpec.parse(f"{domain}[{','.join(names)}]"), target, images))
+    return maps
+
+
+def test_kernels_of_monomial_maps_take_the_lattice_route_and_equal_the_elimination(monkeypatch):
+    """Over a field a map whose images are single terms takes the lattice
+    route, one saturation of the binomials of a reduced lattice basis.  On
+    every seeded map its kernel equals, generator for generator and text for
+    text, the elimination of the target variables, and every generator maps
+    to zero."""
+    reductions = []
+    real = powerstable.ideals.lll
+    monkeypatch.setattr(powerstable.ideals, "lll", lambda basis: reductions.append(basis) or real(basis))
+    maps = _monomial_maps()
+    zero = 0
+    for m in maps:
+        got = m.kernel()
+        want = _eliminated_kernel(m)
+        assert got.generators == want.generators, m
+        assert [format_poly(g) for g in got.generators] == [format_poly(g) for g in want.generators]
+        assert all(m.apply(g).is_zero() for g in got.generators)
+        zero += got.is_zero_ideal()
+    assert len(reductions) == len(maps)
+    assert 2 <= zero < len(maps)
+
+
+def test_kernels_of_other_maps_eliminate_the_target_variables(monkeypatch):
+    """A map over ZZ, or with an image 0 or of two terms, eliminates."""
+    reductions = []
+    monkeypatch.setattr(powerstable.ideals, "lll", reductions.append)
+    t = Polynomial.variable(QT, "T")
+    zt = RingSpec.parse("ZZ[T]")
+    maps = [
+        RingMap(RingSpec.parse("QQ[Y,W]"), QT, {"Y": t**2, "W": t**3 + t}),
+        RingMap(RingSpec.parse("QQ[Y,W]"), QT, {"Y": t**2, "W": Polynomial.zero(QT)}),
+        RingMap(ZX, zt, {"X": Polynomial.variable(zt, "T") * Polynomial.constant(zt, 2)}),
+    ]
+    for m in maps:
+        assert m.kernel().generators == _eliminated_kernel(m).generators
+    assert reductions == []
+    assert [format_poly(g) for g in maps[1].kernel().generators] == ["W"]
+
+
+def test_a_kernel_binomial_over_the_degree_budget_raises():
+    """(T, T, T^12): the reduced lattice basis is (1, -1, 0), (6, 6, -1),
+    and the second binomial, of degree 12, raises under a degree budget of
+    11 rather than leaving a partial kernel; the kernel's reduced basis
+    holds Z^12 - W too.  Under 12 the kernel answers."""
+    t = Polynomial.variable(QT, "T")
+    m = RingMap(RingSpec.parse("QQ[Y,Z,W]"), QT, {"Y": t, "Z": t, "W": t**12})
+    with pytest.raises(BudgetExceededError, match=re.escape("degree budget 11 exceeded (term of degree 12)")):
+        m.kernel(Budget(max_degree=11))
+    got = m.kernel(Budget(max_degree=12))
+    assert [format_poly(g) for g in got.generators] == ["Y - Z", "Z^12 - W"]
 
 
 def test_ring_map_validation():

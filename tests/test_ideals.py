@@ -1145,6 +1145,16 @@ def test_kernels_of_other_maps_eliminate_the_target_variables(monkeypatch):
     assert [format_poly(g) for g in maps[1].kernel().generators] == ["W"]
 
 
+def test_a_kernel_into_a_ring_without_variables_is_a_reduced_basis():
+    """Constant images into a ring with no variables: every vector is in
+    the lattice, and the kernel comes back as its reduced grevlex basis,
+    as every kernel does, not as the list (v - c_v)."""
+    empty = RingSpec(QX.domain, (), (), None)
+    images = {"Y": Polynomial.constant(empty, 2), "Z": Polynomial.constant(empty, 3)}
+    k = RingMap(RingSpec.parse("QQ[Y,Z]"), empty, images).kernel()
+    assert [format_poly(g) for g in k.generators] == ["Z - 3", "Y - 2"]
+
+
 def test_a_kernel_binomial_over_the_degree_budget_raises():
     """(T, T, T^12): the reduced lattice basis is (1, -1, 0), (6, 6, -1),
     and the second binomial, of degree 12, raises under a degree budget of

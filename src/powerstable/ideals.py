@@ -322,12 +322,11 @@ class Ideal:
             self.ring.index(v)
         if len(set(front)) < len(front):
             raise AlgebraError(f"bad elimination block {front} for ring {self.ring}")
-        if not front:
-            return self
         # A (strong) Groebner basis under an elimination order restricts to
         # a basis of the elimination ideal, over fields and over ZZ alike;
-        # without variables left, the constants of any basis generate it.
-        order = Grevlex() if set(front) >= set(self.ring.variables) else BlockElim(front)
+        # without variables left, the constants of any basis generate it,
+        # and with none eliminated, every element of the grevlex basis.
+        order = BlockElim(front) if 0 < len(front) < len(self.ring.variables) else Grevlex()
         gb = self.groebner(order, budget)
         return Ideal(self.ring, gb._free_heads(front))
 

@@ -789,7 +789,10 @@ def test_eliminate_gadget_contraction():
 
 def test_eliminate_edge_cases():
     I = ideal(QYX, "X^2 - Y")
-    assert I.eliminate([]) is I
+    # no variable eliminated: the reduced grevlex basis, not the generators
+    assert I.eliminate([]).generators == I.groebner().elements
+    J = Ideal.from_texts(QX, ["X^2", "X^2 + X"]).eliminate(())
+    assert [format_poly(g) for g in J.generators] == ["X"]
     with pytest.raises(AlgebraError):
         I.eliminate(["Q"])
     assert Ideal(QYX, []).eliminate(["X"]).is_zero_ideal()
@@ -1153,6 +1156,10 @@ def test_a_kernel_into_a_ring_without_variables_is_a_reduced_basis():
     images = {"Y": Polynomial.constant(empty, 2), "Z": Polynomial.constant(empty, 3)}
     k = RingMap(RingSpec.parse("QQ[Y,Z]"), empty, images).kernel()
     assert [format_poly(g) for g in k.generators] == ["Z - 3", "Y - 2"]
+    # a zero image takes the elimination route, which eliminates no variable
+    images["Y"] = Polynomial.zero(empty)
+    k = RingMap(RingSpec.parse("QQ[Y,Z]"), empty, images).kernel()
+    assert [format_poly(g) for g in k.generators] == ["Z - 3", "Y"]
 
 
 def test_a_kernel_binomial_over_the_degree_budget_raises():

@@ -685,8 +685,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     f._peer(g)
     if g.is_zero():
         raise ZeroPolynomialError("division by the zero polynomial")
-    if f.is_zero():
-        return f
     (q,), rem = _divide(f, [g], Grevlex(), f.total_degree())
     if not rem.is_zero():
         raise NonExactDivisionError(f"{format_poly(f)} is not divisible by {format_poly(g)}")
@@ -854,12 +852,8 @@ def _factor_start(left: GroebnerBasis, right: GroebnerBasis, budget: Budget) -> 
 
     Each product carries every (left, right) index pair of the factors it
     came from, so that Buchberger skips the pairs of two products that
-    share a factor (see ``_shared_factor``).  The start of I^2 passes one
-    basis as both factors, and is recognized by identity (``left is
-    right``): each product is formed once and carries both orientations in
-    one index space.
+    share a factor (see ``_shared_factor``).
     """
-    square = left is right
     cord = left._serves(budget)
     if cord is None or right._serves(budget) is not cord:
         return None
@@ -869,12 +863,9 @@ def _factor_start(left: GroebnerBasis, right: GroebnerBasis, budget: Budget) -> 
     lefts, rights = (red.polys for red in reds)
     products: dict = {}
     for i, f in enumerate(lefts):
-        for j in range(i if square else 0, len(rights)):
-            h = _product(f, rights[j], cord)
-            pairs = products.setdefault(tuple(h), (h, []))[1]
-            pairs.append((i, j))
-            if square and i != j:
-                pairs.append((j, i))
+        for j, g in enumerate(rights):
+            h = _product(f, g, cord)
+            products.setdefault(tuple(h), (h, []))[1].append((i, j))
     start = sorted(products.values(), key=lambda hp: hp[0][0][0])
     return _Start(cord, [h for h, _ in start], [pairs for _, pairs in start])
 

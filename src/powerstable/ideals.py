@@ -343,8 +343,6 @@ class Ideal:
         if f.ring != self.ring:
             raise RingMismatchError(f"radical candidate in {f.ring}, expected {self.ring}")
         budget = budget or Budget()
-        if f.is_zero():
-            return True
         trick, _ = self._trick(f)
         return trick.contains(Polynomial.one(trick.ring), budget)
 

@@ -198,20 +198,6 @@ class Polynomial:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        p = getattr(self.ring.domain, "p", None)
-        if p:
-            # multiply and add plain residues; reduce each sum and wrap it once.  It
-            # pays on larger products: without it toric_cli_gfp's verdict_tail_ms rose 2 %
-            sums: dict[Exponents, int] = {}
-            for ea, ca in a.items():
-                ra = ca.residue
-                for eb, cb in b.items():
-                    e = tuple(map(add, ea, eb))
-                    s = sums.get(e)
-                    sums[e] = ra * cb.residue if s is None else s + ra * cb.residue
-            return Polynomial._make(
-                self.ring, {e: FpElement(r, p) for e, s in sums.items() if (r := s % p)}
-            )
         out: dict[Exponents, Coefficient] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -294,8 +280,6 @@ def transport(f: Polynomial, target: RingSpec) -> Polynomial:
     Every variable f actually uses must exist in the target ring; the
     coefficient domain must be identical.
     """
-    if f.ring == target:
-        return f
     if f.ring.domain != target.domain:
         raise RingMismatchError(
             f"cannot transport coefficients from {f.ring.domain.name} to {target.domain.name}"

@@ -238,12 +238,12 @@ def test_power_bases_from_term_lists_reduce_the_pairs_of_polynomial_starts(
 
 
 def test_products_carry_the_index_pairs_of_their_factors():
-    """G_1·G_1 forms each product once and carries every (i, j) of G_1's
-    elements, in both orientations; G_2·G_1 carries (index into G_2, index
-    into G_1).  Each product is the product of each of its factor pairs, and
-    the products ascend by leading term.  Two products share a factor when
-    a left index or a right index agrees; an element that is not a start
-    product, given as None, shares none."""
+    """G_1·G_1 carries every ordered (i, j) of G_1's elements: G_i·G_j and
+    G_j·G_i are formed apart and merge as one product; G_2·G_1 carries
+    (index into G_2, index into G_1).  Each product is the product of each
+    of its factor pairs, and the products ascend by leading term.  Two
+    products share a factor when a left index or a right index agrees; an
+    element that is not a start product, given as None, shares none."""
     I = ideal(QYX, "X^2 - Y", "Y*X", "Y^2*X - Y^3")
     lefts = rights = I.groebner()._reduced().polys
     for t in (2, 3):
@@ -1010,9 +1010,15 @@ def test_radical_membership_matches_known_radicals():
         assert [PQ.radical_contains(f) for f in fs] == expected, (P.generators, Q.generators)
 
 
-def test_radical_membership_edges():
-    I = ideal(QYX, "X")
-    assert I.radical_contains(Polynomial.zero(QYX))
+def test_radical_membership_edges(bases):
+    """0 lies in every radical, the zero ideal's too, under every cap: the
+    trick ideal I + (1 - y*0) holds the generator 1, a member at once, so
+    no basis is computed."""
+    zero = Polynomial.zero(QYX)
+    assert ideal(QYX, "X").radical_contains(zero)
+    assert ideal(QYX, "X^5").radical_contains(zero, Budget(max_degree=0))
+    assert Ideal(QYX, []).radical_contains(zero)
+    assert bases == []
     assert not Ideal(QYX, []).radical_contains(parse_poly("X", QYX))
 
 

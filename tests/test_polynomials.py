@@ -99,9 +99,9 @@ def test_product_matches_naive_convolution(ring):
 
 @pytest.mark.parametrize("ring", [F5, F32003], ids=["F5[Y,Z][X]", "F32003[Y][X]"])
 def test_prime_field_products_equal_their_fp_element_arithmetic(ring):
-    """Oracle: a product over GF(p), formed on plain residues, equals the
-    product formed term by term through ``FpElement`` multiplication and
-    addition, coefficient for coefficient and in its text.  Over GF(5) many
+    """Oracle: a product over GF(p) equals the product formed term by term
+    through ``FpElement`` multiplication and addition in the oracle's own
+    loop, coefficient for coefficient and in its text.  Over GF(5) many
     sums cancel, and some over GF(32003)."""
     rng = random.Random(f"fp-product:{ring}")
     cancelled = 0
@@ -255,7 +255,10 @@ def test_exact_divide_failures():
     with pytest.raises(NonExactDivisionError):
         exact_divide(parse_poly("3X", ZX), parse_poly("2", ZX))
     assert exact_divide(parse_poly("4X", ZX), parse_poly("2", ZX)) == parse_poly("2X", ZX)
-    assert exact_divide(Polynomial.zero(ZX), parse_poly("2", ZX)).is_zero()
+    # zero divides to the zero polynomial of its ring, by the division itself
+    F7 = RingSpec.parse("Fp(7)[Y][X]")
+    for ring, g in ((ZX, "2*X + 3"), (QYX, "Y*X - 1/2"), (F7, "3*Y + X^2")):
+        assert exact_divide(Polynomial.zero(ring), parse_poly(g, ring)) == Polynomial.zero(ring)
 
 
 @pytest.mark.parametrize("ring", [ZX, QYX], ids=["ZZ[X]", "QQ[Y][X]"])
@@ -531,6 +534,7 @@ def test_transport_by_name():
     up = transport(f, big)
     assert up.ring == big
     assert transport(up, QYX) == f
+    assert transport(f, QYX) == f and transport(up, big) == up
     u = Polynomial.variable(big, "_u0")
     with pytest.raises(AlgebraError):
         transport(u, QYX)

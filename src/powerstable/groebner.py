@@ -126,7 +126,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
@@ -405,15 +405,24 @@ class _Order:
 
 def _compiled(order: MonomialOrder, ring: RingSpec, bound: int) -> _Order:
     """The order compiled for the least field width whose bound covers
-    ``bound``: one ``_Order`` serves every budget of a width."""
+    ``bound``: one ``_Order`` serves every budget of a width, and it is the
+    same object for the life of the process (see ``_compiled_width``)."""
     w = 8
     while bound >= 1 << (w - 2):
         w *= 2
     return _compiled_width(order, ring, w)
 
 
-@lru_cache(maxsize=64)
+@cache
 def _compiled_width(order: MonomialOrder, ring: RingSpec, w: int) -> _Order:
+    """The one ``_Order`` of (order, ring, width) for the life of the
+    process, also for bases restored by pickle (``_Order.__reduce__``).
+
+    ``_factor_start`` starts a power from its factor bases only when both
+    hold the same object, so an evicting cache would let compiles in
+    unrelated rings decide a power's start, its pairs and whether a pair cap
+    is met.  A compiled order of four variables holds about 1.4 KB.
+    """
     return _Order(order, ring, w)
 
 

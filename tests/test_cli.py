@@ -22,6 +22,7 @@ import cli_grid
 import powerstable
 from powerstable import (
     BlockElim,
+    Grevlex,
     Ideal,
     Polynomial,
     RingMap,
@@ -33,7 +34,7 @@ from powerstable import (
 )
 from powerstable.cli import build_parser, main, run_command
 
-from oracles import reference_groebner, reference_strong_groebner
+from oracles import reference_groebner, reference_normal_form, reference_strong_groebner
 
 
 def run(*argv):
@@ -908,38 +909,24 @@ def test_the_cli_grid_answers_as_pinned():
     assert not changed, changed
 
 
-def _grid_reference(ring: RingSpec, gens: list, verb: tuple) -> str:
-    """The text body that ``gb`` or ``contract`` should print, from the
-    textbook engines of ``tests/oracles.py`` alone: the reduced (strong
-    over ZZ) basis under the verb's order, or for ``contract --power t``
-    the elements free of X in the basis of the distinct products of t
-    generators under BlockElim(X)."""
-    reference = reference_strong_groebner if ring.is_int_mode else reference_groebner
-    if verb[0] == "gb":
-        basis = reference(gens, parse_order(verb[2]), max_pairs=3000)
-    else:
-        products = dict.fromkeys(
-            math.prod(c, start=Polynomial.one(ring))
-            for c in itertools.combinations_with_replacement(gens, int(verb[2]))
-        )
-        basis = [
-            g
-            for g in reference(list(products), BlockElim(("X",)), max_pairs=3000)
-            if g.degree_in("X") == 0
-        ]
+def _reference(ring: RingSpec, gens: list, order) -> list:
+    """The reduced (strong over ZZ) basis by the textbook Buchberger of
+    ``tests/oracles.py``."""
+    engine = reference_strong_groebner if ring.is_int_mode else reference_groebner
+    return engine(gens, order, max_pairs=3000)
+
+
+def _body(basis: list) -> str:
     return "(" + ", ".join(map(format_poly, basis)) + ")" if basis else "(0)"
 
 
-def test_the_cli_grid_gb_and_contract_bodies_match_the_reference_engines():
-    """Oracle for the pinned grid: every text body of ``gb`` (grevlex,
-    elim:X, lex) and of ``contract --power 1`` and ``2`` that exits 0, with
-    and without ``--max-degree 6``, equals the body built from the textbook
-    Buchberger of ``tests/oracles.py``, which shares no code with the
-    engine.  ``contract --power 3`` is left out: its reference takes tens of
-    seconds on the first GF(7) ideal."""
-    verbs = cli_grid.VERBS[:5]
-    assert [v[-1] for v in verbs] == ["grevlex", "elim:X", "lex", "1", "2"]
-    checked = {"gb": 0, "contract": 0}
+def _checked_against(verbs: tuple, reference) -> dict:
+    """Run each of ``verbs`` as text on every ideal of the grid, with and
+    without ``--max-degree 6``, and require each run that exits 0 or 1 to
+    give ``reference(ring, gens, verb)``, an (exit code, body) pair computed
+    once per verb and ideal.  Returns the number of runs compared per verb
+    name."""
+    checked = dict.fromkeys((v[0] for v in verbs), 0)
     for ring_text, ideals in cli_grid.IDEALS.items():
         ring = RingSpec.parse(ring_text)
         for gens_text in ideals:
@@ -948,14 +935,101 @@ def test_the_cli_grid_gb_and_contract_bodies_match_the_reference_engines():
                 expected = None
                 for cap in ((), ("--max-degree", "6")):
                     argv = [*verb, "--ring", ring_text, "--gens", gens_text, *cap]
-                    code, body = run(*argv)
-                    if code != 0:
+                    got = run(*argv)
+                    if got[0] not in (0, 1):
                         continue
                     if expected is None:
-                        expected = _grid_reference(ring, gens, verb)
-                    assert body == expected, shlex.join(argv)
+                        expected = reference(ring, gens, verb)
+                    assert got == expected, shlex.join(argv)
                     checked[verb[0]] += 1
+    return checked
+
+
+def _grid_reference(ring: RingSpec, gens: list, verb: tuple) -> tuple[int, str]:
+    """Exit 0 and the text body that ``gb`` or ``contract`` should print,
+    from the textbook engines of ``tests/oracles.py`` alone: the reduced
+    (strong over ZZ) basis under the verb's order, or for ``contract
+    --power t`` the elements free of X in the basis of the distinct products
+    of t generators under BlockElim(X)."""
+    if verb[0] == "gb":
+        return 0, _body(_reference(ring, gens, parse_order(verb[2])))
+    products = dict.fromkeys(
+        math.prod(c, start=Polynomial.one(ring))
+        for c in itertools.combinations_with_replacement(gens, int(verb[2]))
+    )
+    basis = _reference(ring, list(products), BlockElim(("X",)))
+    return 0, _body([g for g in basis if g.degree_in("X") == 0])
+
+
+def test_the_cli_grid_gb_and_contract_bodies_match_the_reference_engines():
+    """Oracle for the pinned grid: every text run of ``gb`` (grevlex,
+    elim:X, lex) and of ``contract --power 1`` and ``2`` that exits 0 or 1,
+    with and without ``--max-degree 6``, exits 0 with the body built from
+    the textbook Buchberger of ``tests/oracles.py``, which shares no code
+    with the engine.  ``contract --power 3`` is left out: its reference
+    takes tens of seconds on the first GF(7) ideal."""
+    verbs = cli_grid.VERBS[:5]
+    assert [v[-1] for v in verbs] == ["grevlex", "elim:X", "lex", "1", "2"]
+    checked = _checked_against(verbs, _grid_reference)
     assert checked == {"gb": 46, "contract": 26}, checked  # of 48 and 32 argvs
+
+
+def _reference_colon(ring: RingSpec, basis: list) -> list:
+    """The reduced grevlex reference basis of (I : X), I given by ``basis``:
+    I ∩ (X) is the t-free part of the BlockElim(t) reference basis of t*I
+    and (1 - t)*X, and each of its elements is divided by X by lowering the
+    X exponent of every term."""
+    ext, x = ring.extend_aux("_t0"), ring.index("X")
+    t = Polynomial.variable(ext, "_t0")
+    gens = [t * Polynomial(ext, {(*e, 0): c for e, c in g.terms()}) for g in basis]
+    gens.append((Polynomial.one(ext) - t) * Polynomial.variable(ext, "X"))
+    meet = [g for g in _reference(ext, gens, BlockElim(("_t0",))) if g.degree_in("_t0") == 0]
+    divided = [
+        Polynomial(ring, {(*e[:x], e[x] - 1, *e[x + 1 : -1]): c for e, c in g.terms()})
+        for g in meet
+    ]
+    return _reference(ring, divided, Grevlex())
+
+
+def _grid_ideal_reference(ring: RingSpec, gens: list, verb: tuple) -> tuple[int, str]:
+    """The exit code and text body that ``eliminate --vars X``, ``quotient
+    --by X``, ``saturate --by X``, ``member --poly X`` or ``radical-member
+    --poly X`` should give, from the textbook engines of ``tests/oracles.py``
+    alone, with no colon, saturation or elimination code of the library:
+    the saturation is the colon by X repeated until its basis repeats, and
+    X lies in the radical exactly when the saturation is (1)."""
+    name = verb[0]
+    if name == "eliminate":
+        basis = _reference(ring, gens, BlockElim(("X",)))
+        return 0, _body([g for g in basis if g.degree_in("X") == 0])
+    basis = _reference(ring, gens, Grevlex())
+    if name == "quotient":
+        return 0, _body(_reference_colon(ring, basis))
+    if name == "member":
+        X = Polynomial.variable(ring, "X")
+        answer = reference_normal_form(X, basis, Grevlex()).is_zero()
+    else:
+        while (colon := _reference_colon(ring, basis)) != basis:
+            basis = colon
+        if name == "saturate":
+            return 0, _body(basis)
+        answer = basis == [Polynomial.one(ring)]
+    return (0, "true") if answer else (1, "false")
+
+
+def test_the_cli_grid_ideal_verb_bodies_match_the_reference_engines():
+    """Oracle for the pinned grid: every text run of ``eliminate``,
+    ``quotient``, ``saturate``, ``member`` and ``radical-member`` by X, with
+    and without ``--max-degree 6``, that exits 0 or 1 gives the exit code
+    and body built from the textbook Buchberger of ``tests/oracles.py``
+    (see ``_grid_ideal_reference``)."""
+    verbs = cli_grid.VERBS[8:13]
+    assert [v[0] for v in verbs] == ["eliminate", "quotient", "saturate", "member", "radical-member"]
+    assert all(v[-1] == "X" for v in verbs)
+    checked = _checked_against(verbs, _grid_ideal_reference)
+    assert checked == {  # of 16 argvs each
+        "eliminate": 15, "quotient": 16, "saturate": 16, "member": 16, "radical-member": 16
+    }, checked
 
 
 # The body computed with Fraction coefficients throughout.  Its BlockElim(X)

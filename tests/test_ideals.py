@@ -401,6 +401,27 @@ def test_budgets_of_one_field_width_share_one_compiled_order():
     assert square.groebner(Grevlex(), wide_budget).elements == want
 
 
+def test_compiles_in_other_rings_leave_a_power_its_factor_start(pair_calls):
+    """A compiled order is one object for the life of the process, so bases
+    in 70 other rings, computed between those of I^2 and I, do not keep the
+    cube from starting from their products: it answers within 30 pairs after
+    24 S-pairs, as it does with no other ring in between.  Started from its
+    generators it would form 48."""
+
+    def cube_pairs(others):
+        I = ideal(QYZX, "X^2 - Y*Z", "Y*X - Z^2", "Z*X + Y^2")
+        I.power(2).groebner()
+        for ring in others:
+            assert len(ideal(ring, f"{ring.variables[0]}*V").groebner().elements) == 1
+        I.groebner()
+        del pair_calls[:]
+        I.power(3).groebner(budget=Budget(max_pairs=30))
+        return len(pair_calls)
+
+    assert cube_pairs([RingSpec.parse(f"QQ[U{k},V]") for k in range(70)]) == 24
+    assert cube_pairs([]) == 24
+
+
 def test_a_power_seeds_from_factor_bases_of_another_field_width():
     """G_1 and G_2, computed under a degree budget of 64, lie on 16-bit
     fields, which serve the default budget: the cube under it starts from

@@ -48,8 +48,9 @@ class Ideal:
     instance, bases per monomial order.  A power I^t keeps its factors
     I^(t-1) and I instead of its generators, and forms its products of t
     generators of I as Polynomials on their first read.  Its basis under an
-    order starts from the products of the bases of the factors where they
-    fit the degree budget, else from its generators (see ``groebner``).
+    order starts from the products of the bases of the factors, computed
+    first where missing, when they fit the degree budget, else from its
+    generators (see ``groebner``).
     Elimination (and with it intersection, saturation, kernels and
     contractions of powers) computes its basis through the same per-order
     cache, and each of these is one route over ZZ, QQ and GF(p) alike.
@@ -67,7 +68,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self._generators: tuple[Polynomial, ...] | None = tuple(gens)
-        # of a power: (I^(t-1) or None for I itself, gens(I), the bases of I)
+        # of a power: (I^(t-1), or None for I^2, and I)
         self._factors: tuple | None = None
         # of a formed power: per generator, the index in gens(I) of its last factor
         self._lasts: list[int] | None = None
@@ -92,7 +93,8 @@ class Ideal:
                 chain.append(power)
                 power = power._factors[0]
             for power in reversed(chain):
-                prev, base, _ = power._factors
+                prev, base = power._factors
+                base = base.generators
                 if prev is None:
                     lefts, lasts = base, range(len(base))
                 else:
@@ -125,38 +127,39 @@ class Ideal:
     ) -> GroebnerBasis:
         """The reduced (over ZZ strong) basis under ``order``, cached per order.
 
-        A power I^t whose factors have bases cached under ``order``, G_(t-1)
-        of I^(t-1) and G_1 of I, that serve the budget (``_seed``) starts
-        Buchberger from their products G_(t-1)·G_1, over ZZ and over fields
-        alike; a pair of two products that share a factor is settled before
-        it is formed.  Every other ideal starts from its generators, the
-        zero ideal from the zero polynomial.  Reduced bases are unique, so
-        both starts give the same basis.
+        A power I^t starts Buchberger from the products G_(t-1)·G_1 of the
+        bases of its factors I^(t-1) and I (``_seed``), over ZZ and over
+        fields alike; a pair of two products that share a factor is settled
+        before it is formed.  Missing factor bases are computed first, under
+        the same order and budget, bottom-up from the highest power down the
+        chain that has one, so a power's start does not depend on what
+        earlier calls computed.  Every other ideal starts from its
+        generators, the zero ideal from the zero polynomial.  Reduced bases
+        are unique, so every start gives the same basis.
         """
-        order = order or Grevlex()
-        got = self._gb.get(order)
-        if got is None:
-            budget = budget or Budget()
-            start = self._seed(order, budget) or self.generators or (Polynomial.zero(self.ring),)
-            got = self._gb[order] = groebner_basis(start, order, budget)
-        return got
+        order, budget = order or Grevlex(), budget or Budget()
+        chain, ideal = [], self
+        while ideal is not None and order not in ideal._gb:
+            chain.append(ideal)
+            ideal = ideal._factors and (ideal._factors[0] or ideal._factors[1])
+        for ideal in reversed(chain):
+            start = ideal._seed(order, budget) or ideal.generators or (Polynomial.zero(self.ring),)
+            ideal._gb[order] = groebner_basis(start, order, budget)
+        return self._gb[order]
 
     def _seed(self, order: MonomialOrder, budget: Budget):
-        """The start that ``groebner`` begins a power from: the products
-        G_(t-1)·G_1 of the bases of its factors I^(t-1) and I under
-        ``order`` (``groebner._factor_start``); or None where it starts from
-        the generators: a factor basis is not cached under ``order``, the
-        two are not served under one compiled order, or the products do not
-        fit ``budget.max_degree``.  Of I^2 both factors are G_1.
+        """The start that ``groebner`` begins a power from, once both factor
+        bases are cached under ``order``: the products G_(t-1)·G_1 of the
+        bases of I^(t-1) and I (``groebner._factor_start``); or None where
+        it starts from the generators: the products do not fit
+        ``budget.max_degree``, or the two bases are not served under one
+        compiled order.  Of I^2 both factors are G_1.
         """
         if self._factors is None:
             return None
-        prev, _, base_gb = self._factors
-        left = (base_gb if prev is None else prev._gb).get(order)
-        right = base_gb.get(order)
-        if left is None or right is None:
-            return None
-        return _factor_start(left, right, budget)
+        prev, base = self._factors
+        right = base._gb[order]
+        return _factor_start(right if prev is None else prev._gb[order], right, budget)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         """Whether f lies in the ideal: the normal form of f by the grevlex
@@ -185,7 +188,7 @@ class Ideal:
         Every I^k up to t is cached, each built on I^(k-1) and I and formed
         lazily: the generators on first read, from those of I^(k-1), the
         basis per order from the products of the bases of the two factors
-        where ``groebner`` can.  Over domains I^t has a generator of degree
+        (see ``groebner``).  Over domains I^t has a generator of degree
         t times the top one, which any basis of I^t rejects over the degree
         budget, so such a power raises before it is formed.
         """
@@ -199,8 +202,7 @@ class Ideal:
             if k not in self._powers:
                 power = Ideal(self.ring, ())
                 power._generators = None
-                # the factors name I by its parts, so that I^k and I form no cycle
-                power._factors = (self._powers.get(k - 1), self.generators, self._gb)
+                power._factors = (self._powers.get(k - 1), self)
                 self._powers[k] = power
         return self._powers[t]
 

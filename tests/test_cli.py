@@ -555,9 +555,13 @@ def test_a_tail_over_the_degree_budget_exits_three_only_where_it_is_read():
     # the whole basis reduces a tail past the budget
     over = (3, "budget exceeded: degree budget 10 exceeded during reduction")
     assert run("gb", "--order", "elim:X", *_DEFERRED_TAIL) == over
-    # unreduced tails that reach past the budget inside the pair loop still exit 3
+    # the cube starts from the products of its factor bases, whose tails stay
+    # within the budget, and prints the uncapped answer
     argv = ("contract", "--ring", "QQ[Y][X]", "--gens", "11*Y^2 - 1, -2*Y^2 - 2*Y*X", "--power", "3")
-    assert run(*argv, "--max-degree", "10") == (3, "budget exceeded: degree budget 10 exceeded (term of degree 11)")
+    cube = (0, "(Y^6 - 3/11*Y^4 + 3/121*Y^2 - 1/1331)")
+    assert run(*argv, "--max-degree", "10") == cube
+    assert run(*argv) == cube
+    # unreduced tails that reach past the budget inside the pair loop still exit 3
     argv = (
         "gb", "--ring", "Fp(7)[Y][X]", "--order", "elim:X",
         "--gens", "4*Y^3 + 6*Y^2*X + 4*Y^2 + X^2, 3*Y^3 + 5*Y^2*X + 4*X^3, 3*X^3 + 3",
@@ -971,7 +975,7 @@ def test_the_cli_grid_gb_and_contract_bodies_match_the_reference_engines():
     verbs = cli_grid.VERBS[:5]
     assert [v[-1] for v in verbs] == ["grevlex", "elim:X", "lex", "1", "2"]
     checked = _checked_against(verbs, _grid_reference)
-    assert checked == {"gb": 46, "contract": 26}, checked  # of 48 and 32 argvs
+    assert checked == {"gb": 46, "contract": 27}, checked  # of 48 and 32 argvs
 
 
 def _reference_colon(ring: RingSpec, basis: list) -> list:
@@ -1030,6 +1034,64 @@ def test_the_cli_grid_ideal_verb_bodies_match_the_reference_engines():
     assert checked == {  # of 16 argvs each
         "eliminate": 15, "quotient": 16, "saturate": 16, "member": 16, "radical-member": 16
     }, checked
+
+
+# The answer key of each verb's JSON document.
+_ANSWER_KEYS = {
+    "gb": "basis", "contract": "contraction", "eliminate": "result", "quotient": "result",
+    "saturate": "result", "member": "member", "radical-member": "member",
+}
+
+
+def test_the_cli_grid_json_answers_match_their_text_twins():
+    """Each JSON run of the grid's ``gb``, ``contract --power 1`` and ``2``,
+    ``eliminate``, ``quotient``, ``saturate``, ``member`` and
+    ``radical-member`` that exits 0 or 1 exits as its text twin, and its
+    answer key carries the twin's body: a list of polynomials, in order, as
+    the text ``(f, g)`` (``(0)`` for none), or a bool as ``true`` or
+    ``false``.  The two reference tests above check those text bodies."""
+    verbs = cli_grid.VERBS[:5] + cli_grid.VERBS[8:13]
+    checked = dict.fromkeys(_ANSWER_KEYS, 0)
+    for ring, ideals in cli_grid.IDEALS.items():
+        for gens in ideals:
+            for verb in verbs:
+                for cap in ((), ("--max-degree", "6")):
+                    argv = [*verb, "--ring", ring, "--gens", gens, *cap]
+                    code, body = run(*argv, "--format", "json")
+                    if code not in (0, 1):
+                        continue
+                    answer = json.loads(body)[_ANSWER_KEYS[verb[0]]]
+                    if isinstance(answer, bool):
+                        text = "true" if answer else "false"
+                    else:
+                        text = "(" + ", ".join(answer) + ")" if answer else "(0)"
+                    assert (code, text) == run(*argv, "--format", "text"), shlex.join(argv)
+                    checked[verb[0]] += 1
+    assert checked == {
+        "gb": 46, "contract": 27, "eliminate": 15, "quotient": 16,
+        "saturate": 16, "member": 16, "radical-member": 16,
+    }, checked
+
+
+def test_contract_agrees_with_every_check_stable_record_on_the_grid():
+    """On every ideal of the grid, with and without ``--max-degree 6``, each
+    record t that ``check-stable --max-power 3`` prints holds the
+    contraction that ``contract --power t`` prints under the same budget,
+    and that run exits 0: a power's basis starts from the bases of its
+    factors whichever verb asks for it."""
+    records = 0
+    for ring, ideals in cli_grid.IDEALS.items():
+        for gens in ideals:
+            for cap in ((), ("--max-degree", "6")):
+                argv = ["--ring", ring, "--gens", gens, "--format", "json", *cap]
+                code, body = run("check-stable", "--max-power", "3", *argv)
+                for record in json.loads(body)["records"] if code in (0, 1) else ():
+                    t = str(record["t"])
+                    code, got = run("contract", "--power", t, *argv)
+                    assert code == 0, shlex.join(["contract", "--power", t, *argv])
+                    assert json.loads(got)["contraction"] == record["contraction"], (t, argv)
+                    records += 1
+    assert records == 34
 
 
 # The body computed with Fraction coefficients throughout.  Its BlockElim(X)

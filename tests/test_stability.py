@@ -113,7 +113,7 @@ def test_contraction_containment_half_always_holds():
 @pytest.mark.parametrize(
     "ring, texts, check_bases, new_bases",
     [
-        (QYX, ("X^2 - Y", "Y*X"), 3, 2),
+        (QYX, ("X^2 - Y", "Y*X"), 4, 3),
         (ZX, ("X^2 - 2", "X^3"), 2, 0),
         (QYX, ("Y", "X^2 + X + 1"), 3, 2),
     ],
@@ -121,21 +121,23 @@ def test_contraction_containment_half_always_holds():
 )
 def test_contractions_come_from_the_ideal_caches(bases, ring, texts, check_bases, new_bases):
     """The basis that contracts I^t is computed once per ideal and exponent:
-    a repeated contraction reuses the basis cached on the power ideal.
-    Contractions themselves are not cached, so each call builds a fresh
-    ideal of R.  Every basis is counted, in R[X], in R and in rings extended
-    by a tag variable.
+    a repeated contraction reuses the basis cached on the power ideal, and
+    the first one computes the basis of its factor I first.  Contractions
+    themselves are not cached, so each call builds a fresh ideal of R.
+    Every basis is counted, in R[X], in R and in rings extended by a tag
+    variable.
 
     Comparisons are one-sided: only the smaller side, (I ∩ R)^t or J^(n+1),
     may need a basis, so a contraction that equals it is never given one.
     Nor is the smaller side when each generator asked about is one of its
     own: (Y)^t is generated by Y^t, the one generator of I^t ∩ R, so the
     stable pair needs only the 3 elimination bases of I^t for t <= 3, and 2
-    more for the meets of its graded levels."""
+    more for the meets of its graded levels.  The gadget's (I ∩ R)^2 needs
+    a basis, so the basis of its factor I ∩ R comes first."""
     I = ideal(ring, *texts)
     first = contract_power(I, 2)
     assert contract_power(I, 2).texts() == first.texts()
-    assert bases == [ring]
+    assert bases == [ring, ring]
 
     I = ideal(ring, *texts)
     before = len(bases)
@@ -145,7 +147,7 @@ def test_contractions_come_from_the_ideal_caches(bases, ring, texts, check_bases
     graded_criterion(I, 2)
     # over QQ[Y] each graded level adds the elimination basis of its
     # intersection; the gadget fails at level 1, where finding its witness
-    # Y^3 outside J^2 = (Y^4) needs the basis of J^2; over ZZ the grevlex
+    # Y^3 outside J^2 = (Y^4) needs the bases of J and J^2; over ZZ the grevlex
     # bases of the powers are cached on I, so no basis at all
     new = bases[before:]
     assert len(new) == new_bases
